@@ -363,7 +363,12 @@ util::Result<std::string> ReadFile(const std::string& path) {
 util::Status WriteFile(const std::string& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return util::Internal("cannot write " + path);
-  out << contents;
+  // The stream buffers, so a full disk may only surface when the buffer is
+  // flushed on close: check after both.
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  if (!out) return util::Internal("write failed: " + path);
+  out.close();
+  if (!out) return util::Internal("write failed on close: " + path);
   return util::Status::Ok();
 }
 

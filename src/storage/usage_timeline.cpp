@@ -145,7 +145,7 @@ UsageView UsageTracker::ExcludingFile(std::size_t file) const {
 
   // A cached overlay replays exactly: same host nodes, same generations
   // means the same base pieces minus the same file pieces, so both the
-  // overlay timelines and their filled analyses are what a fresh build
+  // overlay timelines and their derived analyses are what a fresh build
   // would produce.
   const auto is_current = [&](const CachedOverlay& cached) {
     if (cached.nodes != nodes) return false;
@@ -169,12 +169,14 @@ UsageView UsageTracker::ExcludingFile(std::size_t file) const {
   auto overlay = std::make_shared<UsageView::Overlay>();
   overlay->reserve(nodes.size());
   // file_nodes_ is sorted, so the overlay comes out sorted by node id.
+  // Each overlay timeline derives its sweep from the aggregate's cached
+  // events in one linear pass, bit-identical to a fresh build.
   for (const net::NodeId node : nodes) {
     const auto it = usage_.find(node);
     if (it == usage_.end()) continue;
-    util::PiecewiseLinear copy = it->second;
-    copy.RemoveTagsIf([file](std::uint64_t tag) { return TagBelongsTo(tag, file); });
-    overlay->emplace_back(node, std::move(copy));
+    overlay->emplace_back(node, it->second.WithoutTagsIf([file](std::uint64_t tag) {
+      return TagBelongsTo(tag, file);
+    }));
   }
 
   CachedOverlay cached;

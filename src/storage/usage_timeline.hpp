@@ -12,6 +12,15 @@
 //     a subtractive UsageView without touching other files' pieces.  The
 //     piece tags (ResidencyRef::Pack()) index every piece back to its
 //     (file, residency), which is what makes the subtraction exact.
+//
+// Derived overlays: a SORP dry run needs, at each node hosting the victim,
+// the aggregate minus the victim's pieces.  The aggregate's cached
+// analysis keeps its sweep events in canonical order (time, then piece
+// order; see util/piecewise.hpp), so removing the victim's pieces removes
+// exactly their events and leaves the rest in order.  The overlay's sweep
+// is therefore derived in one linear pass over the aggregate's events
+// (PiecewiseLinear::WithoutTagsIf) — no copy-then-re-sort — and answers
+// every query bit-identically to BuildUsageExcludingFile.
 #pragma once
 
 #include <cstdint>
@@ -123,13 +132,14 @@ class UsageTracker {
   [[nodiscard]] const UsageMap& usage() const { return usage_; }
 
   /// Subtractive view: aggregate minus all of `file`'s pieces.  Only the
-  /// nodes hosting that file get an overlay copy; every other node reads
+  /// nodes hosting that file get an overlay timeline, derived from the
+  /// aggregate's sorted events without re-sorting; every other node reads
   /// straight from the shared aggregate.  Overlays are cached per file and
   /// revalidated against the host nodes' generations, so repeat dry runs
-  /// of the same file reuse one immutable overlay — including its filled
-  /// breakpoint/sweep analysis — until a commit touches one of its hosts.
-  /// Safe to call concurrently (the cache is mutex-guarded; overlays are
-  /// immutable once published).
+  /// of the same file reuse one immutable overlay — including its derived
+  /// sweep — until a commit touches one of its hosts.  Safe to call
+  /// concurrently (the cache is mutex-guarded; overlays are immutable once
+  /// published).
   [[nodiscard]] UsageView ExcludingFile(std::size_t file) const;
 
   /// Swaps `file`'s contribution for `replacement`'s residencies:

@@ -67,72 +67,96 @@ double PiecewiseLinear::ValueAt(Seconds t) const {
   return total;
 }
 
-const PiecewiseLinear::Analysis& PiecewiseLinear::EnsureAnalysis() const {
-  if (cache_valid_.load(std::memory_order_acquire)) return cache_;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (cache_valid_.load(std::memory_order_relaxed)) return cache_;
-
-  Analysis fresh;
-
-  // Breakpoints: the sorted unique t0/t1/t2 values of every piece.
-  fresh.breakpoints.reserve(pieces_.size() * 3);
-  for (const LinearPiece& p : pieces_) {
-    fresh.breakpoints.push_back(p.t0.value());
-    fresh.breakpoints.push_back(p.t1.value());
-    fresh.breakpoints.push_back(p.t2.value());
-  }
-  std::sort(fresh.breakpoints.begin(), fresh.breakpoints.end());
-  fresh.breakpoints.erase(
-      std::unique(fresh.breakpoints.begin(), fresh.breakpoints.end()),
-      fresh.breakpoints.end());
-
-  // Sweep: event-decompose every piece — a value jump at t0, a slope change
-  // at t1, and the reverse slope change at t2 (rectangles jump back down at
-  // t1 == t2 instead).  One O(n log n) sort then yields the aggregate's
-  // right-limit value and slope at every breakpoint in a single pass.
-  struct Event {
-    double t;
-    double d_value;
-    double d_slope;
-  };
+std::vector<PiecewiseLinear::Event> PiecewiseLinear::CanonicalEvents(
+    const std::vector<LinearPiece>& pieces) {
+  // Event-decompose every piece — a value jump at t0, a slope change at t1,
+  // and the reverse slope change at t2 (rectangles jump back down at
+  // t1 == t2 instead) — then sort by time, breaking ties by emission order.
+  assert(pieces.size() < (std::size_t{1} << 31) / 3);
   std::vector<Event> events;
-  events.reserve(pieces_.size() * 3);
-  for (const LinearPiece& p : pieces_) {
+  events.reserve(pieces.size() * 3);
+  for (std::uint32_t i = 0; i < pieces.size(); ++i) {
+    const LinearPiece& p = pieces[i];
     const double drain = p.t2.value() - p.t1.value();
-    events.push_back({p.t0.value(), p.height, 0.0});
+    events.push_back({p.t0.value(), p.height, 0.0, i, 3 * i});
     if (drain > 0.0) {
       const double rate = p.height / drain;
-      events.push_back({p.t1.value(), 0.0, -rate});
-      events.push_back({p.t2.value(), 0.0, rate});
+      events.push_back({p.t1.value(), 0.0, -rate, i, 3 * i + 1});
+      events.push_back({p.t2.value(), 0.0, rate, i, 3 * i + 2});
     } else {
-      events.push_back({p.t1.value(), -p.height, 0.0});
+      events.push_back({p.t1.value(), -p.height, 0.0, i, 3 * i + 1});
     }
   }
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) { return a.t < b.t; });
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    return a.t < b.t || (a.t == b.t && a.order < b.order);
+  });
+  return events;
+}
 
-  fresh.sweep.reserve(events.size());
+PiecewiseLinear::Analysis PiecewiseLinear::Sweep(
+    const std::vector<Event>& events, const std::uint8_t* drop) {
+  // One pass yields the aggregate's right-limit value and slope at every
+  // breakpoint.  Dropped events are skipped before they can open a
+  // breakpoint, so the result is exactly the sweep of the survivors.
+  const auto kept = [&](std::size_t i) {
+    return drop == nullptr || drop[events[i].piece] == 0;
+  };
+  Analysis out;
+  out.sweep.reserve(events.size());
   double value = 0.0;
   double slope = 0.0;
   double prev_t = 0.0;
   bool started = false;
   for (std::size_t i = 0; i < events.size();) {
+    if (!kept(i)) {
+      ++i;
+      continue;
+    }
     const double t = events[i].t;
     if (started) value += slope * (t - prev_t);
-    while (i < events.size() && events[i].t == t) {
+    for (; i < events.size() && events[i].t == t; ++i) {
+      if (!kept(i)) continue;
       value += events[i].d_value;
       slope += events[i].d_slope;
-      ++i;
     }
     // Sweep drift can leave a tiny negative residue after all pieces end.
     if (value < 0.0 && value > -1e-6) value = 0.0;
-    fresh.sweep.push_back(SweepPoint{t, value, slope});
-    fresh.max_value = std::max(fresh.max_value, value);
+    if (out.sweep.size() % kBlock == 0) out.block_max.push_back(value);
+    out.block_max.back() = std::max(out.block_max.back(), value);
+    out.sweep.push_back(SweepPoint{t, value, slope});
+    out.max_value = std::max(out.max_value, value);
     prev_t = t;
     started = true;
   }
+  return out;
+}
 
-  cache_ = std::move(fresh);
+PiecewiseLinear PiecewiseLinear::Without(
+    const std::vector<std::uint8_t>& drop) const {
+  PiecewiseLinear out;
+  out.pieces_.reserve(pieces_.size());
+  for (std::size_t i = 0; i < pieces_.size(); ++i) {
+    if (drop[i] == 0) out.pieces_.push_back(pieces_[i]);
+  }
+  const Analysis& analysis = EnsureAnalysis();
+  if (analysis.events.empty() && !pieces_.empty()) {
+    // A derived timeline keeps no events; recover them from the pieces.
+    out.cache_ = Sweep(CanonicalEvents(pieces_), drop.data());
+  } else {
+    out.cache_ = Sweep(analysis.events, drop.data());
+  }
+  out.cache_valid_.store(true, std::memory_order_release);
+  return out;
+}
+
+const PiecewiseLinear::Analysis& PiecewiseLinear::EnsureAnalysis() const {
+  if (cache_valid_.load(std::memory_order_acquire)) return cache_;
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  if (cache_valid_.load(std::memory_order_relaxed)) return cache_;
+
+  std::vector<Event> events = CanonicalEvents(pieces_);
+  cache_ = Sweep(events, nullptr);
+  cache_.events = std::move(events);
   cache_valid_.store(true, std::memory_order_release);
   return cache_;
 }
@@ -279,6 +303,7 @@ bool PiecewiseLinear::FitsUnder(const LinearPiece& candidate, double threshold) 
   // instead of re-searching, with the exact arithmetic ValueFromSweep and
   // LinearPiece::ValueAt would use.
   const std::vector<SweepPoint>& sweep = analysis.sweep;
+  const std::size_t n = sweep.size();
   const double start_v = support.start.value();
   const double end_v = support.end.value();
   const double t1_v = candidate.t1.value();
@@ -286,44 +311,66 @@ bool PiecewiseLinear::FitsUnder(const LinearPiece& candidate, double threshold) 
     return p.value + p.slope * (t - p.t);
   };
 
-  auto it = std::upper_bound(
-      sweep.begin(), sweep.end(), start_v,
-      [](double v, const SweepPoint& p) { return v < p.t; });
+  std::size_t i = static_cast<std::size_t>(
+      std::upper_bound(sweep.begin(), sweep.end(), start_v,
+                       [](double v, const SweepPoint& p) { return v < p.t; }) -
+      sweep.begin());
+
+  // Checks sweep points from i up to the first at or after `limit` against
+  // the candidate's value `cand(t)`, leaving i there.  Each block entered
+  // (at i, aligned or not) that ends before `limit` is first tested whole:
+  // if the block's maximum plus the candidate's value at i fits, the rest
+  // of the block is skipped — the candidate is non-increasing on its
+  // support and rounding is monotone, so every skipped point fits too.
+  // Otherwise the block is walked point by point.
+  const auto walk = [&](double limit, auto cand) {
+    while (i < n && sweep[i].t < limit) {
+      const std::size_t block_end = std::min((i / kBlock + 1) * kBlock, n);
+      if (sweep[block_end - 1].t < limit &&
+          analysis.block_max[i / kBlock] + cand(sweep[i].t) <= threshold) {
+        i = block_end;
+        continue;
+      }
+      for (; i < block_end && sweep[i].t < limit; ++i) {
+        if (sweep[i].value + cand(sweep[i].t) > threshold) return false;
+      }
+    }
+    return true;
+  };
 
   // Left edge of the support.
   {
-    const double base =
-        it == sweep.begin() ? 0.0 : interp(*std::prev(it), start_v);
+    const double base = i == 0 ? 0.0 : interp(sweep[i - 1], start_v);
     if (base + candidate.ValueAt(support.start) > threshold) return false;
   }
   // Interior sweep points under the plateau (candidate == height there).
-  for (; it != sweep.end() && it->t < t1_v && it->t < end_v; ++it) {
-    if (it->value + candidate.height > threshold) return false;
+  if (!walk(std::min(t1_v, end_v),
+            [&](double /*t*/) { return candidate.height; })) {
+    return false;
   }
   // The plateau/drain boundary, which need not be a sweep point.
   if (t1_v > start_v && t1_v < end_v) {
     const SweepPoint* p = nullptr;
-    if (it != sweep.end() && it->t == t1_v) {
-      p = &*it;
-    } else if (it != sweep.begin()) {
-      p = &*std::prev(it);
+    if (i < n && sweep[i].t == t1_v) {
+      p = &sweep[i];
+    } else if (i != 0) {
+      p = &sweep[i - 1];
     }
     const double base = p == nullptr ? 0.0 : interp(*p, t1_v);
     if (base + candidate.ValueAt(candidate.t1) > threshold) return false;
   }
   // Interior sweep points under the drain.
   const double drain = candidate.t2.value() - t1_v;
-  if (drain > 0.0) {
-    for (; it != sweep.end() && it->t < end_v; ++it) {
-      const double cand = candidate.height * (1.0 - (it->t - t1_v) / drain);
-      if (it->value + cand > threshold) return false;
-    }
+  if (drain > 0.0 &&
+      !walk(end_v, [&](double t) {
+        return candidate.height * (1.0 - (t - t1_v) / drain);
+      })) {
+    return false;
   }
   // Right edge (left limit at the support's end).
   {
     const double just_before_end = std::nextafter(end_v, start_v);
-    const double base =
-        it == sweep.begin() ? 0.0 : interp(*std::prev(it), just_before_end);
+    const double base = i == 0 ? 0.0 : interp(sweep[i - 1], just_before_end);
     if (base + candidate.ValueAt(Seconds{just_before_end}) > threshold) {
       return false;
     }

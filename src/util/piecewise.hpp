@@ -15,15 +15,30 @@
 // regions where the aggregate exceeds a threshold (the paper's "storage
 // overflow" windows).
 //
-// Analysis cache: the sorted breakpoint list and the event sweep are
-// derived purely from the piece set, but the capacity probes of the
-// rejective greedy (FitsUnder/MaxOver) and the per-round overflow scans
-// (Max/RegionsAbove) used to recompute them on every call.  Both are now
-// computed once per mutation epoch and cached.  The cache fill is guarded
+// Analysis cache: every query except ValueAt/IntegralOver reads an event
+// sweep (right-limit value and slope at every breakpoint) that is computed
+// once per mutation epoch and cached.  The cache fill is guarded
 // (double-checked atomic + mutex), so concurrent READERS of a shared
 // timeline — the SORP dry-run fan-out probing the shared aggregate — are
-// safe; mutations must still be externally serialized against reads, as
-// before.
+// safe; mutations must still be externally serialized against reads.
+//
+// Canonical event order: the sweep accumulates piece events (a value jump
+// at t0, slope changes at t1 and t2) sorted by time, with ties kept in
+// piece order and, within a piece, in t0/t1/t2 order.  Floating-point
+// accumulation is order-sensitive, so fixing the tie order makes the sweep
+// a pure function of the piece sequence.  It also makes removal exact:
+// dropping some pieces drops exactly their events and leaves the rest in
+// order, so WithoutTagsIf derives a sub-timeline's sweep from the source's
+// sorted events in one linear pass, bit-identical to a fresh build of the
+// surviving pieces.  A derived timeline keeps only its sweep and block
+// maxima, not the event list.
+//
+// Block skipping: the sweep also keeps the maximum of every kBlock
+// consecutive points.  FitsUnder skips the rest of a block when that
+// maximum plus the candidate's value at the first point it would skip
+// fits: the candidate never rises with time on its support and IEEE
+// rounding is monotone, so no skipped point can fail.  The answer is the
+// one a point-by-point walk gives.
 #pragma once
 
 #include <algorithm>
@@ -75,11 +90,14 @@ struct ExcessRegion {
 class PiecewiseLinear {
  public:
   PiecewiseLinear() = default;
-  // The analysis cache holds a mutex, so copies/moves transfer the piece
-  // set only and start with a cold cache.
+  // The analysis cache holds a mutex.  Copies transfer the piece set only
+  // and start with a cold cache; moves also carry a filled analysis, so a
+  // derived timeline keeps it when placed in a container.
   PiecewiseLinear(const PiecewiseLinear& other) : pieces_(other.pieces_) {}
   PiecewiseLinear(PiecewiseLinear&& other) noexcept
-      : pieces_(std::move(other.pieces_)) {}
+      : pieces_(std::move(other.pieces_)) {
+    TakeAnalysis(other);
+  }
   PiecewiseLinear& operator=(const PiecewiseLinear& other) {
     if (this != &other) {
       pieces_ = other.pieces_;
@@ -91,6 +109,7 @@ class PiecewiseLinear {
     if (this != &other) {
       pieces_ = std::move(other.pieces_);
       InvalidateCache();
+      TakeAnalysis(other);
     }
     return *this;
   }
@@ -121,6 +140,20 @@ class PiecewiseLinear {
       InvalidateCache();
     }
     return removed;
+  }
+
+  /// This timeline without the pieces whose tag satisfies `pred`: the
+  /// survivors in their original order, with an analysis derived from this
+  /// timeline's sorted events in one linear pass instead of a re-sort.
+  /// Every query on the result answers bit-identically to a fresh timeline
+  /// of the same pieces.  Safe to call concurrently with other readers.
+  template <typename Pred>
+  [[nodiscard]] PiecewiseLinear WithoutTagsIf(Pred pred) const {
+    std::vector<std::uint8_t> drop(pieces_.size());
+    for (std::size_t i = 0; i < pieces_.size(); ++i) {
+      drop[i] = pred(pieces_[i].tag) ? 1 : 0;
+    }
+    return Without(drop);
   }
 
   void Clear() {
@@ -154,24 +187,56 @@ class PiecewiseLinear {
   [[nodiscard]] bool FitsUnder(const LinearPiece& candidate, double threshold) const;
 
  private:
-  /// Right-limit value and slope of the aggregate at every breakpoint,
-  /// computed in one O(n log n) event sweep.
+  /// Sweep points per block-maximum entry.
+  static constexpr std::size_t kBlock = 16;
+
+  /// Right-limit value and slope of the aggregate at every breakpoint.
   struct SweepPoint {
     double t;
     double value;  // right limit
     double slope;  // until the next breakpoint
   };
 
+  /// One piece event: a value jump at t0, then either slope changes at t1
+  /// and t2 (drain) or the drop back at t1 == t2 (rectangle).
+  struct Event {
+    double t;
+    double d_value;
+    double d_slope;
+    /// Index of the emitting piece in pieces_.
+    std::uint32_t piece;
+    /// 3 * piece + (0, 1, 2 for the t0, t1, t2 event): the tie-break
+    /// that makes the event order canonical.
+    std::uint32_t order;
+  };
+
   /// Derived, cached analysis of the current piece set.
   struct Analysis {
-    /// Sorted unique breakpoints of all pieces (t0/t1/t2 values).
-    std::vector<double> breakpoints;
+    /// Every piece's events in canonical order (time, then `order`).
+    /// Empty on a derived timeline, to save memory; deriving from one
+    /// recomputes them from its pieces.
+    std::vector<Event> events;
     std::vector<SweepPoint> sweep;
+    /// Maximum sweep value of each run of kBlock consecutive points.
+    std::vector<double> block_max;
     /// Global maximum of the aggregate (the sweep's largest value; the
     /// aggregate never rises between breakpoints).  Lets FitsUnder accept
     /// in O(1) whenever even the worst case cannot exceed the threshold.
     double max_value = 0.0;
   };
+
+  /// Events of `pieces` in canonical order.
+  [[nodiscard]] static std::vector<Event> CanonicalEvents(
+      const std::vector<LinearPiece>& pieces);
+
+  /// Sweep, block maxima and maximum of the canonically ordered `events`,
+  /// skipping the events of pieces flagged in `drop` (null keeps all).
+  [[nodiscard]] static Analysis Sweep(const std::vector<Event>& events,
+                                      const std::uint8_t* drop);
+
+  /// Non-template body of WithoutTagsIf; `drop` flags pieces by index.
+  [[nodiscard]] PiecewiseLinear Without(
+      const std::vector<std::uint8_t>& drop) const;
 
   /// Returns the cached analysis, computing it under a lock when stale.
   [[nodiscard]] const Analysis& EnsureAnalysis() const;
@@ -185,6 +250,14 @@ class PiecewiseLinear {
                                       double t) const;
   void InvalidateCache() {
     cache_valid_.store(false, std::memory_order_release);
+  }
+  /// Moves `other`'s analysis here when it is filled (move construction
+  /// and assignment only: `other` has no concurrent readers).
+  void TakeAnalysis(PiecewiseLinear& other) {
+    if (!other.cache_valid_.load(std::memory_order_acquire)) return;
+    cache_ = std::move(other.cache_);
+    other.InvalidateCache();
+    cache_valid_.store(true, std::memory_order_release);
   }
 
   std::vector<LinearPiece> pieces_;

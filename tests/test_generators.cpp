@@ -19,6 +19,10 @@ struct Family {
   Topology (*make)(const GeneratorParams&);
 };
 
+// ctest names each case by this printed value; gtest's default would dump
+// the struct's pointer bytes, which change with every process.
+void PrintTo(const Family& f, std::ostream* os) { *os << f.name; }
+
 Topology MakeTree3(const GeneratorParams& p) { return MakeTreeTopology(p, 3); }
 Topology MakeGeo3(const GeneratorParams& p) {
   return MakeGeometricTopology(p, 3);

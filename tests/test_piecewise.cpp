@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <ostream>
+#include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -147,21 +151,110 @@ TEST(PiecewiseLinearTest, EmptyTimelineBehaviour) {
   EXPECT_TRUE(f.FitsUnder(Trapezoid(0, 1, 2, 5), 10.0));
 }
 
-/// Property: RegionsAbove agrees with dense sampling on random piece sets.
-class PiecewiseRandomProperty : public ::testing::TestWithParam<int> {};
+/// One property case: an RNG seed, and whether to draw tie-heavy inputs —
+/// times on a coarse grid so many events share an instant, rectangles with
+/// t1 == t2, zero plateaus, and enough pieces that the sweep spans several
+/// FitsUnder skip blocks.
+struct PropertyCase {
+  int seed = 0;
+  bool ties = false;
+};
+
+// ctest names each case by this printed value, so plain cases keep their
+// bare-seed names.
+void PrintTo(const PropertyCase& c, std::ostream* os) {
+  *os << (c.ties ? "ties" : "") << c.seed;
+}
+
+std::vector<PropertyCase> Cases(int plain, int ties) {
+  std::vector<PropertyCase> cases;
+  for (int seed = 1; seed <= plain; ++seed) cases.push_back({seed, false});
+  for (int seed = 1; seed <= ties; ++seed) cases.push_back({seed, true});
+  return cases;
+}
+
+/// A tie-heavy piece: every time on a 0.5 s grid within [0, 50], about a
+/// quarter rectangles (t1 == t2), some with no plateau (t0 == t1).
+LinearPiece TiePiece(Rng& rng, double max_height, std::uint64_t tag = 0) {
+  const auto grid = [&rng](int steps) {
+    return 0.5 * static_cast<double>(rng.NextBounded(steps + 1));
+  };
+  const double t0 = grid(60);
+  const double t1 = rng.NextBounded(5) == 0 ? t0 : t0 + grid(24);
+  const double t2 = rng.NextBounded(4) == 0 ? t1 : t1 + 0.5 + grid(16);
+  return Trapezoid(t0, t1, t2, rng.Uniform(1.0, max_height), tag);
+}
+
+/// Property: a timeline with a random tag subset removed answers every
+/// query bit-identically to a fresh timeline of the surviving pieces.
+void ExpectDerivedMatchesFresh(const PiecewiseLinear& f, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> dropped(f.pieces().size());
+  for (std::uint8_t& d : dropped) d = rng.NextBounded(3) == 0 ? 1 : 0;
+  const PiecewiseLinear derived = f.WithoutTagsIf(
+      [&dropped](std::uint64_t tag) { return dropped[tag] != 0; });
+  PiecewiseLinear fresh;
+  for (const LinearPiece& p : f.pieces()) {
+    if (dropped[p.tag] == 0) fresh.Add(p);
+  }
+  // A moved derived timeline carries its analysis along, and a derived
+  // timeline (which keeps no events) still derives correctly.
+  PiecewiseLinear twin = f.WithoutTagsIf(
+      [&dropped](std::uint64_t tag) { return dropped[tag] != 0; });
+  const PiecewiseLinear moved = std::move(twin);
+  const PiecewiseLinear rederived =
+      derived.WithoutTagsIf([](std::uint64_t /*tag*/) { return false; });
+  for (const PiecewiseLinear* got : {&derived, &moved, &rederived}) {
+    ASSERT_EQ(got->pieces().size(), fresh.pieces().size());
+    EXPECT_EQ(got->Max(), fresh.Max());
+    for (const double threshold :
+         {0.0, 0.3 * fresh.Max(), 0.7 * fresh.Max(), fresh.Max()}) {
+      const auto want = fresh.RegionsAbove(threshold);
+      const auto have = got->RegionsAbove(threshold);
+      ASSERT_EQ(have.size(), want.size()) << "threshold " << threshold;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(have[i].window.start.value(), want[i].window.start.value());
+        EXPECT_EQ(have[i].window.end.value(), want[i].window.end.value());
+        EXPECT_EQ(have[i].peak, want[i].peak);
+        EXPECT_EQ(have[i].contributors, want[i].contributors);
+      }
+    }
+    for (int k = 0; k < 20; ++k) {
+      const LinearPiece probe = TiePiece(rng, 40.0);
+      EXPECT_EQ(got->MaxOver(probe.Support()), fresh.MaxOver(probe.Support()));
+      const double critical = fresh.MaxOver(probe.Support()) + probe.height;
+      for (const double threshold :
+           {critical, std::nextafter(critical, 0.0), rng.Uniform(0.0, critical)}) {
+        EXPECT_EQ(got->FitsUnder(probe, threshold),
+                  fresh.FitsUnder(probe, threshold));
+      }
+    }
+  }
+}
+
+/// Property: RegionsAbove agrees with dense sampling on random piece sets,
+/// and removing a random tag subset matches a fresh build.
+class PiecewiseRandomProperty : public ::testing::TestWithParam<PropertyCase> {};
 
 TEST_P(PiecewiseRandomProperty, RegionsMatchDenseSampling) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  const PropertyCase c = GetParam();
+  Rng rng(static_cast<std::uint64_t>(c.seed) + (c.ties ? 1000 : 0));
   PiecewiseLinear f;
-  const int pieces = 1 + static_cast<int>(rng.NextBounded(8));
+  const int pieces = c.ties ? 60 + static_cast<int>(rng.NextBounded(60))
+                            : 1 + static_cast<int>(rng.NextBounded(8));
   for (int i = 0; i < pieces; ++i) {
+    if (c.ties) {
+      f.Add(TiePiece(rng, 20.0, static_cast<std::uint64_t>(i)));
+      continue;
+    }
     const double t0 = rng.Uniform(0.0, 50.0);
     const double t1 = t0 + rng.Uniform(0.0, 30.0);
     const double t2 = t1 + rng.Uniform(0.0, 20.0);
     f.Add(Trapezoid(t0, t1, t2, rng.Uniform(1.0, 100.0),
                     static_cast<std::uint64_t>(i)));
   }
-  const double threshold = rng.Uniform(10.0, 150.0);
+  const double threshold =
+      c.ties ? rng.Uniform(0.2, 0.9) * f.Max() : rng.Uniform(10.0, 150.0);
   const auto regions = f.RegionsAbove(threshold);
 
   auto inside_region = [&](double t) {
@@ -179,50 +272,99 @@ TEST_P(PiecewiseRandomProperty, RegionsMatchDenseSampling) {
       EXPECT_FALSE(inside_region(t)) << "t=" << t << " v=" << v;
     }
   }
+
+  ExpectDerivedMatchesFresh(f, static_cast<std::uint64_t>(c.seed) * 31 + 7);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PiecewiseRandomProperty,
-                         ::testing::Range(1, 21));
+                         ::testing::ValuesIn(Cases(20, 20)));
 
 /// Property: FitsUnder is exact — accepting iff dense sampling accepts.
-class FitsUnderProperty : public ::testing::TestWithParam<int> {};
+/// Tie-heavy cases span several skip blocks and put the threshold near
+/// the critical value, so blocks are both skipped and walked.
+class FitsUnderProperty : public ::testing::TestWithParam<PropertyCase> {};
 
 TEST_P(FitsUnderProperty, MatchesDenseSampling) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919);
+  const PropertyCase c = GetParam();
+  Rng rng(static_cast<std::uint64_t>(c.seed) * 7919 + (c.ties ? 1 : 0));
   PiecewiseLinear f;
-  const int pieces = static_cast<int>(rng.NextBounded(6));
+  const int pieces = c.ties ? 60 + static_cast<int>(rng.NextBounded(60))
+                            : static_cast<int>(rng.NextBounded(6));
   for (int i = 0; i < pieces; ++i) {
+    if (c.ties) {
+      f.Add(TiePiece(rng, 20.0));
+      continue;
+    }
     const double t0 = rng.Uniform(0.0, 40.0);
     const double t1 = t0 + rng.Uniform(0.0, 20.0);
     const double t2 = t1 + rng.Uniform(0.1, 15.0);
     f.Add(Trapezoid(t0, t1, t2, rng.Uniform(1.0, 60.0)));
   }
-  const double t0 = rng.Uniform(0.0, 40.0);
-  const double t1 = t0 + rng.Uniform(0.1, 20.0);
-  const double t2 = t1 + rng.Uniform(0.1, 15.0);
-  const LinearPiece candidate = Trapezoid(t0, t1, t2, rng.Uniform(1.0, 60.0));
-  const double threshold = rng.Uniform(30.0, 120.0);
+  std::vector<std::pair<LinearPiece, double>> probes;
+  if (c.ties) {
+    // Candidates with plateaus and drains long enough to cover whole skip
+    // blocks, tried around and exactly at their critical threshold.
+    for (int k = 0; k < 20; ++k) {
+      const double t0 = 0.5 * static_cast<double>(rng.NextBounded(61));
+      const double t1 = t0 + 0.5 * static_cast<double>(rng.NextBounded(25));
+      const double t2 = t1 + 0.5 + 0.5 * static_cast<double>(rng.NextBounded(61));
+      const LinearPiece candidate = Trapezoid(t0, t1, t2, rng.Uniform(1.0, 20.0));
+      const double critical = f.MaxOver(candidate.Support()) + candidate.height;
+      probes.emplace_back(candidate, critical * rng.Uniform(0.9, 1.1));
+      probes.emplace_back(candidate, critical);
+      probes.emplace_back(candidate, std::nextafter(critical, 0.0));
+    }
+  } else {
+    const double t0 = rng.Uniform(0.0, 40.0);
+    const double t1 = t0 + rng.Uniform(0.1, 20.0);
+    const double t2 = t1 + rng.Uniform(0.1, 15.0);
+    const LinearPiece candidate = Trapezoid(t0, t1, t2, rng.Uniform(1.0, 60.0));
+    probes.emplace_back(candidate, rng.Uniform(30.0, 120.0));
+  }
 
-  bool sampled_ok = true;
-  for (double t = t0; t < t2; t += 0.0531) {
-    if (f.ValueAt(Seconds{t}) + candidate.ValueAt(Seconds{t}) >
-        threshold + 1e-6) {
-      sampled_ok = false;
-      break;
+  for (const auto& [candidate, threshold] : probes) {
+    bool sampled_ok = true;
+    for (double t = candidate.t0.value(); t < candidate.t2.value();
+         t += 0.0531) {
+      if (f.ValueAt(Seconds{t}) + candidate.ValueAt(Seconds{t}) >
+          threshold + 1e-6) {
+        sampled_ok = false;
+        break;
+      }
+    }
+    const bool exact_ok = f.FitsUnder(candidate, threshold);
+    // The exact test may only be stricter than coarse sampling, never more
+    // permissive where sampling found a violation.
+    if (!sampled_ok) {
+      EXPECT_FALSE(exact_ok);
+    }
+    if (exact_ok) {
+      EXPECT_TRUE(sampled_ok);
     }
   }
-  const bool exact_ok = f.FitsUnder(candidate, threshold);
-  // The exact test may only be stricter than coarse sampling, never more
-  // permissive where sampling found a violation.
-  if (!sampled_ok) {
-    EXPECT_FALSE(exact_ok);
-  }
-  if (exact_ok) {
-    EXPECT_TRUE(sampled_ok);
+  if (!c.ties) return;
+
+  // Block skipping is exact: the same pieces behind 1..16 leading
+  // zero-height instants (which shift every sweep point by that many slots
+  // without changing any value) give every answer unchanged, whichever
+  // points now share a skip block.
+  for (int shift = 1; shift <= 16; ++shift) {
+    PiecewiseLinear shifted;
+    for (int k = 0; k < shift; ++k) {
+      const double t = -100.0 + k;
+      shifted.Add(Trapezoid(t, t, t, 0.0));
+    }
+    for (const LinearPiece& p : f.pieces()) shifted.Add(p);
+    for (const auto& [candidate, threshold] : probes) {
+      EXPECT_EQ(shifted.FitsUnder(candidate, threshold),
+                f.FitsUnder(candidate, threshold))
+          << "shift " << shift << " threshold " << threshold;
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FitsUnderProperty, ::testing::Range(1, 31));
+INSTANTIATE_TEST_SUITE_P(Seeds, FitsUnderProperty,
+                         ::testing::ValuesIn(Cases(30, 20)));
 
 }  // namespace
 }  // namespace vor::util

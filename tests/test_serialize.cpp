@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "core/scheduler.hpp"
 #include "sim/validator.hpp"
@@ -151,6 +153,19 @@ TEST(SerializeTest, FileHelpers) {
   EXPECT_EQ(*text, "{\"x\": 1}");
   std::remove(path.c_str());
   EXPECT_FALSE(ReadFile(path + ".does-not-exist").ok());
+}
+
+TEST(SerializeTest, WriteFileReportsFailedWrites) {
+  // /dev/full opens fine but fails every write with ENOSPC.  A small
+  // payload stays in the stream buffer until close; a large one fails
+  // during the write itself.  Both must surface, naming the path.
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  for (const std::size_t size : {std::size_t{8}, std::size_t{1} << 20}) {
+    const util::Status status = WriteFile("/dev/full", std::string(size, 'x'));
+    ASSERT_FALSE(status.ok()) << size << " bytes";
+    EXPECT_NE(status.error().message.find("/dev/full"), std::string::npos)
+        << status.error().message;
+  }
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // storage::UsageTracker / storage::UsageView unit coverage: the delta-
 // maintained aggregate must match a fresh BuildUsage piece-for-piece (in
 // the same canonical ascending-tag order — SORP's byte-identity guarantee
-// rests on it), subtractive views must match BuildUsageExcludingFile, and
-// generation counters must advance exactly for the nodes a commit touches.
+// rests on it), subtractive views (whose sweeps are derived from the
+// aggregate's, not rebuilt) must match BuildUsageExcludingFile piece for
+// piece and query for query, and generation counters must advance exactly
+// for the nodes a commit touches.
 #include "storage/usage_timeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <vector>
 
@@ -46,6 +49,50 @@ void ExpectSameUsage(const UsageMap& got, const UsageMap& want) {
     const auto it = got.find(node);
     ASSERT_NE(it, got.end()) << "node " << node << " missing";
     ExpectSamePieces(it->second, timeline, node);
+  }
+}
+
+void ExpectSameRegions(const std::vector<util::ExcessRegion>& got,
+                       const std::vector<util::ExcessRegion>& want,
+                       net::NodeId node, double threshold) {
+  ASSERT_EQ(got.size(), want.size()) << "node " << node << " at " << threshold;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].window.start.value(), want[i].window.start.value())
+        << "node " << node << " region " << i;
+    EXPECT_EQ(got[i].window.end.value(), want[i].window.end.value())
+        << "node " << node << " region " << i;
+    EXPECT_EQ(got[i].peak, want[i].peak) << "node " << node << " region " << i;
+    EXPECT_EQ(got[i].contributors, want[i].contributors)
+        << "node " << node << " region " << i;
+  }
+}
+
+/// Every query a SORP dry run or overflow scan makes must answer bit for
+/// bit like the reference timeline.  `probes` are candidate residencies;
+/// each is tried at the node's capacity and exactly at its critical
+/// threshold (the reference's maximum over the support plus its height),
+/// where a one-ulp difference in the sweep would flip the answer.
+void ExpectSameAnswers(const util::PiecewiseLinear& got,
+                       const util::PiecewiseLinear& want,
+                       const std::vector<util::LinearPiece>& probes,
+                       double capacity, net::NodeId node) {
+  EXPECT_EQ(got.Max(), want.Max()) << "node " << node;
+  const double peak = want.Max();
+  for (const double threshold :
+       {capacity, 0.0, 0.25 * peak, 0.5 * peak, 0.9 * peak, peak}) {
+    ExpectSameRegions(got.RegionsAbove(threshold), want.RegionsAbove(threshold),
+                      node, threshold);
+  }
+  for (const util::LinearPiece& probe : probes) {
+    const util::Interval support = probe.Support();
+    EXPECT_EQ(got.MaxOver(support), want.MaxOver(support)) << "node " << node;
+    const double critical = want.MaxOver(support) + probe.height;
+    for (const double threshold :
+         {capacity, critical, std::nextafter(critical, 0.0)}) {
+      EXPECT_EQ(got.FitsUnder(probe, threshold),
+                want.FitsUnder(probe, threshold))
+          << "node " << node << " threshold " << threshold;
+    }
   }
 }
 
@@ -90,10 +137,23 @@ TEST(UsageTrackerTest, SubtractiveViewMatchesBuildUsageExcludingFile) {
         // an emptied overlay copy instead — behaviourally equivalent.
         EXPECT_TRUE(got == nullptr || got->empty())
             << "file " << f << " node " << node;
-      } else {
-        ASSERT_NE(got, nullptr) << "file " << f << " node " << node;
-        ExpectSamePieces(*got, it->second, node);
+        continue;
       }
+      ASSERT_NE(got, nullptr) << "file " << f << " node " << node;
+      ExpectSamePieces(*got, it->second, node);
+      // Probe with the file's own residencies here (the shape its
+      // reschedule tries) and with a spread of the surviving pieces.
+      std::vector<util::LinearPiece> probes;
+      for (const core::Residency& c : env.schedule.files[f].residencies) {
+        if (c.location == node) probes.push_back(env.cm->OccupancyPiece(c, 0));
+      }
+      const std::vector<util::LinearPiece>& rest = it->second.pieces();
+      for (std::size_t i = 0; i < rest.size(); i += 1 + rest.size() / 8) {
+        probes.push_back(rest[i]);
+      }
+      ExpectSameAnswers(*got, it->second, probes,
+                        env.scenario.topology.node(node).capacity.value(),
+                        node);
     }
   }
 }
