@@ -19,14 +19,17 @@
 # flag rides along into the `soak` and `rpc-soak` gates below, which
 # build from the same preset.
 #
-# `bench-smoke` instead builds the plain tree and runs the bench_perf
-# self-checking smoke (the SORP stress scenario): metrics schema, memo
-# hit-rate, and single-usage-build invariants, in ~10s.
+# `bench-smoke` builds the plain tree and runs `bench_smoke --smoke`
+# (bench/bench_smoke.cpp): a 1M-request streaming replay whose peak-RSS
+# growth must stay within 8 MB, the SORP stress solve (SORP engages,
+# victims > 0, one usage build, the sorp.* metrics schema present), and
+# the speculative-close byte-identity check.  Performance is e2ebench's
+# job (BENCHMARK.json); this gate checks invariants only.
 #
-# `bench-region` builds bench_perf under the asan-ubsan preset and runs
-# the region-sharded SORP smoke: a 100k-request region-skewed scale
-# trace solved monolithically and region-sharded, checking shard-plan
-# formation, candidate-evaluation reduction, and byte-identical
+# `bench-region` builds bench_smoke under the asan-ubsan preset and runs
+# `--region-smoke`: a 50k-request region-skewed scale trace solved
+# monolithically and region-sharded, checking shard-plan formation,
+# candidate-evaluation reduction, resolution, and byte-identical
 # schedules across (regions x threads) combinations — with the memory
 # and UB checkers watching the parallel shard path.
 #
@@ -53,7 +56,8 @@
 # bytes over a real socket) with the memory checkers watching.
 #
 # `all` runs lint first (cheapest gate, fails fastest), then the
-# sanitizer builds, then the codec diff, then the soaks.
+# sanitizer builds, then the bench smokes, then the codec diff, then the
+# soaks.
 #
 # Usage: scripts/check.sh [lint|asan-ubsan|tsan|bench-smoke|bench-region|codec-diff|soak|rpc-soak|all]   (default: all)
 set -euo pipefail
@@ -123,22 +127,19 @@ lint() {
 bench_smoke() {
   echo "==> configure build (default preset)"
   cmake -S . -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
-  echo "==> build bench_perf"
-  cmake --build build -j "${jobs}" --target bench_perf
-  echo "==> bench_perf --smoke"
-  ./build/bench/bench_perf --smoke
+  echo "==> build bench_smoke"
+  cmake --build build -j "${jobs}" --target bench_smoke
+  echo "==> bench_smoke --smoke"
+  ./build/bench/bench_smoke --smoke
 }
 
 bench_region() {
   echo "==> configure asan-ubsan"
   cmake --preset asan-ubsan >/dev/null
-  echo "==> build bench_perf (asan-ubsan)"
-  cmake --build --preset asan-ubsan -j "${jobs}" --target bench_perf
-  echo "==> bench_perf --region-smoke (asan-ubsan)"
-  # Sanitized builds run ~2x slower; halve the default trace so the gate
-  # stays under a minute while still forming a multi-shard plan.
-  VOR_REGION_USERS="${VOR_REGION_USERS:-50000}" \
-    ./build-asan-ubsan/bench/bench_perf --region-smoke
+  echo "==> build bench_smoke (asan-ubsan)"
+  cmake --build --preset asan-ubsan -j "${jobs}" --target bench_smoke
+  echo "==> bench_smoke --region-smoke (asan-ubsan)"
+  ./build-asan-ubsan/bench/bench_smoke --region-smoke
 }
 
 codec_diff() {
@@ -301,6 +302,7 @@ case "${which}" in
     lint
     run_preset asan-ubsan
     run_preset tsan
+    bench_smoke
     bench_region
     codec_diff
     soak

@@ -165,7 +165,6 @@ util::Result<SolveOutput> IncrementalSolve(
   sorp_options.heat = scheduler.options().heat;
   sorp_options.ivsp = scheduler.options().ivsp;
   sorp_options.max_iterations = scheduler.options().max_sorp_iterations;
-  sorp_options.incremental = scheduler.options().sorp_incremental;
   sorp_options.regions = scheduler.options().sorp_regions;
   sorp_options.parallel = scheduler.options().parallel;
   sorp_options.pool = pool.get();

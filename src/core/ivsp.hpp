@@ -96,8 +96,7 @@ struct ConstraintSet {
 
   /// Space already reserved at each IS by all *other* files.  Candidate
   /// residencies must keep total usage within the node's capacity.
-  /// May be nullptr (no capacity enforcement).  The view records which
-  /// nodes were consulted, enabling SORP's cross-round memoization.
+  /// May be nullptr (no capacity enforcement).
   const storage::UsageView* other_usage = nullptr;
 
   /// Optional route-feasibility hook (used by the bandwidth extension):

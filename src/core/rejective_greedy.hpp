@@ -44,12 +44,11 @@ struct RescheduleResult {
 ///   * `other_usage` — reserved space of all other files; candidates must
 ///     fit within each IS's remaining capacity.  A default-constructed
 ///     view disables capacity enforcement beyond the static height check.
-///     The view also records which nodes the run consulted (the basis of
-///     SORP's memo-invalidation rule).
 ///
 /// The run reads only schedule.files[file_index] from `schedule` — every
-/// other file's influence arrives exclusively through `other_usage`.  SORP
-/// relies on this to replay memoized results safely.
+/// other file's influence arrives exclusively through `other_usage`.
+/// Region-sharded SORP relies on this: a shard commits to its own file
+/// slots while other shards' dry runs read the same schedule.
 [[nodiscard]] RescheduleResult RescheduleVictim(
     const Schedule& schedule, std::size_t file_index,
     const std::vector<workload::Request>& requests,

@@ -50,7 +50,6 @@ util::Result<SolveOutput> VorScheduler::Solve(
   sorp_options.heat = options_.heat;
   sorp_options.ivsp = options_.ivsp;
   sorp_options.max_iterations = options_.max_sorp_iterations;
-  sorp_options.incremental = options_.sorp_incremental;
   sorp_options.regions = options_.sorp_regions;
   sorp_options.parallel = options_.parallel;
   sorp_options.pool = pool.get();

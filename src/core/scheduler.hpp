@@ -31,10 +31,6 @@ struct SchedulerOptions {
   PricingOptions pricing;
   IvspOptions ivsp;
   std::size_t max_sorp_iterations = 10000;
-  /// SORP engine selector (see SorpOptions::incremental): true (default)
-  /// runs the delta-maintained + memoized loop; false the rebuild-from-
-  /// scratch reference engine.  Schedule bytes are identical either way.
-  bool sorp_incremental = true;
   /// SORP region sharding (see SorpOptions::regions): 1 (default) runs the
   /// single global resolution loop; 0 = auto (one shard per route-closed
   /// neighborhood cluster); N >= 2 coalesces the topology's natural

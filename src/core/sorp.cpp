@@ -29,37 +29,11 @@ struct Evaluation {
   FileSchedule schedule;
   GreedyStats greedy;
   double seconds = 0.0;
-  /// Nodes whose usage the dry run consulted (sorted, deduped); the basis
-  /// of the memo-invalidation rule below.
-  std::vector<net::NodeId> consulted;
-};
-
-/// Memoization key: the full identity of a dry run against a frozen
-/// backdrop — victim file and the forbidden (node, window).  Window bounds
-/// compare exactly (same bits), which is the right notion for replay.
-using MemoKey = std::tuple<std::size_t, net::NodeId, double, double>;
-
-[[nodiscard]] MemoKey KeyOf(const SorpCandidate& c) {
-  return MemoKey{c.file_index, c.node, c.window.start.value(),
-                 c.window.end.value()};
-}
-
-/// A cached dry run plus the generation of every node it consulted at the
-/// time it ran.  Replay is sound iff (a) the victim file's own schedule is
-/// unchanged — enforced by erasing the victim's entries on commit — and
-/// (b) no consulted node's timeline changed — checked against the
-/// tracker's generation counters.  Everything else a dry run reads
-/// (requests, cost model, options) is frozen for the whole solve.
-struct MemoEntry {
-  Evaluation eval;
-  std::vector<std::pair<net::NodeId, std::uint64_t>> consulted_gens;
 };
 
 [[nodiscard]] bool HooksSerial(const SorpOptions& options) {
   // The extension hooks exclude/re-include a file's streams in external
-  // trackers around each dry run; that protocol is inherently serial, and
-  // because the external state drifts between rounds, replaying a cached
-  // result would skip the hook's side effects — so memoization is off too.
+  // trackers around each dry run; that protocol is inherently serial.
   return static_cast<bool>(options.on_file_excluded) ||
          static_cast<bool>(options.on_file_included) ||
          static_cast<bool>(options.route_ok);
@@ -85,36 +59,22 @@ SorpStats RunSorpLoop(Schedule& schedule,
                       bool round_spans) {
   SorpStats stats;
   const bool hooks_serial = HooksSerial(options);
-  const bool incremental = options.incremental;
-  const bool memoize = incremental && !hooks_serial;
 
-  // Aggregate usage: either delta-maintained (built once, diffed on every
-  // commit) or rebuilt from scratch each time (reference engine).  Both
-  // yield identical per-node piece sequences — the tracker maintains the
-  // canonical ascending-tag order a fresh build produces.
+  // Aggregate usage, built once and diffed on every commit.  The tracker
+  // keeps the canonical ascending-tag piece order a fresh build produces.
   std::optional<storage::UsageTracker> tracker;
-  storage::UsageMap rebuilt;
-  if (incremental) {
-    if (shard_files != nullptr) {
-      tracker.emplace(schedule, cost_model, *shard_files);
-    } else {
-      tracker.emplace(schedule, cost_model);
-    }
+  if (shard_files != nullptr) {
+    tracker.emplace(schedule, cost_model, *shard_files);
   } else {
-    rebuilt = shard_files != nullptr
-                  ? storage::BuildUsageForFiles(schedule, cost_model,
-                                                *shard_files)
-                  : storage::BuildUsage(schedule, cost_model);
+    tracker.emplace(schedule, cost_model);
   }
   ++stats.usage_rebuilds;
-  const auto current_usage = [&]() -> const storage::UsageMap& {
-    return incremental ? tracker->usage() : rebuilt;
-  };
+  const storage::UsageMap& usage = tracker->usage();
 
   std::vector<OverflowWindow> overflows =
-      DetectOverflowsIn(current_usage(), cost_model.topology());
+      DetectOverflowsIn(usage, cost_model.topology());
   stats.initial_overflow_windows = overflows.size();
-  stats.initial_excess = TotalExcess(current_usage(), cost_model.topology());
+  stats.initial_excess = TotalExcess(usage, cost_model.topology());
   double excess = stats.initial_excess;
   obs::Add(metrics, "sorp.initial_overflow_windows", overflows.size());
   if (metrics != nullptr && !overflows.empty()) {
@@ -127,25 +87,13 @@ SorpStats RunSorpLoop(Schedule& schedule,
   // Evaluation and are folded into the registry serially.
   const auto evaluate = [&](const SorpCandidate& c) -> Evaluation {
     const obs::Stopwatch watch;
-    // The backdrop the victim must fit into: all other files' usage.  The
-    // subtractive view copies only the nodes hosting the victim; the
-    // reference engine rebuilds the whole map from scratch.  A default
-    // view (capacity-unaware ablation) enforces the static height check
-    // only, exactly like the empty UsageMap it replaces.
-    storage::UsageMap scratch;
-    storage::UsageView other;
-    if (options.capacity_aware_reschedule) {
-      if (incremental) {
-        other = tracker->ExcludingFile(c.file_index);
-      } else {
-        scratch = shard_files != nullptr
-                      ? storage::BuildUsageForFiles(schedule, cost_model,
-                                                    *shard_files, c.file_index)
-                      : storage::BuildUsageExcludingFile(schedule, cost_model,
-                                                         c.file_index);
-        other = storage::UsageView(&scratch);
-      }
-    }
+    // The backdrop the victim must fit into: all other files' usage, as a
+    // subtractive view that copies only the nodes hosting the victim.  A
+    // default view (capacity-unaware ablation) enforces the static height
+    // check only.
+    const storage::UsageView other = options.capacity_aware_reschedule
+                                         ? tracker->ExcludingFile(c.file_index)
+                                         : storage::UsageView();
     RescheduleResult attempt = RescheduleVictim(
         schedule, c.file_index, requests, cost_model, options.ivsp,
         {{c.node, c.window}}, other, options.route_ok);
@@ -155,11 +103,8 @@ SorpStats RunSorpLoop(Schedule& schedule,
     out.schedule = std::move(attempt.schedule);
     out.greedy = attempt.greedy;
     out.seconds = watch.Seconds();
-    out.consulted = other.ConsultedNodes();
     return out;
   };
-
-  std::map<MemoKey, MemoEntry> memo;
 
   while (!overflows.empty() &&
          stats.victims_rescheduled < options.max_iterations) {
@@ -174,48 +119,18 @@ SorpStats RunSorpLoop(Schedule& schedule,
       candidates.resize(1);
     }
 
-    // Memo probe — serial, before any fan-out, so the hit/miss split is a
-    // pure function of the deterministic commit history and therefore
-    // identical at any thread count.  A hit replays the cached evaluation
-    // (schedule bytes, heat, and greedy tallies are exactly what a re-run
-    // would produce); only the misses go to the pool.
     std::vector<Evaluation> evals(candidates.size());
-    std::vector<std::size_t> to_run;
-    to_run.reserve(candidates.size());
-    std::size_t round_hits = 0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      bool hit = false;
-      if (memoize) {
-        const auto it = memo.find(KeyOf(candidates[i]));
-        if (it != memo.end()) {
-          hit = true;
-          for (const auto& [node, gen] : it->second.consulted_gens) {
-            if (tracker->NodeGeneration(node) != gen) {
-              hit = false;
-              break;
-            }
-          }
-        }
-        if (hit) {
-          evals[i] = it->second.eval;
-          evals[i].seconds = 0.0;
-          ++round_hits;
-        }
-      }
-      if (!hit) to_run.push_back(i);
-    }
-
     const bool parallel = pool != nullptr && !hooks_serial &&
-                          to_run.size() > 1 && !pool->InWorkerThread();
+                          candidates.size() > 1 && !pool->InWorkerThread();
     if (parallel) {
       // Fan the dry runs out; each slot reads the frozen schedule and
       // writes only its own entry.  The reduction below is order-based,
       // so thread scheduling cannot change the chosen victim.
-      pool->ParallelFor(to_run.size(), [&](std::size_t k) {
-        evals[to_run[k]] = evaluate(candidates[to_run[k]]);
+      pool->ParallelFor(candidates.size(), [&](std::size_t i) {
+        evals[i] = evaluate(candidates[i]);
       });
     } else {
-      for (const std::size_t i : to_run) {
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
         if (options.on_file_excluded) {
           options.on_file_excluded(candidates[i].file_index);
         }
@@ -228,38 +143,16 @@ SorpStats RunSorpLoop(Schedule& schedule,
       }
     }
 
-    // Record fresh results with the generations their consulted nodes had
-    // at run time (the tracker is untouched during the fan-out, so these
-    // are exactly the generations the dry runs saw).
-    if (memoize) {
-      for (const std::size_t i : to_run) {
-        MemoEntry entry;
-        entry.eval = evals[i];
-        entry.consulted_gens.reserve(evals[i].consulted.size());
-        for (const net::NodeId node : evals[i].consulted) {
-          entry.consulted_gens.emplace_back(node, tracker->NodeGeneration(node));
-        }
-        memo.insert_or_assign(KeyOf(candidates[i]), std::move(entry));
-      }
-    }
-
     stats.evaluations += candidates.size();
-    stats.memo_hits += round_hits;
-    if (memoize) stats.memo_misses += to_run.size();
     if (metrics != nullptr) {
       obs::Add(metrics, "sorp.rounds");
       obs::Add(metrics, "sorp.candidates_evaluated", candidates.size());
-      if (memoize) {
-        obs::Add(metrics, "sorp.memo.hits", round_hits);
-        obs::Add(metrics, "sorp.memo.misses", to_run.size());
-      }
       GreedyStats round_greedy;
       obs::Timer& eval_timer = metrics->GetTimer("sorp.evaluation");
-      // Greedy tallies fold over ALL slots (cached copies carry the same
-      // tallies a re-run would produce — engine-invariant counters); the
-      // timer only observes real dry runs.
-      for (const Evaluation& e : evals) round_greedy += e.greedy;
-      for (const std::size_t i : to_run) eval_timer.Observe(evals[i].seconds);
+      for (const Evaluation& e : evals) {
+        round_greedy += e.greedy;
+        eval_timer.Observe(e.seconds);
+      }
       obs::Add(metrics, "sorp.reschedule.candidates_priced",
                round_greedy.candidates);
       obs::Add(metrics, "sorp.reject.forbidden_window",
@@ -292,44 +185,17 @@ SorpStats RunSorpLoop(Schedule& schedule,
     }
     ++stats.victims_rescheduled;
 
-    if (memoize) {
-      // The victim's own schedule changed, which node generations cannot
-      // see (its cached runs read schedule.files[victim] directly, and
-      // old_cost shifts even when no consulted node does) — drop every
-      // entry keyed on it.
-      for (auto it = memo.begin(); it != memo.end();) {
-        if (std::get<0>(it->first) == victim) {
-          it = memo.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-
-    if (incremental) {
-      // O(victim residencies) diff: swap the victim's old pieces for its
-      // new ones and bump the touched nodes' generations.
-      tracker->ApplyCommit(victim, schedule.files[victim]);
-    } else {
-      rebuilt = shard_files != nullptr
-                    ? storage::BuildUsageForFiles(schedule, cost_model,
-                                                  *shard_files)
-                    : storage::BuildUsage(schedule, cost_model);
-      ++stats.usage_rebuilds;
-      // The reference engine also rebuilt the backdrop once per dry run.
-      if (options.capacity_aware_reschedule) {
-        stats.usage_rebuilds += to_run.size();
-      }
-    }
-    overflows = DetectOverflowsIn(current_usage(), cost_model.topology());
-    const double new_excess =
-        TotalExcess(current_usage(), cost_model.topology());
+    // O(victim residencies) diff: swap the victim's old pieces for its new
+    // ones.
+    tracker->ApplyCommit(victim, schedule.files[victim]);
+    overflows = DetectOverflowsIn(usage, cost_model.topology());
+    const double new_excess = TotalExcess(usage, cost_model.topology());
     obs::Append(metrics, "sorp.excess_trajectory", new_excess);
     if (new_excess >= excess) break;  // defensive: no progress
     excess = new_excess;
   }
 
-  stats.final_excess = TotalExcess(current_usage(), cost_model.topology());
+  stats.final_excess = TotalExcess(usage, cost_model.topology());
   obs::Add(metrics, "sorp.victims_rescheduled", stats.victims_rescheduled);
   obs::Add(metrics, "sorp.usage_rebuilds", stats.usage_rebuilds);
   return stats;
@@ -520,9 +386,9 @@ SorpStats RegionShardedSolve(Schedule& schedule,
   }
 
   // Phase A: per-shard resolution.  Each shard owns its tracker, overlay
-  // caches, memo table, and (when observability is on) a private metrics
-  // registry, so the workers share nothing but read-only inputs and their
-  // disjoint schedule slots.
+  // caches, and (when observability is on) a private metrics registry, so
+  // the workers share nothing but read-only inputs and their disjoint
+  // schedule slots.
   std::vector<SorpStats> shard_stats(plan.shard_files.size());
   std::vector<std::unique_ptr<obs::MetricsRegistry>> shard_metrics;
   shard_metrics.reserve(plan.shard_files.size());
@@ -571,8 +437,6 @@ SorpStats RegionShardedSolve(Schedule& schedule,
     stats.initial_overflow_windows += shard.initial_overflow_windows;
     stats.victims_rescheduled += shard.victims_rescheduled;
     stats.evaluations += shard.evaluations;
-    stats.memo_hits += shard.memo_hits;
-    stats.memo_misses += shard.memo_misses;
     stats.usage_rebuilds += shard.usage_rebuilds;
     stats.initial_excess += shard.initial_excess;
   }
@@ -593,8 +457,6 @@ SorpStats RegionShardedSolve(Schedule& schedule,
                     /*shard_files=*/nullptr, /*round_spans=*/true);
     stats.victims_rescheduled += residual.victims_rescheduled;
     stats.evaluations += residual.evaluations;
-    stats.memo_hits += residual.memo_hits;
-    stats.memo_misses += residual.memo_misses;
     stats.usage_rebuilds += residual.usage_rebuilds;
     stats.final_excess = residual.final_excess;
     if (residual.victims_rescheduled > 0) {

@@ -4,6 +4,12 @@
 // one, tentatively reschedule its file with the rejective greedy; compute
 // the heat of that rescheduling; commit the single hottest victim; repeat
 // until the integrated schedule is overflow free.
+//
+// The per-node usage aggregate is built once per solve and delta-
+// maintained across commits (storage::UsageTracker); every dry run reads
+// a subtractive "all files but the victim" view of it.  The literal
+// rebuild-per-dry-run loop lives on only as the test oracle in
+// tests/reference_sorp.hpp, which the golden suites compare against.
 #pragma once
 
 #include <cstddef>
@@ -47,20 +53,6 @@ struct SorpOptions {
   /// when the total excess fails to decrease (defensive, should not fire).
   std::size_t max_iterations = 10000;
 
-  /// Engine selector.  true (default): delta-maintained usage timelines
-  /// (storage::UsageTracker — the aggregate is built once and each commit
-  /// applies an O(victim residencies) diff) plus cross-round memoization
-  /// of dry-run evaluations (a cached result is replayed iff its file is
-  /// not the last victim, its overflow window is unchanged, and no node
-  /// the run consulted has been touched by a commit since).  false:
-  /// rebuild-from-scratch reference engine (BuildUsage per commit,
-  /// BuildUsageExcludingFile per dry run, no memo).  Both engines produce
-  /// byte-identical schedules at any thread count; the reference is
-  /// retained for golden tests and A/B timing.  Memoization is disabled
-  /// automatically when any extension hook is set (hooks mutate external
-  /// tracker state between rounds, which the memo cannot see).
-  bool incremental = true;
-
   /// Region-sharded resolution (the million-user scale-out).  1 (default)
   /// runs the single global loop.  0 = auto: one shard per route-closed
   /// neighborhood cluster of the topology; N >= 2 coalesces the clusters
@@ -68,10 +60,10 @@ struct SorpOptions {
   /// graph into regions (net::MakeRegions), merges regions until every
   /// region is closed under cheapest-path routing and no file's requests
   /// span two shards, then resolves each shard's overflows concurrently —
-  /// each shard owns its UsageTracker, overlay caches, and memo tables —
-  /// and finishes with a serial canonical reconciliation pass (per-shard
-  /// stats/metrics folded in sorted shard order, then a residual global
-  /// detection + monolithic mop-up, normally a no-op).  Because a file's
+  /// each shard owns its UsageTracker and overlay caches — and finishes
+  /// with a serial canonical reconciliation pass (per-shard stats/metrics
+  /// folded in sorted shard order, then a residual global detection +
+  /// monolithic mop-up, normally a no-op).  Because a file's
   /// greedy only ever touches nodes on cheapest paths among {VW} and its
   /// requesting neighborhoods, shard-confined commits commute and the
   /// final schedule is byte-identical to the monolithic engine whenever
@@ -148,17 +140,10 @@ struct SorpStats {
   std::size_t initial_overflow_windows = 0;
   /// Victims rescheduled (committed, not tentative evaluations).
   std::size_t victims_rescheduled = 0;
-  /// Tentative rejective-greedy evaluations considered (memo hits and
-  /// real dry runs alike — the candidate count, identical across engines).
+  /// Tentative rejective-greedy dry runs (one per candidate per round).
   std::size_t evaluations = 0;
-  /// Cross-round memoization outcome split: evaluations served from cache
-  /// vs. actually re-run.  hits + misses == evaluations when memoization
-  /// is active; both zero on the reference engine and under hooks.
-  std::size_t memo_hits = 0;
-  std::size_t memo_misses = 0;
-  /// Full-aggregate usage builds performed (UsageTracker construction or
-  /// BuildUsage/BuildUsageExcludingFile calls).  O(1) on the incremental
-  /// engine vs. O(rounds × candidates) on the reference engine.
+  /// Full-aggregate usage builds (UsageTracker constructions): one per
+  /// resolution loop — commits are diffs, never rebuilds.
   std::size_t usage_rebuilds = 0;
   /// Shards the region engine resolved concurrently (0 on the monolithic
   /// engine; 1 means the region engine ran but closure merging collapsed

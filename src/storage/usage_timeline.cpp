@@ -45,36 +45,12 @@ UsageMap BuildUsageExcludingFile(const core::Schedule& schedule,
   return BuildUsageImpl(schedule, cost_model, excluded_file);
 }
 
-UsageMap BuildUsageForFiles(const core::Schedule& schedule,
-                            const core::CostModel& cost_model,
-                            const std::vector<std::size_t>& files,
-                            std::size_t excluded_file) {
-  UsageMap usage;
-  // Ascending file order (the caller's contract) keeps every node's piece
-  // vector in canonical ascending-tag order, exactly like a full build.
-  for (const std::size_t f : files) {
-    if (f == excluded_file || f >= schedule.files.size()) continue;
-    const core::FileSchedule& file = schedule.files[f];
-    for (std::size_t r = 0; r < file.residencies.size(); ++r) {
-      const core::Residency& c = file.residencies[r];
-      const core::ResidencyRef ref{f, r};
-      usage[c.location].Add(cost_model.OccupancyPiece(c, ref.Pack()));
-    }
-  }
-  return usage;
-}
-
 double PeakUsage(const UsageMap& usage, net::NodeId node) {
   const auto it = usage.find(node);
   return it == usage.end() ? 0.0 : it->second.Max();
 }
 
 const util::PiecewiseLinear* UsageView::Find(net::NodeId node) const {
-  if (node >= consulted_seen_.size()) consulted_seen_.resize(node + 1, false);
-  if (!consulted_seen_[node]) {
-    consulted_seen_[node] = true;
-    consulted_.push_back(node);
-  }
   if (overlay_ != nullptr) {
     for (const auto& [overlay_node, timeline] : *overlay_) {
       if (overlay_node == node) {
@@ -88,12 +64,6 @@ const util::PiecewiseLinear* UsageView::Find(net::NodeId node) const {
   if (base_ == nullptr) return nullptr;
   const auto it = base_->find(node);
   return it == base_->end() ? nullptr : &it->second;
-}
-
-std::vector<net::NodeId> UsageView::ConsultedNodes() const {
-  std::vector<net::NodeId> nodes = consulted_;
-  std::sort(nodes.begin(), nodes.end());
-  return nodes;
 }
 
 namespace {
@@ -129,10 +99,10 @@ UsageTracker::UsageTracker(const core::Schedule& schedule,
                            const core::CostModel& cost_model,
                            const std::vector<std::size_t>& files)
     : cost_model_(&cost_model), file_nodes_(schedule.files.size()) {
-  // Subset aggregation in ascending file order — matches BuildUsageForFiles
-  // piece for piece.  file_nodes_ stays indexed by global file index;
-  // non-subset entries are empty, so ExcludingFile on them degenerates to
-  // the plain aggregate view.
+  // Subset aggregation in ascending file order, so each node's pieces come
+  // out in canonical ascending-tag order.  file_nodes_ stays indexed by
+  // global file index; non-subset entries are empty, so ExcludingFile on
+  // them degenerates to the plain aggregate view.
   for (const std::size_t f : files) {
     if (f >= schedule.files.size()) continue;
     AddFileToUsage(schedule, cost_model, f, usage_, file_nodes_[f]);
@@ -200,8 +170,8 @@ void UsageTracker::ApplyCommit(std::size_t file,
   // Geometry of the file's contribution per node, before and after.  A
   // node whose piece geometry is unchanged by the commit is invisible to
   // any consumer of the aggregate (queries never read tags), so its
-  // generation must NOT advance — this keeps memoized dry runs alive when
-  // a reschedule only reshapes part of the file's footprint.
+  // generation must NOT advance — this keeps cached overlays alive when a
+  // reschedule only reshapes part of the file's footprint.
   using Geometry = std::vector<std::array<double, 4>>;
   const auto geometry_at = [](const util::PiecewiseLinear& timeline,
                               std::size_t file_index) {

@@ -6,10 +6,11 @@
 //
 // Two maintenance strategies coexist:
 //   * BuildUsage / BuildUsageExcludingFile — rebuild from scratch, O(total
-//     residencies).  Retained as the reference path for golden tests.
-//   * UsageTracker — builds the aggregate once and then applies commit
-//     diffs in O(victim residencies), serving "usage excluding file f" as
-//     a subtractive UsageView without touching other files' pieces.  The
+//     residencies).  BuildUsage serves the validator, reports and overflow
+//     detection; both serve as oracles for the tracker in the tests.
+//   * UsageTracker — SORP's aggregate: built once, then commit diffs in
+//     O(victim residencies), serving "usage excluding file f" as a
+//     subtractive UsageView without touching other files' pieces.  The
 //     piece tags (ResidencyRef::Pack()) index every piece back to its
 //     (file, residency), which is what makes the subtraction exact.
 //
@@ -50,25 +51,12 @@ using UsageMap = std::unordered_map<net::NodeId, util::PiecewiseLinear>;
                                                const core::CostModel& cost_model,
                                                std::size_t excluded_file);
 
-/// Aggregate usage of a file subset only (region-sharded SORP: each shard
-/// tracks just its own files, so concurrent shards never read another
-/// shard's residencies).  `files` must be sorted ascending — iteration in
-/// file order is what keeps the canonical ascending-tag piece order.  An
-/// `excluded_file` (optional) is skipped, mirroring
-/// BuildUsageExcludingFile for the shard-restricted reference engine.
-[[nodiscard]] UsageMap BuildUsageForFiles(
-    const core::Schedule& schedule, const core::CostModel& cost_model,
-    const std::vector<std::size_t>& files,
-    std::size_t excluded_file = static_cast<std::size_t>(-1));
-
 /// Peak reserved bytes at a node (0 when the node has no residencies).
 [[nodiscard]] double PeakUsage(const UsageMap& usage, net::NodeId node);
 
 /// Read-only view of a UsageMap, optionally with per-node overlays that
 /// shadow the base map (used to present "usage excluding file f" without
-/// rebuilding anything).  The view records every node it is asked about so
-/// a dry run's result can later be validated against node generation
-/// counters (see UsageTracker::NodeGeneration).
+/// rebuilding anything).
 ///
 /// A default-constructed view has no base map: Find always returns
 /// nullptr, which callers treat as an empty timeline (static capacity
@@ -86,13 +74,8 @@ class UsageView {
   UsageView(const UsageMap* base, std::shared_ptr<const Overlay> overlay)
       : base_(base), overlay_(std::move(overlay)) {}
 
-  /// Timeline at `node`, or nullptr when the node has no pieces.  Records
-  /// the consultation either way — an absent node can still gain pieces in
-  /// a later commit, which must invalidate any memoized result.
+  /// Timeline at `node`, or nullptr when the node has no pieces.
   [[nodiscard]] const util::PiecewiseLinear* Find(net::NodeId node) const;
-
-  /// Nodes consulted via Find since construction, sorted and deduplicated.
-  [[nodiscard]] std::vector<net::NodeId> ConsultedNodes() const;
 
  private:
   const UsageMap* base_ = nullptr;
@@ -101,11 +84,6 @@ class UsageView {
   /// host nodes changes, so concurrent views of the same file alias one
   /// immutable copy instead of each re-deriving it.
   std::shared_ptr<const Overlay> overlay_;
-  /// Distinct consulted nodes, deduplicated at insert via the seen bitmap
-  /// (node ids are dense and small) — a dry run calls Find thousands of
-  /// times over a few dozen nodes.
-  mutable std::vector<net::NodeId> consulted_;
-  mutable std::vector<bool> consulted_seen_;
 };
 
 /// Delta-maintained aggregate usage for the SORP loop.
@@ -121,10 +99,11 @@ class UsageTracker {
   UsageTracker(const core::Schedule& schedule, const core::CostModel& cost_model);
 
   /// File-subset tracker (region-sharded SORP): aggregates only `files`
-  /// (sorted ascending).  Equivalent to BuildUsageForFiles; ApplyCommit /
-  /// ExcludingFile still take global file indices, and indices outside the
-  /// subset simply have no pieces.  Concurrent shard trackers over
-  /// disjoint subsets never touch each other's state.
+  /// (sorted ascending — iteration in file order keeps the canonical
+  /// ascending-tag piece order).  ApplyCommit / ExcludingFile still take
+  /// global file indices, and indices outside the subset simply have no
+  /// pieces.  Concurrent shard trackers over disjoint subsets never touch
+  /// each other's state.
   UsageTracker(const core::Schedule& schedule, const core::CostModel& cost_model,
                const std::vector<std::size_t>& files);
 
@@ -144,12 +123,13 @@ class UsageTracker {
 
   /// Swaps `file`'s contribution for `replacement`'s residencies:
   /// O(pieces at touched nodes).  Bumps the generation counter of every
-  /// node whose timeline changed (old or new host of the file).
+  /// node whose piece geometry changed (old or new host of the file).
   void ApplyCommit(std::size_t file, const core::FileSchedule& replacement);
 
   /// Monotone per-node mutation counter; 0 for nodes never touched by a
-  /// commit.  A memoized dry run is stale iff any node it consulted has
-  /// advanced since the run.
+  /// commit.  ExcludingFile's overlay cache validates against it: a cached
+  /// overlay is stale iff one of its host nodes has advanced since it was
+  /// built.
   [[nodiscard]] std::uint64_t NodeGeneration(net::NodeId node) const;
 
  private:

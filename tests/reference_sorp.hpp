@@ -1,0 +1,31 @@
+// Test-only reference SORP: the paper's Table-3 loop written literally,
+// as the oracle the golden suites compare the production engine against.
+//
+// Serial and monolithic: every round rebuilds the aggregate usage from
+// scratch (storage::BuildUsage) and every dry run rebuilds its backdrop
+// (storage::BuildUsageExcludingFile).  It shares CollectSorpCandidates,
+// the heat metrics, the victim tie-break, the max_iterations cap and the
+// no-progress guard with core::SorpSolve, and deliberately nothing else —
+// no UsageTracker, no overlays, no region shards, no thread pool — since
+// those are exactly what the comparison checks.
+#pragma once
+
+#include <vector>
+
+#include "core/cost_model.hpp"
+#include "core/schedule.hpp"
+#include "core/sorp.hpp"
+#include "workload/request.hpp"
+
+namespace vor::oracle {
+
+/// Resolves storage overflows in place, like core::SorpSolve.  Honours
+/// `heat`, `victim_policy`, `capacity_aware_reschedule`, `ivsp` and
+/// `max_iterations`; ignores `regions`, `parallel`, `pool`, `metrics` and
+/// the extension hooks.  Fills every SorpStats field except
+/// `usage_rebuilds` and `region_shards`.
+core::SorpStats ReferenceSorpSolve(
+    core::Schedule& schedule, const std::vector<workload::Request>& requests,
+    const core::CostModel& cost_model, const core::SorpOptions& options);
+
+}  // namespace vor::oracle

@@ -1,13 +1,12 @@
-// Golden byte-identity of the incremental SORP engine: the delta-
-// maintained + memoized loop (SorpOptions::incremental = true, the
-// default) must produce exactly the same schedule bytes as the retained
-// rebuild-from-scratch reference engine, for every heat metric, both
-// victim policies, and any thread count.  Also pins the memo/rebuild
-// accounting: the incremental engine builds the aggregate once and reuses
-// cached dry runs, the reference engine rebuilds per dry run and per
-// commit.
+// Golden byte-identity of the production SORP engine (delta-maintained
+// storage::UsageTracker, subtractive dry-run views, pooled evaluations)
+// against the test-only reference loop (tests/reference_sorp.hpp), for
+// every heat metric, both victim policies, any thread count, and runs the
+// round cap stops early.  Also pins the tracker's one-build accounting.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "core/sorp.hpp"
 #include "io/serialize.hpp"
 #include "net/routing.hpp"
+#include "reference_sorp.hpp"
 #include "workload/scenario.hpp"
 
 namespace vor::core {
@@ -45,16 +45,16 @@ struct TightEnv {
   Schedule phase1;
 };
 
-EngineRun RunEngine(const TightEnv& env, HeatMetric heat, VictimPolicy policy,
-                    bool incremental, std::size_t threads) {
+/// Runs the production engine (`reference == false`) or the oracle on a
+/// copy of the phase-1 schedule.
+EngineRun RunEngine(const TightEnv& env, const SorpOptions& options,
+                    bool reference) {
   Schedule schedule = env.phase1;
-  SorpOptions options;
-  options.heat = heat;
-  options.victim_policy = policy;
-  options.incremental = incremental;
-  options.parallel.threads = threads;
   EngineRun run;
-  run.stats = SorpSolve(schedule, env.scenario.requests, *env.cm, options);
+  run.stats = reference ? oracle::ReferenceSorpSolve(
+                              schedule, env.scenario.requests, *env.cm, options)
+                        : SorpSolve(schedule, env.scenario.requests, *env.cm,
+                                    options);
   run.bytes = io::ToJson(schedule).Dump(2);
   return run;
 }
@@ -66,114 +66,63 @@ TEST(SorpIncrementalGoldenTest, AllMetricsPoliciesAndThreadCountsMatch) {
       HeatMetric::kTimeSpace, HeatMetric::kTimeSpacePerCost};
   const std::vector<VictimPolicy> policies{VictimPolicy::kMaxHeat,
                                            VictimPolicy::kFirstContributor};
+  // Uncapped, plus caps that stop the loop after 1 and 3 commits.
+  const std::size_t uncapped = SorpOptions{}.max_iterations;
   for (const HeatMetric heat : metrics) {
     for (const VictimPolicy policy : policies) {
-      const EngineRun reference =
-          RunEngine(env, heat, policy, /*incremental=*/false, /*threads=*/1);
-      ASSERT_TRUE(reference.stats.HadOverflow())
-          << "scenario must engage SORP";
-      for (const std::size_t threads : {1u, 2u, 8u}) {
-        const EngineRun incremental =
-            RunEngine(env, heat, policy, /*incremental=*/true, threads);
-        EXPECT_EQ(incremental.bytes, reference.bytes)
-            << "engines diverged: heat=" << ToString(heat)
-            << " policy=" << static_cast<int>(policy)
-            << " threads=" << threads;
-        EXPECT_EQ(incremental.stats.victims_rescheduled,
-                  reference.stats.victims_rescheduled);
-        EXPECT_EQ(incremental.stats.evaluations, reference.stats.evaluations);
-        EXPECT_DOUBLE_EQ(incremental.stats.final_excess,
-                         reference.stats.final_excess);
-        EXPECT_DOUBLE_EQ(incremental.stats.cost_after.value(),
-                         reference.stats.cost_after.value());
-
-        // The reference engine at the same thread count must agree too
-        // (both engines are thread-count invariant on their own).
-        const EngineRun reference_mt =
-            RunEngine(env, heat, policy, /*incremental=*/false, threads);
-        EXPECT_EQ(reference_mt.bytes, reference.bytes)
-            << "reference engine diverged at " << threads << " threads";
+      for (const std::size_t cap : {uncapped, std::size_t{1}, std::size_t{3}}) {
+        SorpOptions options;
+        options.heat = heat;
+        options.victim_policy = policy;
+        options.max_iterations = cap;
+        const EngineRun reference = RunEngine(env, options, /*reference=*/true);
+        ASSERT_TRUE(reference.stats.HadOverflow())
+            << "scenario must engage SORP";
+        if (cap != uncapped) {
+          EXPECT_EQ(reference.stats.victims_rescheduled, cap)
+              << "the cap must stop the loop early";
+          EXPECT_FALSE(reference.stats.Resolved());
+        }
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+          options.parallel.threads = threads;
+          const EngineRun run = RunEngine(env, options, /*reference=*/false);
+          EXPECT_EQ(run.bytes, reference.bytes)
+              << "engines diverged: heat=" << ToString(heat)
+              << " policy=" << static_cast<int>(policy) << " cap=" << cap
+              << " threads=" << threads;
+          EXPECT_EQ(run.stats.victims_rescheduled,
+                    reference.stats.victims_rescheduled);
+          EXPECT_EQ(run.stats.evaluations, reference.stats.evaluations);
+          EXPECT_DOUBLE_EQ(run.stats.final_excess,
+                           reference.stats.final_excess);
+          EXPECT_DOUBLE_EQ(run.stats.cost_after.value(),
+                           reference.stats.cost_after.value());
+        }
       }
     }
   }
 }
 
-TEST(SorpIncrementalTest, MemoHitsAndRebuildAccounting) {
+TEST(SorpIncrementalTest, TrackerBuildsUsageOnce) {
   const TightEnv env;
-  const EngineRun incremental = RunEngine(
-      env, HeatMetric::kTimeSpacePerCost, VictimPolicy::kMaxHeat, true, 1);
-  const EngineRun reference = RunEngine(
-      env, HeatMetric::kTimeSpacePerCost, VictimPolicy::kMaxHeat, false, 1);
-  ASSERT_TRUE(incremental.stats.HadOverflow());
-
-  // Cross-round memoization must fire on a multi-round resolution, and
-  // every candidate is either a hit or a real dry run.
-  EXPECT_GT(incremental.stats.memo_hits, 0u);
-  EXPECT_EQ(incremental.stats.memo_hits + incremental.stats.memo_misses,
-            incremental.stats.evaluations);
-  // The aggregate is built exactly once; commits are diffs, not rebuilds.
-  EXPECT_EQ(incremental.stats.usage_rebuilds, 1u);
-
-  // The reference engine rebuilds per capacity-aware dry run and per
-  // commit (plus the initial build) and never consults the memo.
-  EXPECT_EQ(reference.stats.memo_hits, 0u);
-  EXPECT_EQ(reference.stats.memo_misses, 0u);
-  EXPECT_EQ(reference.stats.usage_rebuilds,
-            1 + reference.stats.evaluations +
-                reference.stats.victims_rescheduled);
-}
-
-TEST(SorpIncrementalTest, FirstContributorPolicyCannotHitMemo) {
-  // Every evaluated candidate is immediately committed (and its memo
-  // entries dropped), so the ablation policy can never replay a cached
-  // run — which keeps its `evaluations == victims_rescheduled` contract.
-  const TightEnv env;
-  const EngineRun run = RunEngine(env, HeatMetric::kTimeSpacePerCost,
-                                  VictimPolicy::kFirstContributor, true, 1);
+  const EngineRun run = RunEngine(env, SorpOptions{}, /*reference=*/false);
   ASSERT_TRUE(run.stats.HadOverflow());
-  EXPECT_EQ(run.stats.memo_hits, 0u);
-  EXPECT_EQ(run.stats.evaluations, run.stats.victims_rescheduled);
-}
-
-TEST(SorpIncrementalTest, HooksDisableMemoization) {
-  // Extension hooks mutate external tracker state between rounds, which a
-  // cached replay would skip — the memo must stand down entirely.
-  const TightEnv env;
-  Schedule schedule = env.phase1;
-  SorpOptions options;
-  std::size_t excluded_calls = 0;
-  options.on_file_excluded = [&excluded_calls](std::size_t) {
-    ++excluded_calls;
-  };
-  const SorpStats stats =
-      SorpSolve(schedule, env.scenario.requests, *env.cm, options);
-  ASSERT_TRUE(stats.HadOverflow());
-  EXPECT_GT(stats.evaluations, 0u);
-  EXPECT_EQ(stats.memo_hits, 0u);
-  EXPECT_EQ(stats.memo_misses, 0u);
-  // Hooks fire around every dry run AND every commit — nothing skipped.
-  EXPECT_EQ(excluded_calls, stats.evaluations + stats.victims_rescheduled);
+  ASSERT_GT(run.stats.victims_rescheduled, 1u);
+  // The aggregate is built exactly once; commits are diffs, not rebuilds.
+  EXPECT_EQ(run.stats.usage_rebuilds, 1u);
 }
 
 TEST(SorpIncrementalTest, CapacityUnawareAblationStillMatchesReference) {
   // With capacity_aware_reschedule off, dry runs consult no node usage at
-  // all; cached entries are then valid until their file becomes the
-  // victim.  The engines must still agree byte-for-byte.
+  // all.  The engines must still agree byte-for-byte.
   const TightEnv env;
-  auto run = [&](bool incremental) {
-    Schedule schedule = env.phase1;
-    SorpOptions options;
-    options.capacity_aware_reschedule = false;
-    options.incremental = incremental;
-    EngineRun out;
-    out.stats = SorpSolve(schedule, env.scenario.requests, *env.cm, options);
-    out.bytes = io::ToJson(schedule).Dump(2);
-    return out;
-  };
-  const EngineRun inc = run(true);
-  const EngineRun ref = run(false);
-  EXPECT_EQ(inc.bytes, ref.bytes);
-  EXPECT_EQ(inc.stats.victims_rescheduled, ref.stats.victims_rescheduled);
+  SorpOptions options;
+  options.capacity_aware_reschedule = false;
+  const EngineRun run = RunEngine(env, options, /*reference=*/false);
+  const EngineRun reference = RunEngine(env, options, /*reference=*/true);
+  EXPECT_EQ(run.bytes, reference.bytes);
+  EXPECT_EQ(run.stats.victims_rescheduled,
+            reference.stats.victims_rescheduled);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Golden byte-identity of region-sharded SORP: for every (regions x
-// threads x incremental) combination the sharded engine must emit exactly
-// the bytes of the monolithic reference.  The workload comes from the
-// scale generator at full region affinity, so the file population
-// actually partitions into multiple route-closed shards (the interesting
-// regime — a collapsed single shard would make the grid vacuous), plus a
-// boundary regression where global draws and a flash crowd straddle
-// regions and force shard merging.  The service-level test pins the same
-// identity through the speculative cycle close and a snapshot restore.
+// threads) combination the engine must emit exactly the bytes of the
+// test-only monolithic reference loop (tests/reference_sorp.hpp).  The
+// workload comes from the scale generator at full region affinity, so the
+// file population actually partitions into multiple route-closed shards
+// (the interesting regime — a collapsed single shard would make the grid
+// vacuous), plus a boundary regression where global draws and a flash
+// crowd straddle regions and force shard merging.  The service-level
+// test pins the same identity through the speculative cycle close and a
+// snapshot restore.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -20,6 +21,7 @@
 #include "io/serialize.hpp"
 #include "net/routing.hpp"
 #include "obs/metrics.hpp"
+#include "reference_sorp.hpp"
 #include "svc/reservation_service.hpp"
 #include "svc/snapshot.hpp"
 #include "workload/scale.hpp"
@@ -76,13 +78,12 @@ struct EngineRun {
 };
 
 EngineRun RunEngine(const RegionEnv& env, std::size_t regions,
-                    std::size_t threads, bool incremental,
+                    std::size_t threads,
                     obs::MetricsRegistry* metrics = nullptr) {
   Schedule schedule = env.phase1;
   SorpOptions options;
   options.regions = regions;
   options.parallel.threads = threads;
-  options.incremental = incremental;
   options.metrics = metrics;
   EngineRun run;
   run.stats = SorpSolve(schedule, env.scenario.requests, *env.cm, options);
@@ -90,30 +91,38 @@ EngineRun RunEngine(const RegionEnv& env, std::size_t regions,
   return run;
 }
 
+/// The test-only monolithic reference loop on the same input.
+EngineRun RunReference(const RegionEnv& env) {
+  Schedule schedule = env.phase1;
+  EngineRun run;
+  run.stats = oracle::ReferenceSorpSolve(schedule, env.scenario.requests,
+                                         *env.cm, SorpOptions{});
+  run.bytes = io::ScheduleToBinary(schedule);
+  return run;
+}
+
 TEST(SorpRegionGoldenTest, GridMatchesMonolithic) {
   const RegionEnv env(/*affinity=*/1.0);
-  const EngineRun reference =
-      RunEngine(env, /*regions=*/1, /*threads=*/1, /*incremental=*/false);
+  const EngineRun reference = RunReference(env);
   ASSERT_TRUE(reference.stats.HadOverflow()) << "scenario must engage SORP";
   ASSERT_TRUE(reference.stats.Resolved());
-  EXPECT_EQ(reference.stats.region_shards, 0u)
-      << "regions=1 must stay on the monolithic engine";
 
   bool saw_multiple_shards = false;
   for (const std::size_t regions : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}, std::size_t{0}}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
-      for (const bool incremental : {false, true}) {
-        const EngineRun run = RunEngine(env, regions, threads, incremental);
-        EXPECT_EQ(run.bytes, reference.bytes)
-            << "diverged at regions=" << regions << " threads=" << threads
-            << " incremental=" << incremental;
-        EXPECT_EQ(run.stats.victims_rescheduled,
-                  reference.stats.victims_rescheduled)
-            << "victim count drifted at regions=" << regions
-            << " threads=" << threads;
-        saw_multiple_shards |= run.stats.region_shards > 1;
+      const EngineRun run = RunEngine(env, regions, threads);
+      EXPECT_EQ(run.bytes, reference.bytes)
+          << "diverged at regions=" << regions << " threads=" << threads;
+      EXPECT_EQ(run.stats.victims_rescheduled,
+                reference.stats.victims_rescheduled)
+          << "victim count drifted at regions=" << regions
+          << " threads=" << threads;
+      if (regions == 1) {
+        EXPECT_EQ(run.stats.region_shards, 0u)
+            << "regions=1 must stay on the monolithic engine";
       }
+      saw_multiple_shards |= run.stats.region_shards > 1;
     }
   }
   EXPECT_TRUE(saw_multiple_shards)
@@ -127,14 +136,12 @@ TEST(SorpRegionGoldenTest, GridMatchesMonolithic) {
 // boundary file is resolved by exactly one shard, never two.
 TEST(SorpRegionGoldenTest, BoundaryStraddlingVictimsMatch) {
   const RegionEnv env(/*affinity=*/0.85, /*flash_fraction=*/0.05);
-  const EngineRun reference =
-      RunEngine(env, /*regions=*/1, /*threads=*/1, /*incremental=*/false);
+  const EngineRun reference = RunReference(env);
   ASSERT_TRUE(reference.stats.HadOverflow()) << "scenario must engage SORP";
 
   obs::MetricsRegistry metrics;
   const EngineRun sharded =
-      RunEngine(env, /*regions=*/0, /*threads=*/2, /*incremental=*/true,
-                &metrics);
+      RunEngine(env, /*regions=*/0, /*threads=*/2, &metrics);
   EXPECT_EQ(sharded.bytes, reference.bytes);
   EXPECT_GT(metrics.GetCounter("sorp.regions.cross_files").value(), 0u)
       << "workload should produce boundary-straddling files";
@@ -143,8 +150,7 @@ TEST(SorpRegionGoldenTest, BoundaryStraddlingVictimsMatch) {
             metrics.GetCounter("sorp.regions.base").value());
 
   for (const std::size_t regions : {std::size_t{2}, std::size_t{8}}) {
-    const EngineRun run =
-        RunEngine(env, regions, /*threads=*/8, /*incremental=*/true);
+    const EngineRun run = RunEngine(env, regions, /*threads=*/8);
     EXPECT_EQ(run.bytes, reference.bytes)
         << "diverged at regions=" << regions;
   }

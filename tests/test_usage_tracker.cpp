@@ -259,8 +259,8 @@ TEST(UsageTrackerTest, IdenticalCommitDoesNotAdvanceGenerations) {
   ASSERT_LT(file, env.schedule.files.size());
 
   // Re-committing the file's current schedule leaves every node's piece
-  // geometry unchanged, so no generation may move — memoized dry runs
-  // that consulted those nodes must stay valid.
+  // geometry unchanged, so no generation may move — cached overlays of
+  // other files hosted on those nodes must stay valid.
   tracker.ApplyCommit(file, env.schedule.files[file]);
   for (net::NodeId n = 0; n < env.scenario.topology.node_count(); ++n) {
     EXPECT_EQ(tracker.NodeGeneration(n), 0u) << "node " << n;
@@ -314,12 +314,11 @@ TEST(UsageTrackerTest, OverlayIsCachedUntilAHostNodeChanges) {
   }
 }
 
-TEST(UsageViewTest, DefaultViewFindsNothingButRecordsConsults) {
+TEST(UsageViewTest, DefaultViewFindsNothing) {
   const UsageView view;
   EXPECT_EQ(view.Find(3), nullptr);
   EXPECT_EQ(view.Find(1), nullptr);
   EXPECT_EQ(view.Find(3), nullptr);
-  EXPECT_EQ(view.ConsultedNodes(), (std::vector<net::NodeId>{1, 3}));
 }
 
 TEST(UsageViewTest, PassthroughViewReadsBaseMap) {
@@ -330,7 +329,6 @@ TEST(UsageViewTest, PassthroughViewReadsBaseMap) {
   ASSERT_NE(view.Find(2), nullptr);
   EXPECT_EQ(view.Find(2)->pieces().size(), 1u);
   EXPECT_EQ(view.Find(9), nullptr);
-  EXPECT_EQ(view.ConsultedNodes(), (std::vector<net::NodeId>{2, 9}));
 }
 
 }  // namespace
