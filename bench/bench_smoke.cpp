@@ -4,11 +4,10 @@
 // ok/FAIL line per check, exiting non-zero on any failure.
 //
 //   bench_smoke --smoke         bounded-memory 1M-request streaming replay,
-//                               SORP stress solve, speculative-close identity
+//                               SORP stress solve
 //   bench_smoke --region-smoke  region-sharded SORP invariants and
 //                               byte-identity against the monolithic loop
 //   bench_smoke                 both, in that order
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -23,15 +22,12 @@
 #include "core/ivsp.hpp"
 #include "core/sorp.hpp"
 #include "io/binary.hpp"
-#include "io/serialize.hpp"
 #include "media/catalog.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
-#include "svc/reservation_service.hpp"
 #include "workload/scale.hpp"
 #include "workload/scenario.hpp"
-#include "workload/trace.hpp"
 #include "workload/trace_stream.hpp"
 
 namespace {
@@ -182,60 +178,6 @@ workload::Scenario MakeStressScenario() {
 
 constexpr std::size_t kStressMaxRounds = 16;
 
-// ---- speculative-close identity --------------------------------------------
-
-/// Plain and speculative replays of the same two-cycle trace, with the
-/// speculation kicked when only half of each window is in (so the close
-/// exercises the delta-repair / fallback machinery, not just the full-hit
-/// fast path).  Returns whether the committed schedules are byte-identical.
-bool SpeculationIdentityCheck(std::string* detail) {
-  workload::ScenarioParams params;
-  params.storage_count = 8;
-  params.users_per_neighborhood = 64;
-  params.catalog_size = 200;
-  params.is_capacity = util::GB(20);
-  params.nrate_per_gb = 1000;
-  params.srate_per_gb_hour = 3;
-  const workload::Scenario scenario = workload::MakeScenario(params);
-  std::vector<workload::Request> requests = scenario.requests;
-  workload::SortForReplay(requests);
-
-  std::size_t spec_closes_not_missed = 0;
-  const auto replay = [&](bool speculate) {
-    svc::ServiceConfig config;
-    config.speculate = speculate;
-    svc::ReservationService service(scenario.topology, scenario.catalog,
-                                    config);
-    constexpr std::size_t kCycles = 2;
-    const std::size_t per_cycle = (requests.size() + kCycles - 1) / kCycles;
-    for (std::size_t c = 0; c < kCycles; ++c) {
-      const std::size_t begin = c * per_cycle;
-      const std::size_t end = std::min(requests.size(), begin + per_cycle);
-      const std::size_t mid = begin + (end - begin) / 2;
-      for (std::size_t i = begin; i < mid; ++i) {
-        (void)service.Submit(requests[i], requests[i].start_time);
-      }
-      if (speculate) (void)service.Speculate();
-      for (std::size_t i = mid; i < end; ++i) {
-        (void)service.Submit(requests[i], requests[i].start_time);
-      }
-      if (speculate) service.WaitForSpeculation();
-      auto stats = service.CloseCycle();
-      if (!stats.ok()) return std::string();  // empty fails the check
-      if (speculate &&
-          stats->speculation != svc::SpeculationOutcome::kMiss) {
-        ++spec_closes_not_missed;
-      }
-    }
-    return io::ToJson(service.CommittedSchedule()).Dump(2);
-  };
-  const std::string plain = replay(false);
-  const std::string spec = replay(true);
-  *detail = "speculation engaged on " +
-            std::to_string(spec_closes_not_missed) + "/2 close(s)";
-  return !plain.empty() && plain == spec;
-}
-
 int RunSmoke() {
   Checks checks;
   std::string stream_detail;
@@ -274,12 +216,6 @@ int RunSmoke() {
             << " evaluations, "
             << (stats.Resolved() ? "resolved" : "unresolved (capped)")
             << '\n';
-
-  std::string spec_detail;
-  const bool spec_identical = SpeculationIdentityCheck(&spec_detail);
-  checks.Require(spec_identical,
-                 "speculative and non-speculative schedules byte-identical (" +
-                     spec_detail + ")");
   return checks.Finish("--smoke");
 }
 

@@ -21,10 +21,10 @@
 #
 # `bench-smoke` builds the plain tree and runs `bench_smoke --smoke`
 # (bench/bench_smoke.cpp): a 1M-request streaming replay whose peak-RSS
-# growth must stay within 8 MB, the SORP stress solve (SORP engages,
-# victims > 0, one usage build, the sorp.* metrics schema present), and
-# the speculative-close byte-identity check.  Performance is e2ebench's
-# job (BENCHMARK.json); this gate checks invariants only.
+# growth must stay within 8 MB, and the SORP stress solve (SORP engages,
+# victims > 0, one usage build, the sorp.* metrics schema present).
+# Performance is e2ebench's job (BENCHMARK.json); this gate checks
+# invariants only.
 #
 # `bench-region` builds bench_smoke under the asan-ubsan preset and runs
 # `--region-smoke`: a 50k-request region-skewed scale trace solved
@@ -35,10 +35,9 @@
 #
 # `soak` builds vorctl under the tsan preset and replays a short trace
 # through `vorctl serve` with concurrent producers plus the background
-# cycle clock — plain, with `--speculate` (the pipelined close, adding
-# the background speculative solver to the interleaving), and streaming
-# from a vor-bin binary trace; any race report fails the gate (TSan
-# exits non-zero).
+# cycle clock — from CSV, streaming from a vor-bin binary trace, and
+# with region-sharded SORP at each close; any race report fails the gate
+# (TSan exits non-zero).
 #
 # `codec-diff` builds vorctl under the asan-ubsan preset and proves the
 # vor-bin codec lossless end-to-end: encode -> decode -> re-encode must
@@ -212,14 +211,6 @@ soak() {
     "${vorctl}" serve "${workdir}/scenario.json" \
     --trace "${workdir}/trace.csv" --cycle 21600 --producers 4 \
     --clock-ms 5 --snapshot "${workdir}/snapshot.json"
-  echo "==> vorctl serve under tsan (speculative pipelined close)"
-  # Same replay with the pipelined close: the background speculative
-  # solver races intake producers and the half-period clock speculation,
-  # which is exactly the thread interleaving this gate exists to cover.
-  TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
-    "${vorctl}" serve "${workdir}/scenario.json" \
-    --trace "${workdir}/trace.csv" --cycle 21600 --producers 4 \
-    --clock-ms 5 --speculate --snapshot "${workdir}/snapshot-spec.json"
   echo "==> vorctl serve under tsan (streaming binary trace)"
   # Same interleaving with the chunked binary TraceStream feeding the
   # intake, so the streaming reader itself runs under the race detector.
@@ -227,7 +218,7 @@ soak() {
   TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
     "${vorctl}" serve "${workdir}/scenario.json" \
     --trace "${workdir}/trace.vorb" --cycle 21600 --producers 4 \
-    --clock-ms 5 --speculate --snapshot "${workdir}/snapshot-bin.json"
+    --clock-ms 5 --snapshot "${workdir}/snapshot-bin.json"
   echo "==> vorctl serve under tsan (region-sharded sorp at cycle close)"
   # Region-sharded SORP runs one worker per shard inside each cycle
   # close, concurrently with the intake producers and the clock; this

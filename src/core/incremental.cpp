@@ -1,6 +1,5 @@
 #include "core/incremental.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -12,37 +11,12 @@
 
 namespace vor::core {
 
-namespace {
-
-/// True when the two request lists agree at every index in `indices` —
-/// together with index equality, the exact condition under which a
-/// per-file greedy plan computed over `a` can be reused against `b`
-/// (GreedyRun reads nothing else, and the plan stores the indices
-/// verbatim in its deliveries and residency service lists).
-bool SameRequestsAt(const std::vector<std::size_t>& indices,
-                    const std::vector<workload::Request>& a,
-                    const std::vector<workload::Request>& b) {
-  for (const std::size_t i : indices) {
-    const workload::Request& ra = a[i];
-    const workload::Request& rb = b[i];
-    if (ra.user != rb.user || ra.video != rb.video ||
-        ra.start_time.value() != rb.start_time.value() ||
-        ra.neighborhood != rb.neighborhood) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 util::Result<SolveOutput> IncrementalSolve(
     const VorScheduler& scheduler, const SolveOutput& previous,
     const std::vector<workload::Request>& original_requests,
     const std::vector<workload::Request>& late_requests,
     std::vector<workload::Request>* merged_requests,
-    IncrementalStats* stats, const SpeculativeSolution* base,
-    SpeculativeSolution* capture) {
+    IncrementalStats* stats) {
   if (merged_requests == nullptr) {
     return util::InvalidArgument("merged_requests must not be null");
   }
@@ -87,41 +61,10 @@ util::Result<SolveOutput> IncrementalSolve(
                            : local_stats.files_carried_over);
   }
 
-  // Foreign-base mining: a slot due for a fresh greedy copies the base's
-  // plan instead when the base solved the identical greedy instance.  The
-  // comparison is exact (index lists and the requests behind them), so a
-  // base from any speculation point — or none — yields the same bytes.
-  std::vector<std::size_t> reuse_from(groups.size(), kReschedule);
-  if (base != nullptr) {
-    const auto base_groups = workload::GroupByVideo(base->merged);
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (carry_from[i] != kReschedule) continue;
-      const media::VideoId video = groups[i].first;
-      if (!std::binary_search(base->recomputed.begin(),
-                              base->recomputed.end(), video)) {
-        continue;
-      }
-      const auto it = std::lower_bound(
-          base_groups.begin(), base_groups.end(), video,
-          [](const auto& group, media::VideoId v) { return group.first < v; });
-      if (it == base_groups.end() || it->first != video) continue;
-      const std::size_t slot = base->phase1.FindFile(video);
-      if (slot == static_cast<std::size_t>(-1)) continue;
-      if (it->second != groups[i].second ||
-          !SameRequestsAt(groups[i].second, base->merged, *merged_requests)) {
-        continue;
-      }
-      reuse_from[i] = slot;
-      ++local_stats.files_reused_from_base;
-    }
-  }
-
   out.schedule.files.resize(groups.size());
   const auto fill_slot = [&](std::size_t i) {
     if (carry_from[i] != kReschedule) {
       out.schedule.files[i] = previous.schedule.files[carry_from[i]];
-    } else if (reuse_from[i] != kReschedule) {
-      out.schedule.files[i] = base->phase1.files[reuse_from[i]];
     } else {
       out.schedule.files[i] =
           ScheduleFileGreedy(groups[i].first, *merged_requests,
@@ -142,22 +85,6 @@ util::Result<SolveOutput> IncrementalSolve(
            local_stats.files_carried_over);
   obs::Add(metrics, "incremental.files_rescheduled",
            local_stats.files_rescheduled);
-  obs::Add(metrics, "incremental.files_reused_from_base",
-           local_stats.files_reused_from_base);
-
-  // Capture before SORP: phase 2 mutates the schedule in place, and only
-  // the pre-SORP plans are pure per-file greedy outputs a future repair
-  // may copy.  Base-reused slots qualify too — they equal the greedy's.
-  if (capture != nullptr) {
-    capture->phase1 = out.schedule;
-    capture->merged = *merged_requests;
-    capture->recomputed.clear();
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (carry_from[i] == kReschedule) {
-        capture->recomputed.push_back(groups[i].first);
-      }
-    }
-  }
 
   // Phase 2 runs on the merged schedule as usual: overflow interactions
   // are global, so no shortcut is sound there.

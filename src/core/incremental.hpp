@@ -29,24 +29,6 @@ struct IncrementalStats {
   std::size_t files_rescheduled = 0;
   /// Titles whose plan carried over untouched (before phase 2).
   std::size_t files_carried_over = 0;
-  /// Titles whose fresh plan was copied from a foreign base instead of
-  /// re-running the greedy (see SpeculativeSolution).
-  std::size_t files_reused_from_base = 0;
-};
-
-/// Phase-1 artifacts of one IncrementalSolve, captured so a *later* solve
-/// over a grown (or shifted) late-request list can mine it for per-file
-/// work — the delta-repair half of the pipelined cycle close.
-///
-/// `phase1` is the schedule BEFORE phase 2 (SORP mutates in place);
-/// `merged` is the exact request list it was computed over; `recomputed`
-/// lists the videos whose plans were greedy-fresh in that run (sorted by
-/// id).  Only those plans are minable: the rest carried over from the
-/// same `previous` and will carry over again anyway.
-struct SpeculativeSolution {
-  Schedule phase1;
-  std::vector<workload::Request> merged;
-  std::vector<media::VideoId> recomputed;
 };
 
 /// Extends a previous solution with `late_requests`.
@@ -57,23 +39,11 @@ struct SpeculativeSolution {
 /// (original order preserved; late requests appended — request indices in
 /// the result refer to that concatenation, which is also returned via
 /// `merged_requests`).
-///
-/// `base`, when non-null, is a foreign SpeculativeSolution (typically
-/// from a speculative solve over an earlier snapshot of the same cycle).
-/// A file due for a fresh greedy copies the base's plan instead whenever
-/// the base solved the *identical* greedy instance — same video, same
-/// request indices, same requests at those indices.  The greedy is a pure
-/// function of exactly those inputs and the plan stores the indices
-/// verbatim, so the result is byte-identical with or without a base, for
-/// any base.  `capture`, when non-null, receives this solve's own
-/// phase-1 artifacts for use as a future base.
 [[nodiscard]] util::Result<SolveOutput> IncrementalSolve(
     const VorScheduler& scheduler, const SolveOutput& previous,
     const std::vector<workload::Request>& original_requests,
     const std::vector<workload::Request>& late_requests,
     std::vector<workload::Request>* merged_requests,
-    IncrementalStats* stats = nullptr,
-    const SpeculativeSolution* base = nullptr,
-    SpeculativeSolution* capture = nullptr);
+    IncrementalStats* stats = nullptr);
 
 }  // namespace vor::core

@@ -225,8 +225,9 @@ std::string EncodeCycleStatsBody(const svc::CycleStats* stats) {
   io::AppendVarint(out, stats->rejected_expired);
   io::AppendVarint(out, stats->rejected_deferred_full);
   io::AppendVarint(out, stats->solve_attempts);
-  io::AppendVarint(out, static_cast<std::uint64_t>(stats->speculation));
-  io::AppendVarint(out, stats->spec_reused_files);
+  // Two reserved slots, always 0 (see docs/FORMATS.md).
+  io::AppendVarint(out, 0);
+  io::AppendVarint(out, 0);
   io::AppendVarint(out, stats->committed_total);
   io::AppendF64(out, stats->close_seconds);
   io::AppendF64(out, stats->solve_seconds);
@@ -246,7 +247,6 @@ util::Result<std::pair<bool, svc::CycleStats>> DecodeCycleStatsBody(
     }
     return std::make_pair(false, stats);
   }
-  std::uint64_t speculation = 0;
   std::uint64_t fields[10] = {};
   for (std::uint64_t& f : fields) {
     const auto v = in.Varint();
@@ -261,17 +261,12 @@ util::Result<std::pair<bool, svc::CycleStats>> DecodeCycleStatsBody(
   stats.rejected_expired = static_cast<std::size_t>(fields[5]);
   stats.rejected_deferred_full = static_cast<std::size_t>(fields[6]);
   stats.solve_attempts = static_cast<std::size_t>(fields[7]);
-  speculation = fields[8];
-  stats.spec_reused_files = static_cast<std::size_t>(fields[9]);
+  if (fields[8] != 0 || fields[9] != 0) {
+    return util::InvalidArgument("reserved cycle stats slot is not 0");
+  }
   const auto committed = in.Varint();
   if (!committed.ok()) return committed.error();
   stats.committed_total = static_cast<std::size_t>(*committed);
-  if (speculation >
-      static_cast<std::uint64_t>(svc::SpeculationOutcome::kFallback)) {
-    return util::InvalidArgument("unknown speculation outcome " +
-                                 std::to_string(speculation));
-  }
-  stats.speculation = static_cast<svc::SpeculationOutcome>(speculation);
   for (double* field :
        {&stats.close_seconds, &stats.solve_seconds, &stats.final_cost}) {
     const auto v = in.F64();

@@ -147,6 +147,8 @@ struct StatusInfo {
 
 /// kCycleStats: every svc::CycleStats field, varints then f64s, plus a
 /// leading presence flag (kCycleQuery before the first close has none).
+/// Two reserved varint slots after solve_attempts are written as 0 and
+/// refused when non-zero.
 [[nodiscard]] std::string EncodeCycleStatsBody(const svc::CycleStats* stats);
 [[nodiscard]] util::Result<std::pair<bool, svc::CycleStats>>
 DecodeCycleStatsBody(const std::string& body);

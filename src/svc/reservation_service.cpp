@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "core/bounds.hpp"
+#include "core/incremental.hpp"
 #include "obs/metrics.hpp"
 #include "sim/validator.hpp"
 #include "storage/usage_timeline.hpp"
@@ -34,24 +35,6 @@ const char* CounterName(DeferCause cause) {
   return "svc.admit.deferred_other";
 }
 
-/// Exact duplicate test over everything the drain order sees — the unit
-/// of the speculative-vs-final batch comparison.
-bool SameStamped(const StampedRequest& a, const StampedRequest& b) {
-  return a.arrival.value() == b.arrival.value() &&
-         a.deferrals == b.deferrals && a.request.user == b.request.user &&
-         a.request.video == b.request.video &&
-         a.request.start_time.value() == b.request.start_time.value() &&
-         a.request.neighborhood == b.request.neighborhood;
-}
-
-std::size_t CommonPrefixLength(const std::vector<StampedRequest>& a,
-                               const std::vector<StampedRequest>& b) {
-  const std::size_t n = std::min(a.size(), b.size());
-  std::size_t i = 0;
-  while (i < n && SameStamped(a[i], b[i])) ++i;
-  return i;
-}
-
 /// The admitted / pushed-back split of one canonical batch.
 struct AdmissionSplit {
   std::vector<StampedRequest> admitted;
@@ -61,8 +44,7 @@ struct AdmissionSplit {
 /// The estimate tier of admission control — fairness cap, per-IS
 /// caching-pressure estimate, optional cost budget — as a pure function
 /// of (config, committed state, canonical batch).  No counters and no
-/// service mutation, so a speculative pass and the real close run the
-/// exact same code and any bookkeeping happens once, at the close.
+/// service mutation: the close does the bookkeeping.
 AdmissionSplit RunAdmissionEstimates(
     const ServiceConfig& config, const net::Topology& topology,
     const media::Catalog& catalog, const core::VorScheduler& scheduler,
@@ -162,27 +144,6 @@ AdmissionSplit RunAdmissionEstimates(
 
 }  // namespace
 
-const char* ToString(SpeculationOutcome outcome) {
-  switch (outcome) {
-    case SpeculationOutcome::kOff: return "off";
-    case SpeculationOutcome::kMiss: return "miss";
-    case SpeculationOutcome::kHit: return "hit";
-    case SpeculationOutcome::kRepair: return "repair";
-    case SpeculationOutcome::kFallback: return "fallback";
-  }
-  return "unknown";
-}
-
-/// Payload of one background speculative solve; built entirely from
-/// copies taken under the cycle mutex at Speculate() time, so the worker
-/// never touches live service state.
-struct ReservationService::SpecResult {
-  util::Result<core::SolveOutput> out = util::Internal("not solved");
-  std::vector<workload::Request> merged;
-  core::IncrementalStats stats;
-  core::SpeculativeSolution solution;
-};
-
 bool DrainOrderLess(const StampedRequest& a, const StampedRequest& b) {
   if (a.arrival.value() != b.arrival.value()) {
     return a.arrival.value() < b.arrival.value();
@@ -223,19 +184,30 @@ util::Status ReservationService::ValidateRequest(
   if (!topology_->IsStorage(request.neighborhood)) {
     return util::InvalidArgument("neighborhood is not an intermediate storage");
   }
-  if (request.start_time.value() < 0.0) {
-    return util::InvalidArgument("negative start time");
+  if (!workload::IsValidTime(request.start_time)) {
+    return util::InvalidArgument("negative or non-finite start time");
+  }
+  return util::Status::Ok();
+}
+
+util::Status ReservationService::ValidateStamped(
+    const StampedRequest& stamped) const {
+  if (const util::Status s = ValidateRequest(stamped.request); !s.ok()) {
+    return s.error();
+  }
+  if (!workload::IsValidTime(stamped.arrival)) {
+    return util::InvalidArgument("negative or non-finite arrival time");
   }
   return util::Status::Ok();
 }
 
 SubmitOutcome ReservationService::Submit(const workload::Request& request,
                                          util::Seconds arrival) {
-  if (!ValidateRequest(request).ok() || arrival.value() < 0.0) {
+  const StampedRequest stamped{request, arrival, 0};
+  if (!ValidateStamped(stamped).ok()) {
     obs::Add(config_.metrics, "svc.submit.rejected_invalid");
     return SubmitOutcome::kRejectedInvalid;
   }
-  const StampedRequest stamped{request, arrival, 0};
   // Two-choice shard placement: the home shard first, then one
   // deterministic alternate, so a skewed user distribution overflows
   // into a sibling stripe instead of reporting spurious backpressure
@@ -297,19 +269,6 @@ std::vector<StampedRequest> ReservationService::DrainIntake() {
   return drained;
 }
 
-std::vector<StampedRequest> ReservationService::PeekIntake() const {
-  std::vector<StampedRequest> copied;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    copied.insert(copied.end(), shard->queue.begin(), shard->queue.end());
-  }
-  {
-    std::lock_guard lock(spill_mutex_);
-    copied.insert(copied.end(), spill_.begin(), spill_.end());
-  }
-  return copied;
-}
-
 util::Result<CycleStats> ReservationService::CloseCycle() {
   const obs::Stopwatch close_watch;
   std::lock_guard cycle_lock(cycle_mutex_);
@@ -335,51 +294,6 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
   std::vector<std::pair<StampedRequest, DeferCause>>& pushed_back =
       split.pushed_back;
 
-  // Harvest the speculation, if any.  The reuse decision is made from
-  // the spec batch alone (known synchronously), so a close never waits
-  // on the worker unless the result is actually usable: an identical
-  // batch reuses the whole solve, a small delta mines its phase-1 plans
-  // via delta repair, and anything larger falls through to a full solve
-  // while the stale job finishes (and is discarded) in the background.
-  stats.speculation =
-      config_.speculate ? SpeculationOutcome::kMiss : SpeculationOutcome::kOff;
-  std::shared_ptr<SpecResult> spec;
-  bool spec_full_hit = false;
-  if (spec_.valid) {
-    SpecJob job = std::move(spec_);
-    spec_.valid = false;
-    if (job.generation != spec_generation_) {
-      obs::Add(config_.metrics, "svc.spec.stale");
-    } else {
-      const std::size_t common = CommonPrefixLength(job.admitted, admitted);
-      const std::size_t delta =
-          (admitted.size() - common) + (job.admitted.size() - common);
-      obs::Append(config_.metrics, "svc.spec.delta_size",
-                  static_cast<double>(delta));
-      if (delta == 0 ||
-          static_cast<double>(delta) <=
-              config_.speculation_repair_fraction *
-                  static_cast<double>(admitted.size())) {
-        // Bounded wait under cycle_mutex_, by design: the worker solves
-        // on private copies and takes no service locks, so the wait
-        // cannot deadlock, and the delta gate above means the close only
-        // ever waits for a result it will actually reuse.
-        // vorlint: ok(CONC-3)
-        std::shared_ptr<SpecResult> harvested = job.result.get();
-        if (harvested != nullptr && harvested->out.ok()) {
-          spec = std::move(harvested);
-          spec_full_hit = delta == 0;
-          if (!spec_full_hit) stats.speculation = SpeculationOutcome::kRepair;
-        }
-        // A failed background solve is just a miss: the close solves for
-        // itself and surfaces any real error through its own attempt.
-      } else {
-        stats.speculation = SpeculationOutcome::kFallback;
-        obs::Add(config_.metrics, "svc.spec.fallback_delta");
-      }
-    }
-  }
-
   // Solve-validate-halve: commit only a schedule in which SORP resolved
   // every overflow and the independent validator agrees.  On failure the
   // newest arrivals are deferred and the cycle re-solved; the loop
@@ -403,23 +317,8 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
     plain.reserve(admitted.size());
     for (const StampedRequest& s : admitted) plain.push_back(s.request);
     std::vector<workload::Request> attempt_merged;
-    util::Result<core::SolveOutput> out = util::Internal("not attempted");
-    const bool attempt_used_spec = spec_full_hit;
-    if (spec_full_hit) {
-      // The speculative solve IS this attempt: same pure function
-      // (IncrementalSolve) of the same (previous, committed, admitted)
-      // inputs, computed ahead of time.  Feasibility is still judged
-      // below exactly as if it had been solved here.
-      spec_full_hit = false;  // only valid for the full admitted set
-      out = std::move(spec->out);
-      attempt_merged = std::move(spec->merged);
-    } else {
-      core::IncrementalStats inc_stats;
-      out = core::IncrementalSolve(scheduler_, previous_, committed_, plain,
-                                   &attempt_merged, &inc_stats,
-                                   spec ? &spec->solution : nullptr, nullptr);
-      stats.spec_reused_files += inc_stats.files_reused_from_base;
-    }
+    util::Result<core::SolveOutput> out = core::IncrementalSolve(
+        scheduler_, previous_, committed_, plain, &attempt_merged);
     if (!out.ok()) {
       // Solver errors are environment-level (validated requests should
       // never trigger them); re-defer the batch so nothing is lost and
@@ -442,20 +341,10 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
                      .ok();
     }
     if (feasible || !config_.admission_control) {
-      if (attempt_used_spec) stats.speculation = SpeculationOutcome::kHit;
       next = std::move(*out);
       merged = std::move(attempt_merged);
       committed_new = true;
       break;
-    }
-    if (attempt_used_spec) {
-      // The speculative result failed the validator or left residual
-      // overflow: abandon it and fall back to the ordinary halving loop,
-      // which solves every further attempt from scratch — exactly the
-      // non-speculative control flow from here on.
-      stats.speculation = SpeculationOutcome::kFallback;
-      obs::Add(config_.metrics, "svc.spec.fallback_invalid");
-      spec.reset();
     }
     // Defer the newer half (drain order puts the oldest first).
     const std::size_t keep = admitted.size() / 2;
@@ -498,9 +387,6 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
   stats.deferred_out = deferred_.size();
 
   ++cycle_index_;
-  // The committed state (and the deferred set) changed shape: any
-  // speculation that predates this close can no longer repair it.
-  ++spec_generation_;
   stats.final_cost = previous_.final_cost.value();
   stats.committed_total = committed_.size();
   stats.close_seconds = close_watch.Seconds();
@@ -509,118 +395,8 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
                stats.close_seconds);
   obs::Observe(config_.metrics, "svc.cycle.solve_seconds",
                stats.solve_seconds);
-  switch (stats.speculation) {
-    case SpeculationOutcome::kOff:
-      break;
-    case SpeculationOutcome::kMiss:
-      obs::Add(config_.metrics, "svc.spec.misses");
-      break;
-    case SpeculationOutcome::kHit:
-      obs::Add(config_.metrics, "svc.spec.hits");
-      break;
-    case SpeculationOutcome::kRepair:
-      obs::Add(config_.metrics, "svc.spec.repairs");
-      break;
-    case SpeculationOutcome::kFallback:
-      obs::Add(config_.metrics, "svc.spec.fallbacks");
-      break;
-  }
-  if (stats.spec_reused_files > 0) {
-    obs::Add(config_.metrics, "svc.spec.repair_files_reused",
-             stats.spec_reused_files);
-  }
   history_.push_back(stats);
   return stats;
-}
-
-bool ReservationService::Speculate() {
-  if (!config_.speculate) return false;
-
-  // Everything the worker needs, captured by value/shared_ptr; the job
-  // itself is handed to the pool *after* the cycle lock is released —
-  // ThreadPool::Submit blocks on the pool's queue mutex, and handing off
-  // work while holding cycle_mutex_ is exactly the hold-and-wait pattern
-  // CONC-3 forbids.  The promise is published (spec_.valid) under the
-  // lock first, so a close that races ahead of the Submit below simply
-  // blocks in job.result.get() until the worker fulfils it.
-  std::shared_ptr<const core::SolveOutput> prev;
-  std::shared_ptr<const std::vector<workload::Request>> committed;
-  auto plain = std::make_shared<std::vector<workload::Request>>();
-  auto done =
-      std::make_shared<std::promise<std::shared_ptr<SpecResult>>>();
-  util::ThreadPool* pool = nullptr;
-  {
-    std::lock_guard cycle_lock(cycle_mutex_);
-    if (spec_.valid) return false;
-
-    // Non-destructive snapshot of the would-be close batch, through the
-    // same canonical order and admission estimates the close will use.
-    std::vector<StampedRequest> batch = PeekIntake();
-    batch.insert(batch.end(), deferred_.begin(), deferred_.end());
-    std::stable_sort(batch.begin(), batch.end(), DrainOrderLess);
-    AdmissionSplit split =
-        RunAdmissionEstimates(config_, *topology_, *catalog_, scheduler_,
-                              previous_, committed_, std::move(batch));
-    if (split.admitted.empty()) return false;
-
-    // The worker operates on copies only; the shared_ptrs keep them
-    // alive even if the job outlives its usefulness and is discarded
-    // unharvested.
-    prev = std::make_shared<const core::SolveOutput>(previous_);
-    committed = std::make_shared<const std::vector<workload::Request>>(
-        committed_);
-    plain->reserve(split.admitted.size());
-    for (const StampedRequest& s : split.admitted) {
-      plain->push_back(s.request);
-    }
-
-    if (spec_pool_ == nullptr) {
-      spec_pool_ = std::make_unique<util::ThreadPool>(1);
-    }
-    pool = spec_pool_.get();
-    spec_.generation = spec_generation_;
-    spec_.admitted = std::move(split.admitted);
-    spec_.result = done->get_future().share();
-    spec_.valid = true;
-    obs::Add(config_.metrics, "svc.spec.started");
-  }
-
-  const core::VorScheduler* scheduler = &scheduler_;
-  try {
-    (void)pool->Submit([scheduler, prev, committed, plain, done] {
-      auto result = std::make_shared<SpecResult>();
-      try {
-        result->out = core::IncrementalSolve(
-            *scheduler, *prev, *committed, *plain, &result->merged,
-            &result->stats, nullptr, &result->solution);
-      } catch (...) {
-        // A throwing solve must still fulfil the promise, or a close
-        // that chose to harvest this job would wait forever.
-        result = nullptr;
-      }
-      done->set_value(std::move(result));
-    });
-  } catch (...) {
-    // Pool already shut down (service tearing down): fulfil the promise
-    // so any concurrent harvest sees a plain miss.
-    done->set_value(nullptr);
-  }
-  return true;
-}
-
-bool ReservationService::SpeculationPending() const {
-  std::lock_guard lock(cycle_mutex_);
-  return spec_.valid;
-}
-
-void ReservationService::WaitForSpeculation() const {
-  std::shared_future<std::shared_ptr<SpecResult>> pending;
-  {
-    std::lock_guard lock(cycle_mutex_);
-    if (!spec_.valid) return;
-    pending = spec_.result;
-  }
-  pending.wait();
 }
 
 void ReservationService::Start() {
@@ -631,28 +407,15 @@ void ReservationService::Start() {
     std::unique_lock lock(clock_mutex_);
     const auto period = std::chrono::duration<double>(
         std::max(1e-3, config_.cycle_period_seconds));
-    // With speculation on, the period splits in half: the midpoint kicks
-    // off the background solve over the batch so far, and the close at
-    // the period boundary repairs in whatever arrived since.
-    const auto half = period / 2;
     while (true) {
-      if (config_.speculate) {
-        if (clock_cv_.wait_for(lock, half, [this] { return clock_stop_; })) {
-          break;
-        }
-        // The clock mutex must be released across service entry points:
-        // they take cycle_mutex_, and Stop() takes clock_mutex_ while a
-        // producer may hold cycle_mutex_ — holding both here would close
-        // that deadlock cycle.  wait_for needs the lock held again on
-        // re-entry, so this window cannot be an RAII scope.
-        lock.unlock();  // vorlint: ok(CONC-1)
-        (void)Speculate();
-        lock.lock();  // vorlint: ok(CONC-1)
-      }
-      if (clock_cv_.wait_for(lock, config_.speculate ? half : period,
-                             [this] { return clock_stop_; })) {
+      if (clock_cv_.wait_for(lock, period, [this] { return clock_stop_; })) {
         break;
       }
+      // The clock mutex must be released across CloseCycle: it takes
+      // cycle_mutex_, and Stop() takes clock_mutex_ while a producer may
+      // hold cycle_mutex_ — holding both here would close that deadlock
+      // cycle.  wait_for needs the lock held again on re-entry, so this
+      // window cannot be an RAII scope.
       lock.unlock();  // vorlint: ok(CONC-1)
       (void)CloseCycle();
       obs::Add(config_.metrics, "svc.cycle.clock_ticks");
@@ -733,14 +496,12 @@ util::Status ReservationService::Restore(const ServiceSnapshot& snapshot) {
   for (const workload::Request& r : snapshot.committed) {
     if (const util::Status s = ValidateRequest(r); !s.ok()) return s.error();
   }
-  for (const StampedRequest& s : snapshot.deferred) {
-    if (const util::Status st = ValidateRequest(s.request); !st.ok()) {
-      return st.error();
-    }
-  }
-  for (const StampedRequest& s : snapshot.pending) {
-    if (const util::Status st = ValidateRequest(s.request); !st.ok()) {
-      return st.error();
+  for (const std::vector<StampedRequest>* stamped :
+       {&snapshot.deferred, &snapshot.pending}) {
+    for (const StampedRequest& s : *stamped) {
+      if (const util::Status st = ValidateStamped(s); !st.ok()) {
+        return st.error();
+      }
     }
   }
   // The committed schedule must itself be a legal plan for the committed
@@ -756,10 +517,6 @@ util::Status ReservationService::Restore(const ServiceSnapshot& snapshot) {
   }
 
   std::lock_guard cycle_lock(cycle_mutex_);
-  // Any in-flight speculation targets the pre-restore state; invalidate
-  // it (the worker's copies keep it memory-safe until it finishes).
-  spec_.valid = false;
-  ++spec_generation_;
   cycle_index_ = snapshot.cycle_index;
   committed_ = snapshot.committed;
   previous_ = core::SolveOutput{};

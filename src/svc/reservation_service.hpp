@@ -43,13 +43,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "core/incremental.hpp"
 #include "core/scheduler.hpp"
 #include "media/catalog.hpp"
 #include "net/topology.hpp"
@@ -97,7 +95,8 @@ enum class SubmitOutcome : std::uint8_t {
   kAccepted,
   /// Shard full; parked in the bounded spill queue, drained next close.
   kDeferred,
-  /// Unknown video / non-storage neighborhood / negative times.
+  /// Unknown video / non-storage neighborhood / a start or arrival time
+  /// that is negative or not finite.
   kRejectedInvalid,
   /// Shard and spill both full — the caller should slow down.
   kRejectedBackpressure,
@@ -134,20 +133,6 @@ struct ServiceConfig {
   double cycle_cost_budget = 0.0;
   /// Defensive cap on solve-validate-halve attempts per close.
   std::size_t max_admission_retries = 24;
-  /// Pipelined cycle close.  Speculate() snapshots the drained-so-far
-  /// batch (non-destructively) and solves it on a background worker
-  /// while intake continues; CloseCycle() then reuses the speculative
-  /// result outright (identical batch), mines its per-file phase-1
-  /// plans via delta repair (small late delta), or falls back to a full
-  /// solve.  The committed schedule is byte-identical in every case —
-  /// speculation only moves work off the close path.  With the
-  /// background clock running, a speculation is kicked automatically at
-  /// half period.
-  bool speculate = false;
-  /// Delta-repair eligibility: the speculative solve is mined only while
-  /// (batch delta size) <= fraction * (admitted batch size); beyond that
-  /// the close solves from scratch without waiting for the worker.
-  double speculation_repair_fraction = 0.5;
   /// Solver configuration (heat metric, SORP engine, worker threads...).
   /// `scheduler.metrics` is overridden by `metrics` below.
   core::SchedulerOptions scheduler;
@@ -156,26 +141,6 @@ struct ServiceConfig {
   /// solver.  May be null.
   obs::MetricsRegistry* metrics = nullptr;
 };
-
-/// How the speculative pipeline fared at one cycle close.
-enum class SpeculationOutcome : std::uint8_t {
-  /// Speculation disabled in the config.
-  kOff,
-  /// No usable speculation at close (none started, stale, or the
-  /// background solve itself errored).
-  kMiss,
-  /// The speculative batch matched the close batch exactly; the whole
-  /// background solve (phases 1 + 2) was committed as-is.
-  kHit,
-  /// The batches diverged within the repair threshold; the close reused
-  /// the speculation's per-file phase-1 plans and re-ran phase 2.
-  kRepair,
-  /// Speculation abandoned: the delta exceeded the repair threshold, or
-  /// the speculative result failed validation / left residual overflow.
-  kFallback,
-};
-
-[[nodiscard]] const char* ToString(SpeculationOutcome outcome);
 
 /// Per-close statistics, also appended to History().
 struct CycleStats {
@@ -194,12 +159,7 @@ struct CycleStats {
   /// distinct from expiry so backlog overflow is visible as such.
   std::size_t rejected_deferred_full = 0;
   /// Solve attempts this close (>1 means the halving loop engaged).
-  /// A reused speculative solve counts as one attempt.
   std::size_t solve_attempts = 0;
-  /// Speculative-pipeline outcome for this close.
-  SpeculationOutcome speculation = SpeculationOutcome::kOff;
-  /// Per-file phase-1 plans copied from the speculative solve (repair).
-  std::size_t spec_reused_files = 0;
   double close_seconds = 0.0;
   double solve_seconds = 0.0;
   /// Cost of the committed schedule after this close.
@@ -240,22 +200,6 @@ class ReservationService {
   /// (the drained batch is then re-deferred, not lost).
   [[nodiscard]] util::Result<CycleStats> CloseCycle();
 
-  /// Kicks a speculative solve of the would-be next close: snapshots the
-  /// intake + carried deferrals without draining them, runs the same
-  /// admission estimates, and solves the admitted set on a background
-  /// worker.  Never mutates the committed state or the intake.  Returns
-  /// false when speculation is disabled, one is already in flight, or
-  /// the snapshot admits nothing.
-  bool Speculate();
-
-  /// True while a speculative solve is in flight or awaiting harvest.
-  [[nodiscard]] bool SpeculationPending() const;
-
-  /// Blocks until an in-flight speculative solve finishes (no-op
-  /// otherwise).  Lets callers overlap intake with the solve and then
-  /// close at full speed.
-  void WaitForSpeculation() const;
-
   /// Starts/stops the background cycle clock (period from config).
   /// Start is idempotent; Stop joins the thread.  The destructor stops.
   void Start();
@@ -289,15 +233,13 @@ class ReservationService {
     /// snapshot shape and the canonical drain order never see it.
     std::vector<double> enqueued;
   };
-  /// Result of one background speculative solve (defined in the .cpp).
-  struct SpecResult;
-
   /// Drains shards + spill (cycle mutex must be held).
   [[nodiscard]] std::vector<StampedRequest> DrainIntake();
-  /// Copies shards + spill without draining (cycle mutex must be held).
-  [[nodiscard]] std::vector<StampedRequest> PeekIntake() const;
   [[nodiscard]] util::Status ValidateRequest(
       const workload::Request& request) const;
+  /// ValidateRequest plus a finite, non-negative arrival.
+  [[nodiscard]] util::Status ValidateStamped(
+      const StampedRequest& stamped) const;
   /// Seconds since intake_epoch_ (monotonic), for queue-wait stamps.
   [[nodiscard]] double IntakeNow() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -329,25 +271,6 @@ class ReservationService {
   core::SolveOutput previous_;
   std::vector<StampedRequest> deferred_;
   std::vector<CycleStats> history_;
-
-  // ---- speculation (guarded by cycle_mutex_) ---------------------------
-  /// One in-flight speculative solve at a time.  The job's generation is
-  /// matched against spec_generation_ at harvest; every close and every
-  /// restore bumps the generation, so a speculation can only ever repair
-  /// the exact committed state it was solved against.
-  struct SpecJob {
-    std::uint64_t generation = 0;
-    /// The admission result the background solve is working on, kept so
-    /// the close can size the delta without waiting on the worker.
-    std::vector<StampedRequest> admitted;
-    std::shared_future<std::shared_ptr<SpecResult>> result;
-    bool valid = false;
-  };
-  SpecJob spec_;
-  std::uint64_t spec_generation_ = 0;
-  /// Lazily-created single worker for speculative solves.  Declared
-  /// after scheduler_/shards_ so it is destroyed (and joined) first.
-  std::unique_ptr<util::ThreadPool> spec_pool_;
 
   // ---- background clock ------------------------------------------------
   util::RankedMutex clock_mutex_{util::LockRank::kSvcClock, "svc.clock"};

@@ -32,8 +32,8 @@ namespace vor::util {
 /// Gaps of 10 leave room for future tiers without renumbering.
 enum class LockRank : std::uint16_t {
   /// svc background clock (ReservationService::clock_mutex_).  Held only
-  /// around the stop flag; explicitly released before CloseCycle /
-  /// Speculate, so nothing below may ever acquire it.
+  /// around the stop flag; explicitly released before CloseCycle, so
+  /// nothing below may ever acquire it.
   kSvcClock = 10,
   /// svc cycle state (ReservationService::cycle_mutex_).  The close path
   /// acquires shard/spill/obs locks underneath it.

@@ -2,6 +2,7 @@
 // of time, for a title to start playing at a given instant.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "media/video.hpp"
@@ -22,5 +23,12 @@ struct Request {
   /// node is the delivery endpoint the scheduler sees.
   net::NodeId neighborhood = net::kInvalidNode;
 };
+
+/// Whether `t` may stand as a start or arrival time: finite and >= 0.
+/// A bare `t < 0` test lets NaN and +Inf through, and a NaN arrival
+/// breaks the strict weak order the service's drain sort relies on.
+[[nodiscard]] inline bool IsValidTime(util::Seconds t) {
+  return std::isfinite(t.value()) && t.value() >= 0.0;
+}
 
 }  // namespace vor::workload

@@ -169,9 +169,9 @@ util::Status ValidateTraceRecord(const Request& r, std::size_t index,
                                  " has non-storage neighborhood " +
                                  std::to_string(r.neighborhood));
   }
-  if (r.start_time.value() < 0.0) {
+  if (!IsValidTime(r.start_time)) {
     return util::InvalidArgument("request " + std::to_string(index) +
-                                 " has negative start time");
+                                 " has a negative or non-finite start time");
   }
   return util::Status::Ok();
 }

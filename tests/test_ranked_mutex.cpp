@@ -202,12 +202,12 @@ TEST_F(RankedMutexTest, HeldStackIsPerThread) {
   EXPECT_EQ(LockOrderRegistry::Held().size(), 1u);
 }
 
-// The product-path integration: a speculating service driven exactly like
-// the soak (concurrent producers, speculation in flight, snapshot racing
-// the close).  In default builds RankedMutex is the unchecked variant and
-// this is a plain smoke; under the tsan preset (VOR_LOCK_ORDER_CHECK=ON)
-// every svc/obs mutex here runs the witness, and any rank breach aborts.
-TEST_F(RankedMutexTest, ServiceSpeculateCloseInterleavingHoldsTheOrder) {
+// The product-path integration: a service driven like the soak
+// (concurrent producers, snapshot racing the close).  In default builds
+// RankedMutex is the unchecked variant and this is a plain smoke; under
+// the tsan preset (VOR_LOCK_ORDER_CHECK=ON) every svc/obs mutex here runs
+// the witness, and any rank breach aborts.
+TEST_F(RankedMutexTest, ServiceSnapshotCloseInterleavingHoldsTheOrder) {
   workload::ScenarioParams params;
   params.storage_count = 4;
   params.users_per_neighborhood = 3;
@@ -218,7 +218,6 @@ TEST_F(RankedMutexTest, ServiceSpeculateCloseInterleavingHoldsTheOrder) {
 
   svc::ServiceConfig config;
   config.shards = 4;
-  config.speculate = true;
   svc::ReservationService service(scenario.topology, scenario.catalog,
                                   config);
 
@@ -226,10 +225,10 @@ TEST_F(RankedMutexTest, ServiceSpeculateCloseInterleavingHoldsTheOrder) {
   workload::SortForReplay(requests);
   const std::size_t mid = requests.size() / 2;
 
-  const auto submit_range = [&](std::size_t lo, std::size_t hi) {
+  const auto start_producers = [&](std::size_t lo, std::size_t hi) {
     std::vector<std::thread> producers;
     for (std::size_t p = 0; p < 2; ++p) {
-      producers.emplace_back([&, p] {
+      producers.emplace_back([&, lo, hi, p] {
         for (std::size_t i = lo + p; i < hi; i += 2) {
           const auto outcome =
               service.Submit(requests[i], requests[i].start_time);
@@ -237,21 +236,22 @@ TEST_F(RankedMutexTest, ServiceSpeculateCloseInterleavingHoldsTheOrder) {
         }
       });
     }
-    for (std::thread& t : producers) t.join();
+    return producers;
   };
 
-  submit_range(0, mid);
-  (void)service.Speculate();
-  submit_range(mid, requests.size());
+  for (std::thread& t : start_producers(0, mid)) t.join();
 
-  // Snapshot races the close harvesting the speculation.
-  std::thread snapshotter([&service] {
+  // The second half's producers and a snapshot race the close.
+  std::vector<std::thread> racing = start_producers(mid, requests.size());
+  racing.emplace_back([&service] {
     const svc::ServiceSnapshot snapshot = service.Snapshot();
     EXPECT_LE(snapshot.committed.size(), 1u << 20);
   });
   const auto stats = service.CloseCycle();
-  snapshotter.join();
+  for (std::thread& t : racing) t.join();
   ASSERT_TRUE(stats.ok()) << stats.error().message;
+  ASSERT_TRUE(service.CloseCycle().ok());
+  EXPECT_EQ(service.PendingCount(), 0u);
   EXPECT_TRUE(Violations().empty());
 }
 

@@ -58,8 +58,6 @@ TEST(RpcFrameTest, RoundTripEveryMessageType) {
   stats.admitted = 9;
   stats.deferred_out = 2;
   stats.solve_attempts = 4;
-  stats.speculation = svc::SpeculationOutcome::kRepair;
-  stats.spec_reused_files = 5;
   stats.close_seconds = 0.25;
   stats.solve_seconds = 0.125;
   stats.final_cost = 1234.5;
@@ -134,8 +132,6 @@ TEST(RpcFrameTest, CycleStatsBodyRoundTripsIncludingAbsent) {
   stats.rejected_expired = 3;
   stats.rejected_deferred_full = 1;
   stats.solve_attempts = 2;
-  stats.speculation = svc::SpeculationOutcome::kHit;
-  stats.spec_reused_files = 44;
   stats.close_seconds = 1.5;
   stats.solve_seconds = 0.75;
   stats.final_cost = 98765.4321;
@@ -152,12 +148,23 @@ TEST(RpcFrameTest, CycleStatsBodyRoundTripsIncludingAbsent) {
   EXPECT_EQ(b.rejected_expired, stats.rejected_expired);
   EXPECT_EQ(b.rejected_deferred_full, stats.rejected_deferred_full);
   EXPECT_EQ(b.solve_attempts, stats.solve_attempts);
-  EXPECT_EQ(b.speculation, stats.speculation);
-  EXPECT_EQ(b.spec_reused_files, stats.spec_reused_files);
   EXPECT_EQ(b.close_seconds, stats.close_seconds);
   EXPECT_EQ(b.solve_seconds, stats.solve_seconds);
   EXPECT_EQ(b.final_cost, stats.final_cost);
   EXPECT_EQ(b.committed_total, stats.committed_total);
+
+  // The two reserved varints follow the presence flag and the eight
+  // one-byte stats varints above; they are written as 0, and a body
+  // with either set is refused.
+  const std::string body = EncodeCycleStatsBody(&stats);
+  for (const std::size_t slot : {std::size_t{9}, std::size_t{10}}) {
+    ASSERT_EQ(body[slot], '\0') << "slot " << slot;
+    std::string bad = body;
+    bad[slot] = '\3';
+    const auto refused = DecodeCycleStatsBody(bad);
+    ASSERT_FALSE(refused.ok()) << "slot " << slot;
+    EXPECT_EQ(refused.error().code, util::Error::Code::kInvalidArgument);
+  }
 }
 
 TEST(RpcFrameTest, BodyDecodersRejectTrailingBytes) {

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,36 +33,13 @@ workload::Scenario SmallScenario(double capacity_gb = 50.0) {
   return workload::MakeScenario(params);
 }
 
-/// Where (if at all) the replay kicks the speculative pipeline relative
-/// to each window's submission — the timing axis of the determinism
-/// golden suite.
-enum class SpecMode {
-  /// Speculation disabled (the reference engine).
-  kOff,
-  /// Speculate once the window is fully submitted: delta 0, full hit.
-  kHit,
-  /// Speculate after half the window: the other half is the late delta
-  /// the close repairs in.
-  kMidWindow,
-  /// Mid-window with repair_fraction 0: any delta forces full fallback.
-  kForcedFallback,
-  /// Like kHit, plus a Snapshot() taken while the background solve is in
-  /// flight (must neither block on nor perturb the speculation).
-  kSnapshotMidSolve,
-};
-
 /// Replays `requests` through a service: `cycles` contiguous windows in
 /// canonical replay order, each submitted by `producers` concurrent
 /// threads (round-robin slices), then closed.  Asserts the committed
 /// schedule validates after every close and returns its final JSON dump.
 std::string ReplayThroughService(const workload::Scenario& scenario,
                                  std::size_t producers, std::size_t cycles,
-                                 svc::ServiceConfig config,
-                                 SpecMode mode = SpecMode::kOff) {
-  config.speculate = mode != SpecMode::kOff;
-  if (mode == SpecMode::kForcedFallback) {
-    config.speculation_repair_fraction = 0.0;
-  }
+                                 const svc::ServiceConfig& config) {
   svc::ReservationService service(scenario.topology, scenario.catalog,
                                   config);
   std::vector<workload::Request> requests = scenario.requests;
@@ -72,36 +50,17 @@ std::string ReplayThroughService(const workload::Scenario& scenario,
   for (std::size_t c = 0; c < cycles; ++c) {
     const std::size_t begin = c * per_cycle;
     const std::size_t end = std::min(requests.size(), begin + per_cycle);
-    const auto submit_range = [&](std::size_t lo, std::size_t hi) {
-      std::vector<std::thread> threads;
-      for (std::size_t p = 0; p < producers; ++p) {
-        threads.emplace_back([&, p] {
-          for (std::size_t i = lo + p; i < hi; i += producers) {
-            const auto outcome =
-                service.Submit(requests[i], requests[i].start_time);
-            EXPECT_NE(outcome, svc::SubmitOutcome::kRejectedInvalid);
-          }
-        });
-      }
-      for (std::thread& t : threads) t.join();
-    };
-    if (mode == SpecMode::kMidWindow || mode == SpecMode::kForcedFallback) {
-      const std::size_t mid = begin + (end - begin) / 2;
-      submit_range(begin, mid);
-      (void)service.Speculate();
-      submit_range(mid, end);
-      service.WaitForSpeculation();
-    } else {
-      submit_range(begin, end);
-      if (mode != SpecMode::kOff) {
-        (void)service.Speculate();
-        if (mode == SpecMode::kSnapshotMidSolve) {
-          const svc::ServiceSnapshot snapshot = service.Snapshot();
-          EXPECT_EQ(snapshot.pending.size(), service.PendingCount());
+    std::vector<std::thread> threads;
+    for (std::size_t p = 0; p < producers; ++p) {
+      threads.emplace_back([&, p] {
+        for (std::size_t i = begin + p; i < end; i += producers) {
+          const auto outcome =
+              service.Submit(requests[i], requests[i].start_time);
+          EXPECT_NE(outcome, svc::SubmitOutcome::kRejectedInvalid);
         }
-        service.WaitForSpeculation();
-      }
+      });
     }
+    for (std::thread& t : threads) t.join();
     const auto stats = service.CloseCycle();
     EXPECT_TRUE(stats.ok()) << stats.error().message;
     // The standing guarantee: whatever was committed validates, capacity
@@ -263,18 +222,36 @@ TEST(ServiceSnapshot, RestoreResumesWithIdenticalSchedule) {
             io::ToJson(original.CommittedSchedule()).Dump());
   EXPECT_EQ(restored.PendingCount(), original.PendingCount());
 
-  // Both continue the horizon identically.
-  for (std::size_t i = half + 3; i < requests.size(); ++i) {
-    ASSERT_EQ(original.Submit(requests[i], requests[i].start_time),
-              svc::SubmitOutcome::kAccepted);
-    ASSERT_EQ(restored.Submit(requests[i], requests[i].start_time),
+  // Restoring over live state (its own commits and open intake) discards
+  // that state entirely.
+  svc::ReservationService overwritten(scenario.topology, scenario.catalog,
+                                      config);
+  for (std::size_t i = half; i < requests.size(); ++i) {
+    ASSERT_EQ(overwritten.Submit(requests[i], requests[i].start_time),
               svc::SubmitOutcome::kAccepted);
   }
-  ASSERT_TRUE(original.CloseCycle().ok());
-  ASSERT_TRUE(restored.CloseCycle().ok());
-  EXPECT_EQ(io::ToJson(restored.CommittedSchedule()).Dump(),
-            io::ToJson(original.CommittedSchedule()).Dump());
+  ASSERT_TRUE(overwritten.CloseCycle().ok());
+  ASSERT_EQ(overwritten.Submit(requests[0], requests[0].start_time),
+            svc::SubmitOutcome::kAccepted);
+  ASSERT_TRUE(overwritten.Restore(*snapshot).ok());
+  EXPECT_EQ(overwritten.PendingCount(), original.PendingCount());
+
+  // All three continue the horizon identically.
+  for (std::size_t i = half + 3; i < requests.size(); ++i) {
+    for (svc::ReservationService* s : {&original, &restored, &overwritten}) {
+      ASSERT_EQ(s->Submit(requests[i], requests[i].start_time),
+                svc::SubmitOutcome::kAccepted);
+    }
+  }
+  for (svc::ReservationService* s : {&original, &restored, &overwritten}) {
+    ASSERT_TRUE(s->CloseCycle().ok());
+  }
+  const std::string expected = io::ToJson(original.CommittedSchedule()).Dump();
+  EXPECT_EQ(io::ToJson(restored.CommittedSchedule()).Dump(), expected);
+  EXPECT_EQ(io::ToJson(overwritten.CommittedSchedule()).Dump(), expected);
   EXPECT_EQ(restored.CommittedRequests().size(),
+            original.CommittedRequests().size());
+  EXPECT_EQ(overwritten.CommittedRequests().size(),
             original.CommittedRequests().size());
 }
 
@@ -299,6 +276,37 @@ TEST(ServiceSnapshot, RejectsForeignOrCorruptSnapshots) {
   svc::ServiceSnapshot unserved;
   unserved.committed.push_back(workload::Request{0, 0, util::Hours(1.0), 1});
   EXPECT_FALSE(service.Restore(unserved).ok());
+
+  // A NaN arrival in the deferred or pending set is refused, and the
+  // refusal leaves the live state (commits, deferrals, intake) as it was.
+  std::vector<workload::Request> requests = scenario.requests;
+  workload::SortForReplay(requests);
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(service.Submit(requests[i], requests[i].start_time),
+              svc::SubmitOutcome::kAccepted);
+  }
+  ASSERT_TRUE(service.CloseCycle().ok());
+  ASSERT_EQ(service.Submit(requests[4], requests[4].start_time),
+            svc::SubmitOutcome::kAccepted);
+  const svc::ServiceSnapshot good = service.Snapshot();
+  ASSERT_EQ(good.pending.size(), 1u);
+  const std::string schedule_before =
+      io::ToJson(service.CommittedSchedule()).Dump();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  svc::ServiceSnapshot nan_deferred = good;
+  nan_deferred.deferred.push_back(
+      svc::StampedRequest{requests[5], util::Seconds{nan}, 1});
+  EXPECT_FALSE(service.Restore(nan_deferred).ok());
+  svc::ServiceSnapshot nan_pending = good;
+  nan_pending.pending[0].arrival = util::Seconds{nan};
+  EXPECT_FALSE(service.Restore(nan_pending).ok());
+
+  EXPECT_EQ(service.cycle_index(), good.cycle_index);
+  EXPECT_EQ(io::ToJson(service.CommittedSchedule()).Dump(), schedule_before);
+  EXPECT_EQ(service.CommittedRequests().size(), good.committed.size());
+  EXPECT_EQ(service.DeferredCount(), good.deferred.size());
+  EXPECT_EQ(service.PendingCount(), good.pending.size());
 }
 
 TEST(ServiceIntake, BackpressureAndInvalidOutcomes) {
@@ -319,7 +327,23 @@ TEST(ServiceIntake, BackpressureAndInvalidOutcomes) {
   EXPECT_EQ(service.Submit(bad_node, util::Seconds{0.0}),
             svc::SubmitOutcome::kRejectedInvalid);
 
+  // Non-finite times: a bare `< 0` test would let NaN and +Inf through.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double start : {nan, inf, -inf}) {
+    const workload::Request bad_start{0, 0, util::Seconds{start}, 1};
+    EXPECT_EQ(service.Submit(bad_start, util::Seconds{0.0}),
+              svc::SubmitOutcome::kRejectedInvalid)
+        << "start " << start;
+  }
   const workload::Request ok{0, 0, util::Hours(1.0), 1};
+  for (const double arrival : {nan, inf}) {
+    EXPECT_EQ(service.Submit(ok, util::Seconds{arrival}),
+              svc::SubmitOutcome::kRejectedInvalid)
+        << "arrival " << arrival;
+  }
+  EXPECT_EQ(service.PendingCount(), 0u);
+
   EXPECT_EQ(service.Submit(ok, util::Seconds{1.0}),
             svc::SubmitOutcome::kAccepted);
   EXPECT_EQ(service.Submit(ok, util::Seconds{2.0}),
@@ -439,165 +463,6 @@ TEST(ServiceOrdering, DrainOrderIsTotalAndArrivalFirst) {
                                    {a, util::Seconds{1.0}, 0}));
 }
 
-TEST(ServiceSpeculation, ByteIdenticalAtAnyTimingAndProducerCount) {
-  // The golden suite: the committed schedule is a pure function of the
-  // canonical batch, so every speculation timing (off / full hit /
-  // mid-window repair / forced fallback / snapshot mid-solve) at every
-  // producer count must produce the same bytes.
-  const workload::Scenario scenario = SmallScenario();
-  svc::ServiceConfig config;
-  config.shards = 4;
-  const std::string golden = ReplayThroughService(scenario, 1, 3, config);
-  ASSERT_FALSE(golden.empty());
-  for (const SpecMode mode :
-       {SpecMode::kOff, SpecMode::kHit, SpecMode::kMidWindow,
-        SpecMode::kForcedFallback, SpecMode::kSnapshotMidSolve}) {
-    for (const std::size_t producers : {1u, 2u, 8u}) {
-      EXPECT_EQ(golden,
-                ReplayThroughService(scenario, producers, 3, config, mode))
-          << "mode " << static_cast<int>(mode) << " producers " << producers;
-    }
-  }
-}
-
-TEST(ServiceSpeculation, ByteIdenticalUnderAdmissionPressure) {
-  // Same suite against the halving/deferral path: tight capacity plus a
-  // crippled SORP budget makes the close defer work, which exercises the
-  // spec-hit -> validator-fallback transition (the speculative result is
-  // only attempt 1; later halving attempts must match the reference).
-  const workload::Scenario scenario = SmallScenario(2.0);
-  svc::ServiceConfig config;
-  config.shards = 4;
-  config.scheduler.max_sorp_iterations = 1;
-  const std::string golden = ReplayThroughService(scenario, 1, 2, config);
-  for (const SpecMode mode :
-       {SpecMode::kHit, SpecMode::kMidWindow, SpecMode::kForcedFallback}) {
-    for (const std::size_t producers : {1u, 2u, 8u}) {
-      EXPECT_EQ(golden,
-                ReplayThroughService(scenario, producers, 2, config, mode))
-          << "mode " << static_cast<int>(mode) << " producers " << producers;
-    }
-  }
-}
-
-TEST(ServiceSpeculation, OutcomesFollowTheTimingOfTheKick) {
-  const workload::Scenario scenario = SmallScenario();
-  std::vector<workload::Request> requests = scenario.requests;
-  workload::SortForReplay(requests);
-  const std::size_t half = requests.size() / 2;
-
-  // Full batch speculated, nothing late: a hit.
-  svc::ServiceConfig config;
-  config.speculate = true;
-  {
-    svc::ReservationService service(scenario.topology, scenario.catalog,
-                                    config);
-    for (const workload::Request& r : requests) {
-      ASSERT_EQ(service.Submit(r, r.start_time),
-                svc::SubmitOutcome::kAccepted);
-    }
-    ASSERT_TRUE(service.Speculate());
-    EXPECT_TRUE(service.SpeculationPending());
-    EXPECT_FALSE(service.Speculate());  // one in flight at a time
-    service.WaitForSpeculation();
-    const auto stats = service.CloseCycle();
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->speculation, svc::SpeculationOutcome::kHit);
-    EXPECT_FALSE(service.SpeculationPending());
-  }
-
-  // Speculated at half, the rest arrives late: a delta repair that
-  // reuses per-file plans the speculation already computed.
-  {
-    svc::ServiceConfig repair = config;
-    repair.speculation_repair_fraction = 1.0;
-    svc::ReservationService service(scenario.topology, scenario.catalog,
-                                    repair);
-    for (std::size_t i = 0; i < half; ++i) {
-      ASSERT_EQ(service.Submit(requests[i], requests[i].start_time),
-                svc::SubmitOutcome::kAccepted);
-    }
-    ASSERT_TRUE(service.Speculate());
-    for (std::size_t i = half; i < requests.size(); ++i) {
-      ASSERT_EQ(service.Submit(requests[i], requests[i].start_time),
-                svc::SubmitOutcome::kAccepted);
-    }
-    service.WaitForSpeculation();
-    const auto stats = service.CloseCycle();
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->speculation, svc::SpeculationOutcome::kRepair);
-    EXPECT_GT(stats->spec_reused_files, 0u);
-  }
-
-  // Same timing with repair disabled: the delta forces a fallback.
-  {
-    svc::ServiceConfig strict = config;
-    strict.speculation_repair_fraction = 0.0;
-    svc::ReservationService service(scenario.topology, scenario.catalog,
-                                    strict);
-    for (std::size_t i = 0; i < half; ++i) {
-      ASSERT_EQ(service.Submit(requests[i], requests[i].start_time),
-                svc::SubmitOutcome::kAccepted);
-    }
-    ASSERT_TRUE(service.Speculate());
-    for (std::size_t i = half; i < requests.size(); ++i) {
-      ASSERT_EQ(service.Submit(requests[i], requests[i].start_time),
-                svc::SubmitOutcome::kAccepted);
-    }
-    const auto stats = service.CloseCycle();
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->speculation, svc::SpeculationOutcome::kFallback);
-  }
-}
-
-TEST(ServiceSpeculation, RestoreDuringSpeculationInvalidatesIt) {
-  const workload::Scenario scenario = SmallScenario();
-  std::vector<workload::Request> requests = scenario.requests;
-  workload::SortForReplay(requests);
-  const std::size_t half = requests.size() / 2;
-
-  svc::ServiceConfig config;
-  config.speculate = true;
-  svc::ReservationService service(scenario.topology, scenario.catalog,
-                                  config);
-  for (std::size_t i = 0; i < half; ++i) {
-    ASSERT_EQ(service.Submit(requests[i], requests[i].start_time),
-              svc::SubmitOutcome::kAccepted);
-  }
-  ASSERT_TRUE(service.CloseCycle().ok());
-  const svc::ServiceSnapshot snapshot = service.Snapshot();
-
-  // Kick a speculation over post-snapshot intake, then restore while it
-  // is (potentially still) in flight: the job must be invalidated, not
-  // harvested against the restored state.
-  for (std::size_t i = half; i < requests.size(); ++i) {
-    ASSERT_EQ(service.Submit(requests[i], requests[i].start_time),
-              svc::SubmitOutcome::kAccepted);
-  }
-  ASSERT_TRUE(service.Speculate());
-  ASSERT_TRUE(service.Restore(snapshot).ok());
-  EXPECT_FALSE(service.SpeculationPending());
-
-  // A control service restored from the same snapshot with speculation
-  // off must land on the same bytes.
-  svc::ReservationService control(scenario.topology, scenario.catalog, {});
-  ASSERT_TRUE(control.Restore(snapshot).ok());
-  for (std::size_t i = half; i < requests.size(); ++i) {
-    ASSERT_EQ(service.Submit(requests[i], requests[i].start_time),
-              svc::SubmitOutcome::kAccepted);
-    ASSERT_EQ(control.Submit(requests[i], requests[i].start_time),
-              svc::SubmitOutcome::kAccepted);
-  }
-  const auto stats = service.CloseCycle();
-  ASSERT_TRUE(stats.ok());
-  // The restore bumped the generation, so even a finished job reads as
-  // stale — never a hit against state it did not solve for.
-  EXPECT_NE(stats->speculation, svc::SpeculationOutcome::kHit);
-  ASSERT_TRUE(control.CloseCycle().ok());
-  EXPECT_EQ(io::ToJson(service.CommittedSchedule()).Dump(),
-            io::ToJson(control.CommittedSchedule()).Dump());
-}
-
 TEST(ServiceAdmission, CopyKeySeparatesIdsAcross24BitBoundary) {
   // Regression: the old (video << 24) | node packing aliased once node
   // ids crossed 2^24 (or video ids grew past 8 bits of headroom).  These
@@ -672,49 +537,6 @@ TEST(ServiceIntake, SkewedUsersOverflowIntoTheAlternateShard) {
   EXPECT_EQ(service.PendingCount(), 5u);
   ASSERT_TRUE(service.CloseCycle().ok());
   EXPECT_EQ(service.PendingCount(), 0u);
-}
-
-TEST(ServiceObs, SpeculationCountersCoverHitAndFallback) {
-  const workload::Scenario scenario = SmallScenario();
-  std::vector<workload::Request> requests = scenario.requests;
-  workload::SortForReplay(requests);
-
-  obs::MetricsRegistry metrics;
-  svc::ServiceConfig config;
-  config.speculate = true;
-  config.speculation_repair_fraction = 0.0;
-  config.metrics = &metrics;
-  svc::ReservationService service(scenario.topology, scenario.catalog,
-                                  config);
-
-  // Cycle 1: full-batch speculation -> hit.
-  const std::size_t half = requests.size() / 2;
-  for (std::size_t i = 0; i < half; ++i) {
-    ASSERT_EQ(service.Submit(requests[i], requests[i].start_time),
-              svc::SubmitOutcome::kAccepted);
-  }
-  ASSERT_TRUE(service.Speculate());
-  service.WaitForSpeculation();
-  ASSERT_TRUE(service.CloseCycle().ok());
-  // Cycle 2: early speculation + zero repair budget -> delta fallback.
-  ASSERT_EQ(service.Submit(requests[half], requests[half].start_time),
-            svc::SubmitOutcome::kAccepted);
-  ASSERT_TRUE(service.Speculate());
-  for (std::size_t i = half + 1; i < requests.size(); ++i) {
-    ASSERT_EQ(service.Submit(requests[i], requests[i].start_time),
-              svc::SubmitOutcome::kAccepted);
-  }
-  ASSERT_TRUE(service.CloseCycle().ok());
-
-  const std::string json = metrics.ToJson().Dump();
-  for (const char* key :
-       {"svc.spec.started", "svc.spec.hits", "svc.spec.fallbacks",
-        "svc.spec.fallback_delta", "svc.spec.delta_size"}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-  }
-  EXPECT_EQ(metrics.GetCounter("svc.spec.started").value(), 2u);
-  EXPECT_EQ(metrics.GetCounter("svc.spec.hits").value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("svc.spec.fallbacks").value(), 1u);
 }
 
 TEST(ServiceObs, CountersCoverTheSubmitAndCyclePath) {

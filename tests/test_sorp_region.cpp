@@ -6,8 +6,8 @@
 // (the interesting regime — a collapsed single shard would make the grid
 // vacuous), plus a boundary regression where global draws and a flash
 // crowd straddle regions and force shard merging.  The service-level
-// test pins the same identity through the speculative cycle close and a
-// snapshot restore.
+// test pins the same identity through cycle closes and a snapshot
+// restore.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -156,10 +156,10 @@ TEST(SorpRegionGoldenTest, BoundaryStraddlingVictimsMatch) {
   }
 }
 
-// The service stack must stay byte-deterministic with regions on: the
-// speculative (pipelined) close and a mid-stream snapshot/restore both
-// commit exactly what a regions=1, non-speculative service commits.
-TEST(SorpRegionGoldenTest, ServiceSpeculativeCloseAndSnapshotRestore) {
+// The service stack must stay byte-deterministic with regions on: its
+// closes and a mid-stream snapshot/restore commit exactly what a
+// regions=1 service commits.
+TEST(SorpRegionGoldenTest, ServiceSnapshotRestoreMatchesMonolithic) {
   const RegionEnv env(/*affinity=*/1.0);
   std::vector<workload::Request> requests = env.scenario.requests;
   workload::SortForReplay(requests);
@@ -184,18 +184,14 @@ TEST(SorpRegionGoldenTest, ServiceSpeculativeCloseAndSnapshotRestore) {
   const std::string plain_bytes =
       io::ScheduleToBinary(plain.CommittedSchedule());
 
-  // Region-sharded + speculative close, snapshotted between the cycles
-  // and restored into a fresh service for the second half.
+  // Region-sharded closes, snapshotted between the cycles and restored
+  // into a fresh service for the second half.
   svc::ServiceConfig region_config;
   region_config.scheduler.sorp_regions = 0;  // auto
   region_config.scheduler.parallel.threads = 2;
-  region_config.speculate = true;
   svc::ReservationService sharded(env.scenario.topology, env.scenario.catalog,
                                   region_config);
-  submit(sharded, 0, half / 2);
-  (void)sharded.Speculate();  // half-window speculation: exercises repair
-  submit(sharded, half / 2, half);
-  sharded.WaitForSpeculation();
+  submit(sharded, 0, half);
   ASSERT_TRUE(sharded.CloseCycle().ok());
 
   const svc::ServiceSnapshot snapshot = sharded.Snapshot();
@@ -203,13 +199,11 @@ TEST(SorpRegionGoldenTest, ServiceSpeculativeCloseAndSnapshotRestore) {
                                    env.scenario.catalog, region_config);
   ASSERT_TRUE(restored.Restore(snapshot).ok());
   submit(restored, half, requests.size());
-  (void)restored.Speculate();
-  restored.WaitForSpeculation();
   ASSERT_TRUE(restored.CloseCycle().ok());
 
   EXPECT_EQ(io::ScheduleToBinary(restored.CommittedSchedule()), plain_bytes)
-      << "region-sharded speculative service diverged from the monolithic "
-         "reference across snapshot restore";
+      << "region-sharded service diverged from the monolithic reference "
+         "across snapshot restore";
 }
 
 }  // namespace

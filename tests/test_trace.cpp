@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 
 #include "workload/scenario.hpp"
@@ -116,10 +117,13 @@ TEST(TraceTest, ValidateTraceChecksEnvironment) {
   EXPECT_FALSE(
       ValidateTrace(bad, scenario.topology, scenario.catalog).ok());
 
-  bad = scenario.requests;
-  bad[0].start_time = util::Seconds{-5.0};
-  EXPECT_FALSE(
-      ValidateTrace(bad, scenario.topology, scenario.catalog).ok());
+  for (const double start : {-5.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    bad = scenario.requests;
+    bad[0].start_time = util::Seconds{start};
+    EXPECT_FALSE(ValidateTrace(bad, scenario.topology, scenario.catalog).ok())
+        << "start " << start;
+  }
 }
 
 }  // namespace

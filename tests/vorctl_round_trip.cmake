@@ -275,7 +275,7 @@ if(NOT rc EQUAL 0)
 endif()
 
 # Streaming binary replay must commit the same bytes as the CSV replay,
-# at any producer count and with speculation on.
+# at any producer count.
 set(served_bin4 ${WORKDIR}/vorctl_served_bin4.json)
 execute_process(
   COMMAND ${VORCTL} serve ${scenario} --trace ${trace_bin} --cycle 21600
@@ -289,20 +289,6 @@ execute_process(
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "serve schedule depends on trace encoding")
-endif()
-set(served_spec ${WORKDIR}/vorctl_served_spec.json)
-execute_process(
-  COMMAND ${VORCTL} serve ${scenario} --trace ${trace_bin} --cycle 21600
-          --producers 4 --speculate --out ${served_spec}
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "serve binary trace --speculate failed: ${rc}")
-endif()
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files ${served1} ${served_spec}
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "speculative binary replay diverged")
 endif()
 
 # Binary snapshot + binary schedule out: the decoded schedule must match

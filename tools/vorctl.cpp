@@ -45,7 +45,7 @@
 //
 //   vorctl serve <scenario.json> --cycle SECS [--trace FILE]
 //                [--producers N] [--shards N] [--threads N]
-//                [--snapshot FILE] [--clock-ms MS] [--speculate]
+//                [--snapshot FILE] [--clock-ms MS]
 //                [--out FILE] [--metrics-out FILE] [--binary]
 //                [--listen HOST:PORT] [--port-file FILE] [--connections N]
 //       Replays the request trace through the online ReservationService:
@@ -60,11 +60,7 @@
 //       replay resumes at the snapshot's cycle) and rewritten at exit.
 //       --clock-ms additionally runs the background wall-clock cycle
 //       timer during the replay (soak mode for race detectors; cycle
-//       boundaries then depend on timing).  --speculate pipelines the
-//       close: a background solve is kicked while producers are still
-//       submitting and the close repairs in the late delta (the "spec"
-//       column reports hit/repair/fallback per cycle; the committed
-//       schedule stays byte-identical either way).
+//       boundaries then depend on timing).
 //       --listen HOST:PORT serves reservations over the "vor-rpc/1"
 //       socket protocol instead of replaying a trace: remote clients
 //       submit requests, close cycles, query status, trigger snapshots,
@@ -571,7 +567,6 @@ int CmdServe(const Args& args) {
   config.scheduler.parallel.threads = args.Count("threads", 1);
   config.scheduler.sorp_regions = ParseRegions(args);
   if (clock_ms > 0) config.cycle_period_seconds = clock_ms / 1000.0;
-  config.speculate = args.Flag("speculate");
 
   const std::string metrics_out = args.Str("metrics-out", "");
   obs::MetricsRegistry registry;
@@ -601,13 +596,12 @@ int CmdServe(const Args& args) {
   }
 
   util::Table table({"cycle", "drained", "admitted", "deferred", "expired",
-                     "tries", "spec", "solve s", "cost $"});
+                     "tries", "solve s", "cost $"});
   auto add_row = [&table](const svc::CycleStats& s) {
     table.AddRow({std::to_string(s.cycle), std::to_string(s.drained),
                   std::to_string(s.admitted), std::to_string(s.deferred_out),
                   std::to_string(s.rejected_expired),
                   std::to_string(s.solve_attempts),
-                  svc::ToString(s.speculation),
                   util::Table::Num(s.solve_seconds, 3),
                   util::Table::Num(s.final_cost, 2)});
   };
@@ -712,14 +706,6 @@ int CmdServe(const Args& args) {
     for (std::thread& t : pool) t.join();
     for (const std::size_t r : rejected) backpressured += r;
     window.clear();
-    // Pipelined close: solve the submitted window in the background and
-    // close once it lands, so the close itself only harvests (any late
-    // trickle would be repaired in as a delta).  With the wall clock
-    // running the service speculates at half period on its own instead.
-    if (config.speculate && clock_ms <= 0) {
-      (void)service.Speculate();
-      service.WaitForSpeculation();
-    }
     auto stats = service.CloseCycle();
     if (!stats.ok()) return Fail(stats.error().message);
     add_row(*stats);
@@ -862,13 +848,12 @@ int CmdLoad(const Args& args) {
   if (!report.ok()) return Fail(report.error().message);
 
   util::Table table({"cycle", "drained", "admitted", "deferred", "expired",
-                     "tries", "spec", "solve s", "cost $"});
+                     "tries", "solve s", "cost $"});
   for (const svc::CycleStats& s : report->closes) {
     table.AddRow({std::to_string(s.cycle), std::to_string(s.drained),
                   std::to_string(s.admitted), std::to_string(s.deferred_out),
                   std::to_string(s.rejected_expired),
                   std::to_string(s.solve_attempts),
-                  svc::ToString(s.speculation),
                   util::Table::Num(s.solve_seconds, 3),
                   util::Table::Num(s.final_cost, 2)});
   }
@@ -1000,7 +985,7 @@ void PrintUsage() {
       "        [--binary] [--metrics-out FILE.json]\n"
       "  serve <scenario.json> --cycle SECS [--trace FILE]\n"
       "        [--producers N] [--shards N] [--threads N] [--regions N|auto]\n"
-      "        [--snapshot FILE] [--clock-ms MS] [--speculate] [--out FILE]\n"
+      "        [--snapshot FILE] [--clock-ms MS] [--out FILE]\n"
       "        [--binary] [--metrics-out FILE.json]\n"
       "        [--listen HOST:PORT] [--port-file FILE] [--connections N]\n"
       "            (--listen serves vor-rpc/1 sockets instead of a local\n"
