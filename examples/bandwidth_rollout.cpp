@@ -1,11 +1,10 @@
 // bandwidth_rollout: "our backbone links are capped — how much link
 // capacity do we need before reservations stop being squeezed?"
 //
-// Exercises the bandwidth-constrained extension (the paper's Sec. 6
-// future work): sweeps a per-link cap, comparing the bandwidth-aware
-// scheduler (which admits streams against per-link step-function load)
-// to the cap-oblivious one, and reports the smallest cap with no forced
-// (overloading) reservations.
+// Exercises link bandwidth caps (the paper's Sec. 6 future work): sweeps
+// a per-link cap, solves each capped topology with the scheduler (which
+// admits streams against the per-link stream load the caps define), and
+// reports the smallest cap with no forced (overloading) reservations.
 //
 //   $ ./bandwidth_rollout
 #include <iostream>
@@ -36,19 +35,20 @@ int main() {
     workload::Scenario scenario = workload::MakeScenario(params);
     scenario.topology.SetUniformBandwidthCap(
         util::BytesPerSecond{cap * one_stream});
-    ext::BandwidthAwareScheduler scheduler(scenario.topology,
-                                           scenario.catalog);
+    const core::VorScheduler scheduler(scenario.topology, scenario.catalog);
     const auto result = scheduler.Solve(scenario.requests);
     if (!result.ok()) {
       std::cerr << result.error().message << '\n';
       return 1;
     }
+    const storage::StreamReport streams = storage::MeasureStreams(
+        result->schedule, scenario.topology, scenario.catalog);
     table.AddRow({util::Table::Num(cap, 0),
                   util::Table::Num(result->final_cost.value(), 0),
-                  std::to_string(result->forced_requests),
-                  std::to_string(result->overloaded_links),
-                  util::Table::Num(result->worst_utilization, 2)});
-    if (smallest_clean_cap < 0.0 && result->forced_requests == 0) {
+                  std::to_string(streams.forced_requests),
+                  std::to_string(streams.overloaded_links),
+                  util::Table::Num(streams.worst_utilization, 2)});
+    if (smallest_clean_cap < 0.0 && streams.forced_requests == 0) {
       smallest_clean_cap = cap;
     }
   }

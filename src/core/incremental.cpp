@@ -6,6 +6,7 @@
 #include "core/ivsp.hpp"
 #include "core/rejective_greedy.hpp"
 #include "obs/metrics.hpp"
+#include "storage/stream_load.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 
@@ -43,7 +44,9 @@ util::Result<SolveOutput> IncrementalSolve(
   // else carries over (request indices into the original prefix stay
   // valid because late requests are appended).  The carried-over /
   // rescheduled split is decided serially, then both kinds of slot fill
-  // through the same shard-parallel per-file path as IvspSolve.
+  // through the same shard-parallel per-file path as IvspSolve — or, on a
+  // topology with stream caps, through IvspSolve's serial placement
+  // around the carried-over files' streams.
   SolveOutput out;
   IncrementalStats local_stats;
   obs::MetricsRegistry* metrics = scheduler.options().metrics;
@@ -76,6 +79,19 @@ util::Result<SolveOutput> IncrementalSolve(
   if (scheduler.options().parallel.Resolve() > 1 && groups.size() > 1) {
     pool = std::make_unique<util::ThreadPool>(
         scheduler.options().parallel.Resolve());
+  }
+  if (storage::HasStreamCaps(cm.topology())) {
+    std::vector<char> place(groups.size(), 0);
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      if (carry_from[i] == kReschedule) {
+        place[i] = 1;
+      } else {
+        fill_slot(i);
+      }
+    }
+    PlaceFilesUnderStreamCaps(groups, *merged_requests, cm,
+                              scheduler.options().ivsp, place, out.schedule);
+  } else if (pool != nullptr) {
     pool->ParallelFor(groups.size(), fill_slot);
   } else {
     for (std::size_t i = 0; i < groups.size(); ++i) fill_slot(i);

@@ -14,6 +14,13 @@
 //     unaffected titles' schedules stable (operationally desirable — the
 //     provider has likely already pre-staged those transfers) at a
 //     possibly slightly different cost than a scratch re-solve.
+//
+// On a topology with stream caps the carried-over files are committed
+// load: their streams seed the stream load, and the recomputed files are
+// placed around them in ascending order (PlaceFilesUnderStreamCaps, the
+// loop IvspSolve uses), so a previous run with carried-over files no
+// longer equals a scratch re-solve; from an empty previous solution the
+// result still equals VorScheduler::Solve.
 #pragma once
 
 #include <vector>

@@ -107,8 +107,10 @@ class GreedyRun {
 
   bool RouteAllowed(const std::vector<net::NodeId>& route,
                     util::Seconds t) const {
-    if (constraints_ == nullptr || !constraints_->route_ok) return true;
-    if (constraints_->route_ok(route, t, video_)) return true;
+    if (constraints_ == nullptr || constraints_->streams == nullptr) {
+      return true;
+    }
+    if (constraints_->streams->RouteFits(route, t, video_)) return true;
     ++stats_.rejected_route;
     return false;
   }
@@ -201,8 +203,8 @@ class GreedyRun {
         }
       }
     }
-    if (constraints_ != nullptr && constraints_->on_commit) {
-      constraints_->on_commit(d);
+    if (constraints_ != nullptr && constraints_->streams != nullptr) {
+      constraints_->streams->AddDelivery(d);
     }
     deliveries_.push_back(std::move(d));
   }
@@ -215,10 +217,10 @@ class GreedyRun {
       ConsiderExtensions(req, best);
       ConsiderNewCaches(req, best);
     }
-    // Direct delivery is only infeasible under a route_ok hook that vetoes
-    // even the VW route; in that case fall back to direct delivery anyway
-    // (every reservation must be honoured) — the ext layer accounts for
-    // the violation.
+    // Direct delivery is only infeasible when the stream caps veto even
+    // the VW route; in that case fall back to direct delivery anyway
+    // (every reservation must be honoured) — storage::MeasureStreams
+    // reports the violation.
     if (!best.Feasible()) {
       ++stats_.forced_direct;
       best = Candidate{CandidateKind::kDirect,
@@ -299,8 +301,10 @@ Schedule IvspSolve(const std::vector<workload::Request>& requests,
   const auto groups = workload::GroupByVideo(requests);
   Schedule schedule;
   schedule.files.resize(groups.size());
+  const bool capped = storage::HasStreamCaps(cost_model.topology());
   std::unique_ptr<util::ThreadPool> owned_pool;
-  if (pool == nullptr && options.parallel.Resolve() > 1 && groups.size() > 1) {
+  if (pool == nullptr && !capped && options.parallel.Resolve() > 1 &&
+      groups.size() > 1) {
     owned_pool = std::make_unique<util::ThreadPool>(options.parallel.Resolve());
     pool = owned_pool.get();
   }
@@ -317,7 +321,12 @@ Schedule IvspSolve(const std::vector<workload::Request>& requests,
                            cost_model, options, /*constraints=*/nullptr, stats);
     if (metrics != nullptr) file_seconds[i] = watch.Seconds();
   };
-  if (pool == nullptr || groups.size() < 2) {
+  if (capped) {
+    PlaceFilesUnderStreamCaps(groups, requests, cost_model, options,
+                              std::vector<char>(groups.size(), 1), schedule,
+                              metrics != nullptr ? &file_stats : nullptr,
+                              metrics != nullptr ? &file_seconds : nullptr);
+  } else if (pool == nullptr || groups.size() < 2) {
     for (std::size_t i = 0; i < groups.size(); ++i) solve_one(i);
   } else {
     // Shared-nothing fan-out: each shard writes only its own slot, reads
@@ -338,9 +347,33 @@ Schedule IvspSolve(const std::vector<workload::Request>& requests,
     obs::Add(metrics, "ivsp.decision.new_cache", total.new_cache);
     obs::Add(metrics, "ivsp.candidates_evaluated", total.candidates);
     obs::Add(metrics, "ivsp.forced_direct", total.forced_direct);
+    obs::Add(metrics, "ivsp.reject.route", total.rejected_route);
     if (owned_pool != nullptr) obs::ExportPoolTelemetry(metrics, *owned_pool);
   }
   return schedule;
+}
+
+void PlaceFilesUnderStreamCaps(
+    const std::vector<std::pair<media::VideoId, std::vector<std::size_t>>>&
+        groups,
+    const std::vector<workload::Request>& requests,
+    const CostModel& cost_model, const IvspOptions& options,
+    const std::vector<char>& place, Schedule& schedule,
+    std::vector<GreedyStats>* stats, std::vector<double>* seconds) {
+  storage::StreamLoad streams(cost_model.topology(), cost_model.catalog());
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    if (place[i] == 0) streams.AddFile(schedule.files[i]);
+  }
+  ConstraintSet constraints;
+  constraints.streams = &streams;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    if (place[i] == 0) continue;
+    const obs::Stopwatch watch;
+    schedule.files[i] = ScheduleFileGreedy(
+        groups[i].first, requests, groups[i].second, cost_model, options,
+        &constraints, stats != nullptr ? &(*stats)[i] : nullptr);
+    if (seconds != nullptr) (*seconds)[i] = watch.Seconds();
+  }
 }
 
 }  // namespace vor::core

@@ -15,15 +15,17 @@
 //
 // The update with the minimum incremental cost wins.  When a ConstraintSet
 // is supplied (phase 2), candidates that would cache inside a forbidden
-// (IS, interval) window, exceed an IS's remaining capacity, or violate the
-// caller's route feasibility hook are rejected — the "rejective" greedy.
+// (IS, interval) window or exceed an IS's remaining capacity are rejected —
+// the "rejective" greedy.  On a topology that declares bandwidth or
+// storage I/O caps, a candidate whose stream does not fit the stream load
+// is rejected too, in both phases.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/cost_model.hpp"
 #include "core/schedule.hpp"
+#include "storage/stream_load.hpp"
 #include "storage/usage_timeline.hpp"
 #include "util/interval.hpp"
 #include "util/piecewise.hpp"
@@ -88,7 +90,8 @@ struct GreedyStats {
   }
 };
 
-/// Phase-2 constraints for the rejective greedy.
+/// Constraints for a greedy run: the rejective greedy's (phase 2) and the
+/// stream caps (both phases).
 struct ConstraintSet {
   /// The victim file must not be resident at `node` during `window`
   /// (occupancy support vs. window overlap test).
@@ -99,17 +102,11 @@ struct ConstraintSet {
   /// May be nullptr (no capacity enforcement).
   const storage::UsageView* other_usage = nullptr;
 
-  /// Optional route-feasibility hook (used by the bandwidth extension):
-  /// called with (route, start_time, video); returning false rejects the
-  /// candidate.
-  std::function<bool(const std::vector<net::NodeId>&, util::Seconds,
-                     media::VideoId)>
-      route_ok;
-
-  /// Optional commit notification: called for every delivery the greedy
-  /// records, so external trackers (bandwidth) stay current while later
-  /// requests of the same file are placed.
-  std::function<void(const Delivery&)> on_commit;
+  /// Stream load of the other files on a capped topology; null when the
+  /// topology declares no caps.  A candidate whose route does not fit is
+  /// rejected, and every delivery the run records is added, so later
+  /// requests of the same file see the run's own earlier streams.
+  storage::StreamLoad* streams = nullptr;
 
   [[nodiscard]] bool ForbidsResidency(net::NodeId node,
                                       util::Interval support) const;
@@ -131,7 +128,9 @@ struct ConstraintSet {
 ///
 /// Files are scheduled independently (the definition of phase 1), so the
 /// per-file greedies are embarrassingly parallel: pass a thread pool to
-/// shard them across cores.  Results are identical to the serial run.
+/// shard them across cores.  Results are identical to the serial run.  On
+/// a topology with stream caps the files are placed serially instead
+/// (PlaceFilesUnderStreamCaps); the pool is then unused.
 ///
 /// A non-null `metrics` registry receives the phase span ("ivsp"),
 /// per-file greedy timings, and aggregated decision counters; counter and
@@ -142,5 +141,23 @@ struct ConstraintSet {
                                  const IvspOptions& options,
                                  util::ThreadPool* pool = nullptr,
                                  obs::MetricsRegistry* metrics = nullptr);
+
+/// Phase 1 on a topology with stream caps (storage::HasStreamCaps), shared
+/// by IvspSolve and IncrementalSolve.  Slots of `schedule.files` whose
+/// `place` flag is 0 already hold a plan (carried over from an earlier
+/// solve); they seed one stream load.  Every flagged slot i then receives
+/// the greedy plan of groups[i], in ascending order, each run constrained
+/// by that load and adding its streams to it.  A file's streams thus
+/// constrain every later file, so the loop is serial.  Non-null `stats`
+/// and `seconds` (one entry per group) receive each placed file's tallies
+/// and greedy wall time.
+void PlaceFilesUnderStreamCaps(
+    const std::vector<std::pair<media::VideoId, std::vector<std::size_t>>>&
+        groups,
+    const std::vector<workload::Request>& requests,
+    const CostModel& cost_model, const IvspOptions& options,
+    const std::vector<char>& place, Schedule& schedule,
+    std::vector<GreedyStats>* stats = nullptr,
+    std::vector<double>* seconds = nullptr);
 
 }  // namespace vor::core

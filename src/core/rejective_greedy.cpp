@@ -27,17 +27,14 @@ RescheduleResult RescheduleVictim(
     const std::vector<workload::Request>& requests,
     const CostModel& cost_model, const IvspOptions& options,
     std::vector<std::pair<net::NodeId, util::Interval>> forbidden,
-    const storage::UsageView& other_usage,
-    std::function<bool(const std::vector<net::NodeId>&, util::Seconds,
-                       media::VideoId)>
-        route_ok) {
+    const storage::UsageView& other_usage, storage::StreamLoad* streams) {
   assert(file_index < schedule.files.size());
   const FileSchedule& old_file = schedule.files[file_index];
 
   ConstraintSet constraints;
   constraints.forbidden = std::move(forbidden);
   constraints.other_usage = &other_usage;
-  constraints.route_ok = std::move(route_ok);
+  constraints.streams = streams;
 
   RescheduleResult result;
   result.old_cost = cost_model.FileCost(old_file);

@@ -7,7 +7,6 @@
 // never create another.
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -43,10 +42,14 @@ struct RescheduleResult {
 ///     in (the overflow being resolved);
 ///   * `other_usage` — reserved space of all other files; candidates must
 ///     fit within each IS's remaining capacity.  A default-constructed
-///     view disables capacity enforcement beyond the static height check.
+///     view disables capacity enforcement beyond the static height check;
+///   * `streams` — on a topology with stream caps, the stream load of all
+///     other files (null otherwise).  The run adds its own deliveries to
+///     it, so the caller passes a private copy.
 ///
 /// The run reads only schedule.files[file_index] from `schedule` — every
-/// other file's influence arrives exclusively through `other_usage`.
+/// other file's influence arrives exclusively through `other_usage` and
+/// `streams`.
 /// Region-sharded SORP relies on this: a shard commits to its own file
 /// slots while other shards' dry runs read the same schedule.
 [[nodiscard]] RescheduleResult RescheduleVictim(
@@ -55,8 +58,6 @@ struct RescheduleResult {
     const CostModel& cost_model, const IvspOptions& options,
     std::vector<std::pair<net::NodeId, util::Interval>> forbidden,
     const storage::UsageView& other_usage,
-    std::function<bool(const std::vector<net::NodeId>&, util::Seconds,
-                       media::VideoId)>
-        route_ok = nullptr);
+    storage::StreamLoad* streams = nullptr);
 
 }  // namespace vor::core

@@ -17,6 +17,7 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "storage/stream_load.hpp"
 #include "storage/usage_timeline.hpp"
 
 namespace vor::core {
@@ -31,14 +32,6 @@ struct Evaluation {
   double seconds = 0.0;
 };
 
-[[nodiscard]] bool HooksSerial(const SorpOptions& options) {
-  // The extension hooks exclude/re-include a file's streams in external
-  // trackers around each dry run; that protocol is inherently serial.
-  return static_cast<bool>(options.on_file_excluded) ||
-         static_cast<bool>(options.on_file_included) ||
-         static_cast<bool>(options.route_ok);
-}
-
 /// The paper's Table-3 resolution loop, parameterized over scope: the
 /// whole schedule (`shard_files == nullptr`) or one region shard's file
 /// subset.  In shard scope the usage aggregate, overflow detection, and
@@ -51,6 +44,9 @@ struct Evaluation {
 /// scope: ScopedSpan paths are per-thread and would start fresh roots on
 /// pool workers.  Costs (stats.cost_*) are left at zero — TotalCost reads
 /// every file and is therefore computed only on the serial control path.
+/// On a topology with stream caps the scope's stream load sits beside the
+/// usage aggregate; shards stay exact because every link a shard file's
+/// candidates can cross has both ends in that shard (see FormShards).
 SorpStats RunSorpLoop(Schedule& schedule,
                       const std::vector<workload::Request>& requests,
                       const CostModel& cost_model, const SorpOptions& options,
@@ -58,7 +54,6 @@ SorpStats RunSorpLoop(Schedule& schedule,
                       const std::vector<std::size_t>* shard_files,
                       bool round_spans) {
   SorpStats stats;
-  const bool hooks_serial = HooksSerial(options);
 
   // Aggregate usage, built once and diffed on every commit.  The tracker
   // keeps the canonical ascending-tag piece order a fresh build produces.
@@ -69,6 +64,18 @@ SorpStats RunSorpLoop(Schedule& schedule,
     tracker.emplace(schedule, cost_model);
   }
   ++stats.usage_rebuilds;
+  // The scope's stream load, likewise swapped per commit.
+  std::optional<storage::StreamLoad> streams;
+  if (storage::HasStreamCaps(cost_model.topology())) {
+    streams.emplace(cost_model.topology(), cost_model.catalog());
+    if (shard_files != nullptr) {
+      for (const std::size_t f : *shard_files) {
+        streams->AddFile(schedule.files[f]);
+      }
+    } else {
+      for (const FileSchedule& file : schedule.files) streams->AddFile(file);
+    }
+  }
   const storage::UsageMap& usage = tracker->usage();
 
   std::vector<OverflowWindow> overflows =
@@ -81,9 +88,8 @@ SorpStats RunSorpLoop(Schedule& schedule,
     obs::Append(metrics, "sorp.excess_trajectory", excess);
   }
 
-  // One tentative rejective-greedy dry run; pure given a frozen schedule
-  // (the hook calls around it are made by the caller when serial).  The
-  // per-evaluation tallies/timings ride back in the slot-indexed
+  // One tentative rejective-greedy dry run; pure given a frozen schedule.
+  // The per-evaluation tallies/timings ride back in the slot-indexed
   // Evaluation and are folded into the registry serially.
   const auto evaluate = [&](const SorpCandidate& c) -> Evaluation {
     const obs::Stopwatch watch;
@@ -94,9 +100,15 @@ SorpStats RunSorpLoop(Schedule& schedule,
     const storage::UsageView other = options.capacity_aware_reschedule
                                          ? tracker->ExcludingFile(c.file_index)
                                          : storage::UsageView();
+    // All other files' streams, in a private copy the run adds its own to.
+    std::optional<storage::StreamLoad> other_streams = streams;
+    if (other_streams.has_value()) {
+      other_streams->RemoveFile(schedule.files[c.file_index].video);
+    }
     RescheduleResult attempt = RescheduleVictim(
         schedule, c.file_index, requests, cost_model, options.ivsp,
-        {{c.node, c.window}}, other, options.route_ok);
+        {{c.node, c.window}}, other,
+        other_streams.has_value() ? &*other_streams : nullptr);
     Evaluation out;
     out.heat =
         ComputeHeat(options.heat, c.chi, c.ds, attempt.Overhead().value());
@@ -120,8 +132,8 @@ SorpStats RunSorpLoop(Schedule& schedule,
     }
 
     std::vector<Evaluation> evals(candidates.size());
-    const bool parallel = pool != nullptr && !hooks_serial &&
-                          candidates.size() > 1 && !pool->InWorkerThread();
+    const bool parallel = pool != nullptr && candidates.size() > 1 &&
+                          !pool->InWorkerThread();
     if (parallel) {
       // Fan the dry runs out; each slot reads the frozen schedule and
       // writes only its own entry.  The reduction below is order-based,
@@ -131,15 +143,7 @@ SorpStats RunSorpLoop(Schedule& schedule,
       });
     } else {
       for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (options.on_file_excluded) {
-          options.on_file_excluded(candidates[i].file_index);
-        }
         evals[i] = evaluate(candidates[i]);
-        if (options.on_file_included) {
-          // Tentative evaluation: restore the victim's current streams.
-          options.on_file_included(candidates[i].file_index,
-                                   schedule.files[candidates[i].file_index]);
-        }
       }
     }
 
@@ -178,11 +182,9 @@ SorpStats RunSorpLoop(Schedule& schedule,
     // scope the victim is a shard-owned file, so concurrent shards write
     // disjoint schedule slots.
     const std::size_t victim = candidates[best].file_index;
-    if (options.on_file_excluded) options.on_file_excluded(victim);
+    if (streams.has_value()) streams->RemoveFile(schedule.files[victim].video);
     schedule.files[victim] = std::move(evals[best].schedule);
-    if (options.on_file_included) {
-      options.on_file_included(victim, schedule.files[victim]);
-    }
+    if (streams.has_value()) streams->AddFile(schedule.files[victim]);
     ++stats.victims_rescheduled;
 
     // O(victim residencies) diff: swap the victim's old pieces for its new
@@ -256,10 +258,13 @@ struct ShardPlan {
 /// only ever consults nodes on cheapest paths from {VW, existing caches}
 /// to the file's requesting neighborhoods, and all of those are group
 /// members after closure.  Hence (a) a shard's commits only touch its own
-/// nodes, (b) no node hosts residencies of two shards, and (c) each
-/// shard's victim sequence equals the monolithic loop's subsequence of
-/// commits to that shard's files — the byte-identity argument of
-/// DESIGN.md "Region-sharded SORP".
+/// nodes, (b) no node hosts residencies of two shards, (c) every link a
+/// shard file's stream can cross has both ends in that shard (or one end
+/// at the VW), and so does every io-capped origin, so a shard's stream
+/// load holds every stream its files compete with, and (d) each shard's
+/// victim sequence equals the monolithic loop's subsequence of commits to
+/// that shard's files — the byte-identity argument of DESIGN.md
+/// "Region-sharded SORP".
 ///
 /// Files with no footprint at all (no requests, residencies, deliveries)
 /// belong to no shard; neither engine can ever pick them as victims.
@@ -509,12 +514,10 @@ std::vector<SorpCandidate> CollectSorpCandidates(
 SorpStats SorpSolve(Schedule& schedule,
                     const std::vector<workload::Request>& requests,
                     const CostModel& cost_model, const SorpOptions& options) {
-  const bool hooks_serial = HooksSerial(options);
-
   // The region engine requires commit commutativity (kMaxHeat's reduction
-  // is per-shard deterministic) and hook-free dry runs; otherwise fall
-  // back to the global loop, which handles every configuration.
-  if (options.regions != 1 && !hooks_serial &&
+  // is per-shard deterministic); otherwise fall back to the global loop,
+  // which handles every configuration.
+  if (options.regions != 1 &&
       options.victim_policy == VictimPolicy::kMaxHeat) {
     return RegionShardedSolve(schedule, requests, cost_model, options);
   }
@@ -526,7 +529,7 @@ SorpStats SorpSolve(Schedule& schedule,
 
   util::ThreadPool* pool = options.pool;
   std::unique_ptr<util::ThreadPool> owned_pool;
-  if (pool == nullptr && !hooks_serial && options.parallel.Resolve() > 1) {
+  if (pool == nullptr && options.parallel.Resolve() > 1) {
     owned_pool = std::make_unique<util::ThreadPool>(options.parallel.Resolve());
     pool = owned_pool.get();
   }

@@ -7,13 +7,16 @@
 //
 // The per-node usage aggregate is built once per solve and delta-
 // maintained across commits (storage::UsageTracker); every dry run reads
-// a subtractive "all files but the victim" view of it.  The literal
-// rebuild-per-dry-run loop lives on only as the test oracle in
-// tests/reference_sorp.hpp, which the golden suites compare against.
+// a subtractive "all files but the victim" view of it.  On a topology
+// with stream caps the loop keeps a storage::StreamLoad beside it the same
+// way: each dry run works on a private copy without the victim's streams
+// (adding its own as it places them), and a commit swaps the victim's old
+// streams for its new ones.  The literal rebuild-per-dry-run loop lives on
+// only as the test oracle in tests/reference_sorp.hpp, which the golden
+// suites compare against.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -70,8 +73,7 @@ struct SorpOptions {
   /// resolution completes within budget (see DESIGN.md "Region-sharded
   /// SORP" for the argument and the max_iterations / progress-guard
   /// caveats; max_iterations is per shard here).  Falls back to the
-  /// monolithic loop when extension hooks are set or the victim policy is
-  /// not kMaxHeat.
+  /// monolithic loop when the victim policy is not kMaxHeat.
   std::size_t regions = 1;
 
   // ---- parallelism ----------------------------------------------------
@@ -81,28 +83,12 @@ struct SorpOptions {
   /// step stays serial and the victim is reduced with a deterministic
   /// tie-break (max heat, then smallest file index, then discovery
   /// order), so the victim sequence — and the final schedule bytes — are
-  /// identical at any thread count.  Evaluations degrade to serial when
-  /// any of the extension hooks below is set (they mutate external
-  /// tracker state and are not thread-safe).
+  /// identical at any thread count.
   util::ParallelOptions parallel{};
   /// Optional externally owned pool (shared with phase 1); when null and
   /// `parallel` resolves to more than one thread, SorpSolve builds its
   /// own.
   util::ThreadPool* pool = nullptr;
-
-  // ---- extension hooks (src/ext) -------------------------------------
-  /// Candidate route filter threaded into every rejective reschedule
-  /// (the bandwidth extension vetoes saturated links here).
-  std::function<bool(const std::vector<net::NodeId>&, util::Seconds,
-                     media::VideoId)>
-      route_ok;
-  /// Called with the victim's file index just before its tentative or
-  /// final reschedule (so external trackers can exclude its current
-  /// streams) ...
-  std::function<void(std::size_t)> on_file_excluded;
-  /// ... and with the file schedule to re-include afterwards (the old one
-  /// after a tentative evaluation, the new one after a commit).
-  std::function<void(std::size_t, const FileSchedule&)> on_file_included;
 
   // ---- observability --------------------------------------------------
   /// Optional metrics sink: phase span ("sorp"), round/evaluation timers,

@@ -31,9 +31,9 @@ struct NodeInfo {
   util::Bytes capacity{0.0};
   /// Storage charging rate; zero for the warehouse.
   util::StorageRate srate{0.0};
-  /// Outgoing stream-serving I/O capacity (bytes/sec) for the
-  /// ext/bandwidth module; <= 0 means uncapacitated (the base paper's
-  /// assumption).  The warehouse is always uncapacitated.
+  /// Outgoing stream-serving I/O capacity (bytes/sec), honoured by the
+  /// schedulers through storage::StreamLoad; <= 0 means uncapacitated (the
+  /// base paper's assumption).  The warehouse is always uncapacitated.
   util::BytesPerSecond io_cap{0.0};
 };
 
@@ -42,8 +42,9 @@ struct Link {
   NodeId b = kInvalidNode;
   /// Charging rate for shipping one byte across this link.
   util::NetworkRate nrate{0.0};
-  /// Bandwidth capacity (bytes/sec) for the ext/bandwidth module;
-  /// <= 0 means uncapacitated (the base paper's assumption).
+  /// Bandwidth capacity (bytes/sec), honoured by the schedulers through
+  /// storage::StreamLoad; <= 0 means uncapacitated (the base paper's
+  /// assumption).
   util::BytesPerSecond bandwidth_cap{0.0};
 };
 
@@ -91,7 +92,7 @@ class Topology {
   /// multiply a base topology by the swept "network charging rate").
   void ScaleNetworkRates(double factor);
 
-  /// Sets the same bandwidth cap on every link (ext/bandwidth sweeps).
+  /// Sets the same bandwidth cap on every link (0 strips the caps).
   void SetUniformBandwidthCap(util::BytesPerSecond cap);
 
   /// Sets the same serving-I/O cap on every intermediate storage.

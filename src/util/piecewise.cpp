@@ -50,9 +50,9 @@ void PiecewiseLinear::Add(const LinearPiece& piece) {
 
 void PiecewiseLinear::InsertSortedByTag(const LinearPiece& piece) {
   assert(piece.Valid());
-  const auto it = std::lower_bound(
+  const auto it = std::upper_bound(
       pieces_.begin(), pieces_.end(), piece.tag,
-      [](const LinearPiece& p, std::uint64_t tag) { return p.tag < tag; });
+      [](std::uint64_t tag, const LinearPiece& p) { return tag < p.tag; });
   pieces_.insert(it, piece);
   InvalidateCache();
 }

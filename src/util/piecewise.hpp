@@ -117,8 +117,9 @@ class PiecewiseLinear {
   /// Adds a contribution.  Piece must satisfy Valid().
   void Add(const LinearPiece& piece);
 
-  /// Adds a contribution keeping `pieces()` sorted ascending by tag.  Used
-  /// by storage::UsageTracker to keep delta-maintained timelines in the
+  /// Adds a contribution keeping `pieces()` sorted ascending by tag, after
+  /// any pieces that already carry its tag.  Used by storage::UsageTracker
+  /// and storage::StreamLoad to keep delta-maintained timelines in the
   /// same canonical order a from-scratch build produces, so downstream
   /// sweeps are bit-identical between the two paths.
   void InsertSortedByTag(const LinearPiece& piece);

@@ -26,7 +26,6 @@
 #include "core/scheduler.hpp"            // IWYU pragma: export
 #include "core/shootout.hpp"             // IWYU pragma: export
 #include "core/sorp.hpp"                 // IWYU pragma: export
-#include "ext/bandwidth.hpp"             // IWYU pragma: export
 #include "media/catalog.hpp"             // IWYU pragma: export
 #include "media/video.hpp"               // IWYU pragma: export
 #include "net/generators.hpp"            // IWYU pragma: export
@@ -36,13 +35,13 @@
 #include "sim/cycle_driver.hpp"          // IWYU pragma: export
 #include "sim/playback_sim.hpp"          // IWYU pragma: export
 #include "sim/validator.hpp"             // IWYU pragma: export
+#include "storage/stream_load.hpp"       // IWYU pragma: export
 #include "storage/usage_timeline.hpp"    // IWYU pragma: export
 #include "util/interval.hpp"             // IWYU pragma: export
 #include "util/piecewise.hpp"            // IWYU pragma: export
 #include "util/result.hpp"               // IWYU pragma: export
 #include "util/rng.hpp"                  // IWYU pragma: export
 #include "util/stats.hpp"                // IWYU pragma: export
-#include "util/step_timeline.hpp"        // IWYU pragma: export
 #include "util/table.hpp"                // IWYU pragma: export
 #include "util/thread_pool.hpp"          // IWYU pragma: export
 #include "util/units.hpp"                // IWYU pragma: export

@@ -7,6 +7,7 @@
 #include "core/heat.hpp"
 #include "core/overflow.hpp"
 #include "core/rejective_greedy.hpp"
+#include "storage/stream_load.hpp"
 #include "storage/usage_timeline.hpp"
 
 namespace vor::oracle {
@@ -47,9 +48,17 @@ core::SorpStats ReferenceSorpSolve(
                                                  c.file_index);
         view = storage::UsageView(&other);
       }
+      std::optional<storage::StreamLoad> streams;
+      if (storage::HasStreamCaps(topology)) {
+        streams.emplace(topology, cost_model.catalog());
+        for (std::size_t f = 0; f < schedule.files.size(); ++f) {
+          if (f != c.file_index) streams->AddFile(schedule.files[f]);
+        }
+      }
       core::RescheduleResult attempt = core::RescheduleVictim(
           schedule, c.file_index, requests, cost_model, options.ivsp,
-          {{c.node, c.window}}, view);
+          {{c.node, c.window}}, view,
+          streams.has_value() ? &*streams : nullptr);
       const double heat = core::ComputeHeat(options.heat, c.chi, c.ds,
                                             attempt.Overhead().value());
       ++stats.evaluations;

@@ -3,11 +3,13 @@
 //
 // Serial and monolithic: every round rebuilds the aggregate usage from
 // scratch (storage::BuildUsage) and every dry run rebuilds its backdrop
-// (storage::BuildUsageExcludingFile).  It shares CollectSorpCandidates,
-// the heat metrics, the victim tie-break, the max_iterations cap and the
-// no-progress guard with core::SorpSolve, and deliberately nothing else —
-// no UsageTracker, no overlays, no region shards, no thread pool — since
-// those are exactly what the comparison checks.
+// (storage::BuildUsageExcludingFile) and, on a topology with stream caps,
+// a fresh storage::StreamLoad of every other file.  It shares
+// CollectSorpCandidates, the heat metrics, the victim tie-break, the
+// max_iterations cap and the no-progress guard with core::SorpSolve, and
+// deliberately nothing else — no UsageTracker, no overlays, no swapped
+// stream load, no region shards, no thread pool — since those are exactly
+// what the comparison checks.
 #pragma once
 
 #include <vector>
@@ -21,8 +23,8 @@ namespace vor::oracle {
 
 /// Resolves storage overflows in place, like core::SorpSolve.  Honours
 /// `heat`, `victim_policy`, `capacity_aware_reschedule`, `ivsp` and
-/// `max_iterations`; ignores `regions`, `parallel`, `pool`, `metrics` and
-/// the extension hooks.  Fills every SorpStats field except
+/// `max_iterations`, and the topology's stream caps; ignores `regions`,
+/// `parallel`, `pool` and `metrics`.  Fills every SorpStats field except
 /// `usage_rebuilds` and `region_shards`.
 core::SorpStats ReferenceSorpSolve(
     core::Schedule& schedule, const std::vector<workload::Request>& requests,

@@ -1,84 +1,91 @@
-#include "ext/bandwidth.hpp"
-
-#include "io/serialize.hpp"
+// Stream capacity: storage::StreamLoad's accounting, and the scheduler
+// honouring the bandwidth and storage I/O caps a topology declares.
+#include "storage/stream_load.hpp"
 
 #include <gtest/gtest.h>
 
 #include "core/overflow.hpp"
+#include "core/scheduler.hpp"
+#include "io/serialize.hpp"
 #include "sim/validator.hpp"
 #include "test_helpers.hpp"
 #include "workload/scenario.hpp"
 
-namespace vor::ext {
+namespace vor::storage {
 namespace {
 
 using testing::OneVideoCatalog;
+
+/// 1 GB/h: one stream of OneVideoCatalog()'s title.
+const util::BytesPerSecond kOneStream = util::GB(1.0) / util::Hours(1.0);
 
 /// Chain topology with an explicit bandwidth cap on every link.
 net::Topology CappedChain(std::size_t storages, double cap_streams) {
   net::Topology topo;
   const net::NodeId vw = topo.AddWarehouse("VW");
   net::NodeId prev = vw;
-  // 1 GB/h streams: one stream ~ 277778 B/s.
-  const util::BytesPerSecond one_stream = util::GB(1.0) / util::Hours(1.0);
   for (std::size_t i = 0; i < storages; ++i) {
     const net::NodeId n =
         topo.AddStorage("IS" + std::to_string(i), util::GB(100),
                         util::StorageRate{1.0 / 3.6e12});
     topo.AddLink(prev, n, util::NetworkRate{10.0 / 1e9},
-                 one_stream * cap_streams);
+                 kOneStream * cap_streams);
     prev = n;
   }
   return topo;
 }
 
-TEST(LinkLoadTrackerTest, TracksAndRemovesByFile) {
+/// Solves with the scheduler and measures the schedule's streams.
+struct CappedSolve {
+  CappedSolve(const net::Topology& topo, const media::Catalog& catalog,
+              const std::vector<workload::Request>& requests)
+      : scheduler(topo, catalog) {
+    auto result = scheduler.Solve(requests);
+    EXPECT_TRUE(result.ok());
+    if (result.ok()) out = std::move(*result);
+    streams = MeasureStreams(out.schedule, topo, catalog);
+  }
+
+  core::VorScheduler scheduler;
+  core::SolveOutput out;
+  StreamReport streams;
+};
+
+TEST(StreamLoadTest, TracksAndRemovesByFile) {
   const net::Topology topo = CappedChain(2, 1.0);
   const media::Catalog catalog = OneVideoCatalog();
-  LinkLoadTracker tracker(topo, catalog);
+  StreamLoad load(topo, catalog);
 
   core::Delivery d;
   d.video = 0;
   d.route = {0, 1, 2};
   d.start = util::Hours(1);
-  EXPECT_TRUE(tracker.RouteFeasible(d.route, d.start, 0));
-  tracker.AddDelivery(d, /*file_tag=*/7);
+  EXPECT_TRUE(load.RouteFits(d.route, d.start, 0));
+  load.AddDelivery(d);
   // The link now carries a full stream for the playback hour.
-  EXPECT_FALSE(tracker.RouteFeasible(d.route, util::Hours(1.5), 0));
-  EXPECT_TRUE(tracker.RouteFeasible(d.route, util::Hours(2.5), 0));
-  tracker.RemoveFile(7);
-  EXPECT_TRUE(tracker.RouteFeasible(d.route, util::Hours(1.5), 0));
+  EXPECT_FALSE(load.RouteFits(d.route, util::Hours(1.5), 0));
+  EXPECT_TRUE(load.RouteFits(d.route, util::Hours(2.5), 0));
+  load.RemoveFile(0);
+  EXPECT_TRUE(load.RouteFits(d.route, util::Hours(1.5), 0));
 }
 
-TEST(LinkLoadTrackerTest, UncapacitatedLinksAlwaysPass) {
+TEST(StreamLoadTest, UncapacitatedLinksAlwaysPass) {
   net::Topology topo;
   const net::NodeId vw = topo.AddWarehouse("VW");
   const net::NodeId a = topo.AddStorage("A", util::GB(1), util::StorageRate{0});
   topo.AddLink(vw, a, util::NetworkRate{1e-9});  // no cap
+  EXPECT_FALSE(HasStreamCaps(topo));
   const media::Catalog catalog = OneVideoCatalog();
-  LinkLoadTracker tracker(topo, catalog);
+  StreamLoad load(topo, catalog);
   for (int i = 0; i < 50; ++i) {
     core::Delivery d;
     d.video = 0;
     d.route = {vw, a};
     d.start = util::Hours(1);
-    EXPECT_TRUE(tracker.RouteFeasible(d.route, d.start, 0));
-    tracker.AddDelivery(d, 0);
+    EXPECT_TRUE(load.RouteFits(d.route, d.start, 0));
+    load.AddDelivery(d);
   }
-  EXPECT_DOUBLE_EQ(tracker.WorstUtilization(), 0.0);  // nothing tracked
-}
-
-TEST(BandwidthSchedulerTest, NoCapsReducesToPlainScheduler) {
-  const workload::Scenario scenario = workload::MakeScenario({});
-  core::VorScheduler plain(scenario.topology, scenario.catalog);
-  BandwidthAwareScheduler aware(scenario.topology, scenario.catalog);
-  const auto a = plain.Solve(scenario.requests);
-  const auto b = aware.Solve(scenario.requests);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NEAR(a->final_cost.value(), b->final_cost.value(), 1e-6);
-  EXPECT_EQ(b->overloaded_links, 0u);
-  EXPECT_EQ(b->forced_requests, 0u);
+  EXPECT_DOUBLE_EQ(load.WorstUtilization(), 0.0);  // nothing tracked
 }
 
 TEST(BandwidthSchedulerTest, CapsSpreadLoadWithoutOverload) {
@@ -92,16 +99,13 @@ TEST(BandwidthSchedulerTest, CapsSpreadLoadWithoutOverload) {
       {1, 0, util::Hours(1.10), 3},
       {2, 0, util::Hours(1.20), 3},
   };
-  BandwidthAwareScheduler scheduler(topo, catalog);
-  const auto result = scheduler.Solve(requests);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->forced_requests, 0u);
-  EXPECT_EQ(result->overloaded_links, 0u);
-  EXPECT_LE(result->worst_utilization, 1.0 + 1e-9);
+  const CappedSolve solve(topo, catalog, requests);
+  EXPECT_EQ(solve.streams.forced_requests, 0u);
+  EXPECT_EQ(solve.streams.overloaded_links, 0u);
+  EXPECT_LE(solve.streams.worst_utilization, 1.0 + 1e-9);
 
-  sim::ValidationOptions options;
-  const auto report = sim::ValidateSchedule(result->schedule, requests,
-                                            scheduler.cost_model(), options);
+  const auto report = sim::ValidateSchedule(solve.out.schedule, requests,
+                                            solve.scheduler.cost_model());
   EXPECT_TRUE(report.ok());
 }
 
@@ -113,13 +117,11 @@ TEST(BandwidthSchedulerTest, ImpossibleDemandIsForcedAndReported) {
   const std::vector<workload::Request> requests{
       {0, 0, util::Hours(1.0), 2},
   };
-  BandwidthAwareScheduler scheduler(topo, catalog);
-  const auto result = scheduler.Solve(requests);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->schedule.TotalDeliveries(), 1u);
-  EXPECT_EQ(result->forced_requests, 1u);
-  EXPECT_GT(result->worst_utilization, 1.0);
-  EXPECT_GT(result->overloaded_links, 0u);
+  const CappedSolve solve(topo, catalog, requests);
+  EXPECT_EQ(solve.out.schedule.TotalDeliveries(), 1u);
+  EXPECT_EQ(solve.streams.forced_requests, 1u);
+  EXPECT_GT(solve.streams.worst_utilization, 1.0);
+  EXPECT_GT(solve.streams.overloaded_links, 0u);
 }
 
 TEST(BandwidthSchedulerTest, CachingRelievesSaturatedBackbone) {
@@ -132,15 +134,13 @@ TEST(BandwidthSchedulerTest, CachingRelievesSaturatedBackbone) {
       {0, 0, util::Hours(1.0), 2},
       {1, 0, util::Hours(1.5), 2},  // overlaps the first stream
   };
-  BandwidthAwareScheduler scheduler(topo, catalog);
-  const auto result = scheduler.Solve(requests);
-  ASSERT_TRUE(result.ok());
+  const CappedSolve solve(topo, catalog, requests);
   // The second request cannot share the VW->IS0->IS1 path (saturated by
   // the first stream); a cache (anchored to the first stream) serves it
   // locally with no backbone use at all.
-  EXPECT_EQ(result->forced_requests, 0u);
-  EXPECT_EQ(result->overloaded_links, 0u);
-  EXPECT_GE(result->schedule.TotalResidencies(), 1u);
+  EXPECT_EQ(solve.streams.forced_requests, 0u);
+  EXPECT_EQ(solve.streams.overloaded_links, 0u);
+  EXPECT_GE(solve.out.schedule.TotalResidencies(), 1u);
 }
 
 TEST(BandwidthSchedulerTest, StorageOverflowStillResolvedUnderCaps) {
@@ -151,57 +151,80 @@ TEST(BandwidthSchedulerTest, StorageOverflowStillResolvedUnderCaps) {
   workload::Scenario scenario = workload::MakeScenario(params);
   // Add generous caps (so they bind only occasionally).
   scenario.topology.SetUniformBandwidthCap(util::BytesPerSecond{50e6});
-  BandwidthAwareScheduler scheduler(scenario.topology, scenario.catalog);
-  const auto result = scheduler.Solve(scenario.requests);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->sorp.Resolved());
-  EXPECT_TRUE(core::DetectOverflows(result->schedule, scheduler.cost_model())
+  const CappedSolve solve(scenario.topology, scenario.catalog,
+                          scenario.requests);
+  EXPECT_TRUE(solve.out.sorp.Resolved());
+  EXPECT_TRUE(core::DetectOverflows(solve.out.schedule,
+                                    solve.scheduler.cost_model())
                   .empty());
+}
+
+TEST(BandwidthSchedulerTest, SorpDryRunCountsTheVictimsOwnStreams) {
+  // VW -1 stream- IS0 -uncapped- IS1.  Phase 1 serves the second request
+  // from a cache at IS1 (the backbone is busy with the first stream), but
+  // IS1 holds only 0.1 GB, so SORP reschedules the file.  Its dry run must
+  // count the first stream it re-places: sending the second request
+  // direct again would put two streams on the one-stream backbone, so it
+  // caches at IS0 instead.
+  net::Topology topo;
+  const net::NodeId vw = topo.AddWarehouse("VW");
+  const util::StorageRate srate{10.0 / 3.6e12};  // $10/(GB*h)
+  const net::NodeId is0 = topo.AddStorage("IS0", util::GB(100), srate);
+  const net::NodeId is1 = topo.AddStorage("IS1", util::GB(0.1), srate);
+  topo.AddLink(vw, is0, util::NetworkRate{1.0 / 1e9}, kOneStream);
+  topo.AddLink(is0, is1, util::NetworkRate{1.0 / 1e9});
+  const media::Catalog catalog = OneVideoCatalog();
+  const std::vector<workload::Request> requests{
+      {0, 0, util::Hours(1.0), is1},
+      {1, 0, util::Hours(1.5), is1},
+  };
+  const CappedSolve solve(topo, catalog, requests);
+  EXPECT_EQ(solve.out.sorp.victims_rescheduled, 1u);
+  EXPECT_EQ(solve.streams.forced_requests, 0u);
+  EXPECT_EQ(solve.streams.overloaded_links, 0u);
+  ASSERT_EQ(solve.out.schedule.TotalResidencies(), 1u);
+  EXPECT_EQ(solve.out.schedule.files[0].residencies[0].location, is0);
 }
 
 TEST(StorageIoCapTest, TrackerLimitsOriginServing) {
   net::Topology topo = CappedChain(2, /*cap_streams=*/100.0);
-  const util::BytesPerSecond one_stream = util::GB(1.0) / util::Hours(1.0);
-  topo.SetUniformStorageIoCap(one_stream * 1.0);  // each IS serves 1 stream
+  topo.SetUniformStorageIoCap(kOneStream * 1.0);  // each IS serves 1 stream
   const media::Catalog catalog = OneVideoCatalog();
-  LinkLoadTracker tracker(topo, catalog);
+  StreamLoad load(topo, catalog);
 
   core::Delivery replay;
   replay.video = 0;
   replay.route = {1, 2};  // served out of IS0's disks
   replay.start = util::Hours(1);
-  EXPECT_TRUE(tracker.RouteFeasible(replay.route, replay.start, 0));
-  tracker.AddDelivery(replay, 0);
+  EXPECT_TRUE(load.RouteFits(replay.route, replay.start, 0));
+  load.AddDelivery(replay);
   // Second concurrent replay from the same storage is refused...
-  EXPECT_FALSE(tracker.RouteFeasible(replay.route, util::Hours(1.5), 0));
-  EXPECT_EQ(tracker.OverloadedNodes(), 0u);
+  EXPECT_FALSE(load.RouteFits(replay.route, util::Hours(1.5), 0));
+  EXPECT_EQ(load.OverloadedNodes(), 0u);
   // ...but the warehouse is never I/O capped.
-  EXPECT_TRUE(tracker.RouteFeasible({0, 1, 2}, util::Hours(1.5), 0));
+  EXPECT_TRUE(load.RouteFits({0, 1, 2}, util::Hours(1.5), 0));
   // And a disjoint-in-time replay is fine.
-  EXPECT_TRUE(tracker.RouteFeasible(replay.route, util::Hours(3.0), 0));
+  EXPECT_TRUE(load.RouteFits(replay.route, util::Hours(3.0), 0));
 }
 
 TEST(StorageIoCapTest, SchedulerSpreadsReplaysAcrossStorages) {
   // Three same-title overlapping requests in a far neighborhood; each
   // storage can serve only one stream at a time, links are generous.
   net::Topology topo = CappedChain(3, /*cap_streams=*/100.0);
-  const util::BytesPerSecond one_stream = util::GB(1.0) / util::Hours(1.0);
-  topo.SetUniformStorageIoCap(one_stream * 1.0);
+  topo.SetUniformStorageIoCap(kOneStream * 1.0);
   const media::Catalog catalog = OneVideoCatalog();
   const std::vector<workload::Request> requests{
       {0, 0, util::Hours(1.00), 3},
       {1, 0, util::Hours(1.10), 3},
       {2, 0, util::Hours(1.20), 3},
   };
-  BandwidthAwareScheduler scheduler(topo, catalog);
-  const auto result = scheduler.Solve(requests);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->forced_requests, 0u);
-  EXPECT_EQ(result->overloaded_nodes, 0u);
-  EXPECT_LE(result->worst_utilization, 1.0 + 1e-9);
+  const CappedSolve solve(topo, catalog, requests);
+  EXPECT_EQ(solve.streams.forced_requests, 0u);
+  EXPECT_EQ(solve.streams.overloaded_nodes, 0u);
+  EXPECT_LE(solve.streams.worst_utilization, 1.0 + 1e-9);
   // Replays must come from at least two distinct origins (or the VW).
-  const auto report = sim::ValidateSchedule(result->schedule, requests,
-                                            scheduler.cost_model());
+  const auto report = sim::ValidateSchedule(solve.out.schedule, requests,
+                                            solve.scheduler.cost_model());
   EXPECT_TRUE(report.ok());
 }
 
@@ -216,4 +239,4 @@ TEST(StorageIoCapTest, IoCapSurvivesSerialization) {
 }
 
 }  // namespace
-}  // namespace vor::ext
+}  // namespace vor::storage

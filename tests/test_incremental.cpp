@@ -4,6 +4,7 @@
 
 #include "core/overflow.hpp"
 #include "sim/validator.hpp"
+#include "storage/stream_load.hpp"
 #include "workload/scenario.hpp"
 
 namespace vor::core {
@@ -99,6 +100,56 @@ TEST(IncrementalTest, EmptyLateBatchKeepsEverything) {
   EXPECT_EQ(merged.size(), scenario.requests.size());
   EXPECT_DOUBLE_EQ(incremental->final_cost.value(),
                    first->final_cost.value());
+}
+
+TEST(IncrementalTest, CarriedOverStreamsConstrainRescheduledFiles) {
+  // VW -2 streams- IS0 -2 streams- IS1; titles A (0) and B (1), 1 GB,
+  // 1 h; storage dear enough that direct delivery wins when it fits.  A
+  // at 1.0 h and B at 1.2 h stream direct; a late A at 1.5 h would be
+  // the third stream, so the rescheduled A must cache instead, around
+  // the carried-over B.  A scratch solve places A first and has to force
+  // B through.
+  net::Topology topo;
+  const net::NodeId vw = topo.AddWarehouse("VW");
+  const util::StorageRate srate{10.0 / 3.6e12};  // $10/(GB*h)
+  const net::NodeId is0 = topo.AddStorage("IS0", util::GB(100), srate);
+  const net::NodeId is1 = topo.AddStorage("IS1", util::GB(100), srate);
+  const util::BytesPerSecond two_streams = util::GB(2.0) / util::Hours(1.0);
+  topo.AddLink(vw, is0, util::NetworkRate{1.0 / 1e9}, two_streams);
+  topo.AddLink(is0, is1, util::NetworkRate{1.0 / 1e9}, two_streams);
+  media::Catalog catalog;
+  for (const char* title : {"A", "B"}) {
+    media::Video v;
+    v.title = title;
+    v.size = util::GB(1.0);
+    v.playback = util::Hours(1.0);
+    v.bandwidth = v.size / v.playback;
+    catalog.Add(v);
+  }
+  const std::vector<workload::Request> early{{0, 0, util::Hours(1.0), is1},
+                                             {1, 1, util::Hours(1.2), is1}};
+  const std::vector<workload::Request> late{{2, 0, util::Hours(1.5), is1}};
+
+  const VorScheduler scheduler(topo, catalog);
+  const auto first = scheduler.Solve(early);
+  ASSERT_TRUE(first.ok());
+  std::vector<workload::Request> merged;
+  IncrementalStats stats;
+  const auto incremental =
+      IncrementalSolve(scheduler, *first, early, late, &merged, &stats);
+  ASSERT_TRUE(incremental.ok());
+  EXPECT_EQ(stats.files_carried_over, 1u);
+  const storage::StreamReport streams =
+      storage::MeasureStreams(incremental->schedule, topo, catalog);
+  EXPECT_EQ(streams.forced_requests, 0u);
+  EXPECT_EQ(streams.overloaded_links, 0u);
+  EXPECT_EQ(incremental->schedule.TotalResidencies(), 1u);
+
+  const auto scratch = scheduler.Solve(merged);
+  ASSERT_TRUE(scratch.ok());
+  EXPECT_EQ(storage::MeasureStreams(scratch->schedule, topo, catalog)
+                .forced_requests,
+            1u);
 }
 
 TEST(IncrementalTest, RejectsBadLateRequests) {

@@ -70,6 +70,20 @@ TEST(PiecewiseLinearTest, RemoveByTag) {
   EXPECT_EQ(f.RemoveByTag(7), 1u);
   EXPECT_DOUBLE_EQ(f.ValueAt(Seconds{5}), 50.0);
   EXPECT_EQ(f.RemoveByTag(7), 0u);
+
+  // Several pieces per tag (a file's streams): sorted insertion keeps
+  // ascending tags with ties in insertion order, and removal takes them
+  // all.
+  PiecewiseLinear g;
+  g.InsertSortedByTag(Trapezoid(0, 10, 10, 5, 1));
+  g.InsertSortedByTag(Trapezoid(0, 10, 10, 3, 2));
+  g.InsertSortedByTag(Trapezoid(0, 10, 10, 2, 1));
+  ASSERT_EQ(g.pieces().size(), 3u);
+  EXPECT_DOUBLE_EQ(g.pieces()[0].height, 5.0);
+  EXPECT_DOUBLE_EQ(g.pieces()[1].height, 2.0);
+  EXPECT_EQ(g.pieces()[2].tag, 2u);
+  EXPECT_EQ(g.RemoveByTag(1), 2u);
+  EXPECT_DOUBLE_EQ(g.ValueAt(Seconds{5}), 3.0);
 }
 
 TEST(PiecewiseLinearTest, MaxOverWindow) {
@@ -78,6 +92,15 @@ TEST(PiecewiseLinearTest, MaxOverWindow) {
   EXPECT_DOUBLE_EQ(f.MaxOver(Iv(12, 18)), f.ValueAt(Seconds{12}));
   EXPECT_DOUBLE_EQ(f.MaxOver(Iv(0, 5)), 100.0);
   EXPECT_DOUBLE_EQ(f.MaxOver(Iv(30, 40)), 0.0);
+
+  // Overlapping rectangles (a step function).
+  PiecewiseLinear steps;
+  steps.Add(Trapezoid(0, 10, 10, 5));
+  steps.Add(Trapezoid(5, 15, 15, 3));
+  EXPECT_DOUBLE_EQ(steps.Max(), 8.0);
+  EXPECT_DOUBLE_EQ(steps.MaxOver(Iv(0, 4)), 5.0);
+  EXPECT_DOUBLE_EQ(steps.MaxOver(Iv(11, 20)), 3.0);
+  EXPECT_DOUBLE_EQ(steps.ValueAt(Seconds{12}), 3.0);
 }
 
 TEST(PiecewiseLinearTest, RegionsAboveFindsExactCrossings) {
@@ -122,6 +145,20 @@ TEST(PiecewiseLinearTest, DisjointRegions) {
   EXPECT_DOUBLE_EQ(regions[1].window.end.value(), 15.0);
   EXPECT_EQ(regions[0].contributors, std::vector<std::uint64_t>{1});
   EXPECT_EQ(regions[1].contributors, std::vector<std::uint64_t>{2});
+  // Rectangles are half-open: full height at the start, gone at the end.
+  EXPECT_DOUBLE_EQ(f.ValueAt(Seconds{0}), 100.0);
+  EXPECT_DOUBLE_EQ(f.ValueAt(Seconds{5}), 0.0);
+
+  // Abutting rectangles form one region: the aggregate never dips where
+  // one ends and the next starts.
+  PiecewiseLinear abutting;
+  abutting.Add(Trapezoid(0, 5, 5, 100, 1));
+  abutting.Add(Trapezoid(5, 10, 10, 100, 2));
+  const auto joined = abutting.RegionsAbove(50.0);
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_DOUBLE_EQ(joined[0].window.start.value(), 0.0);
+  EXPECT_DOUBLE_EQ(joined[0].window.end.value(), 10.0);
+  EXPECT_EQ(joined[0].contributors, (std::vector<std::uint64_t>{1, 2}));
 }
 
 TEST(PiecewiseLinearTest, IntegralSumsPieces) {
@@ -141,6 +178,16 @@ TEST(PiecewiseLinearTest, FitsUnderRespectsThreshold) {
   EXPECT_FALSE(f.FitsUnder(Trapezoid(9, 18, 20, 41), 100.0));
   // Candidate alone above threshold.
   EXPECT_FALSE(f.FitsUnder(Trapezoid(100, 110, 120, 101), 100.0));
+
+  // Rectangles (streams): exactly touching the threshold fits, one more
+  // unit does not, and a rectangle starting where another ends sees none
+  // of it.
+  PiecewiseLinear link;
+  link.Add(Trapezoid(0, 10, 10, 6));
+  EXPECT_TRUE(link.FitsUnder(Trapezoid(0, 10, 10, 4), 10.0));
+  EXPECT_FALSE(link.FitsUnder(Trapezoid(0, 10, 10, 5), 10.0));
+  EXPECT_TRUE(link.FitsUnder(Trapezoid(10, 20, 20, 10), 10.0));
+  EXPECT_FALSE(link.FitsUnder(Trapezoid(9, 20, 20, 5), 10.0));
 }
 
 TEST(PiecewiseLinearTest, EmptyTimelineBehaviour) {
@@ -149,6 +196,11 @@ TEST(PiecewiseLinearTest, EmptyTimelineBehaviour) {
   EXPECT_DOUBLE_EQ(f.Max(), 0.0);
   EXPECT_TRUE(f.RegionsAbove(0.0).empty());
   EXPECT_TRUE(f.FitsUnder(Trapezoid(0, 1, 2, 5), 10.0));
+  // A zero-width piece adds nothing.
+  f.Add(Trapezoid(5, 5, 5, 100));
+  EXPECT_DOUBLE_EQ(f.Max(), 0.0);
+  EXPECT_DOUBLE_EQ(f.ValueAt(Seconds{5}), 0.0);
+  EXPECT_TRUE(f.FitsUnder(Trapezoid(4, 6, 6, 10), 10.0));
 }
 
 /// One property case: an RNG seed, and whether to draw tie-heavy inputs —
@@ -278,6 +330,39 @@ TEST_P(PiecewiseRandomProperty, RegionsMatchDenseSampling) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PiecewiseRandomProperty,
                          ::testing::ValuesIn(Cases(20, 20)));
+
+/// Property: on rectangle-only sets (step functions, the shape of a
+/// storage::StreamLoad timeline), RegionsAbove matches dense sampling.
+class StepRandomProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(StepRandomProperty, RegionsMatchDenseSampling) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
+  PiecewiseLinear f;
+  const int pieces = 1 + static_cast<int>(rng.NextBounded(10));
+  for (int i = 0; i < pieces; ++i) {
+    const double a = rng.Uniform(0.0, 50.0);
+    const double b = a + rng.Uniform(0.1, 30.0);
+    f.Add(Trapezoid(a, b, b, rng.Uniform(1.0, 20.0),
+                    static_cast<std::uint64_t>(i)));
+  }
+  const double threshold = rng.Uniform(5.0, 60.0);
+  const auto regions = f.RegionsAbove(threshold);
+  auto inside = [&](double x) {
+    return std::any_of(regions.begin(), regions.end(), [&](const auto& r) {
+      return x >= r.window.start.value() && x < r.window.end.value();
+    });
+  };
+  for (double x = -1.0; x < 85.0; x += 0.0719) {
+    const double v = f.ValueAt(Seconds{x});
+    if (v > threshold + 1e-9) {
+      EXPECT_TRUE(inside(x)) << x;
+    } else if (v < threshold - 1e-9) {
+      EXPECT_FALSE(inside(x)) << x;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StepRandomProperty, ::testing::Range(1, 16));
 
 /// Property: FitsUnder is exact — accepting iff dense sampling accepts.
 /// Tie-heavy cases span several skip blocks and put the threshold near

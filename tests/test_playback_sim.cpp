@@ -4,6 +4,7 @@
 
 #include "core/ivsp.hpp"
 #include "core/scheduler.hpp"
+#include "storage/stream_load.hpp"
 #include "storage/usage_timeline.hpp"
 #include "test_helpers.hpp"
 #include "workload/scenario.hpp"
@@ -92,22 +93,64 @@ TEST_F(PlaybackSimTest, LinkTelemetryAccountsAllTraffic) {
   EXPECT_NEAR(total_link_bytes, expected, expected * 1e-9 + 1.0);
 }
 
+/// One input of the scenario cross-check: a Table-4 world, optionally
+/// with every link capped at `cap_streams` typical-title streams.
+struct ScenarioInput {
+  workload::ScenarioParams params;
+  double cap_streams = 0.0;
+};
+
+// The simulator is an independent oracle for both analytic timelines:
+// storage peaks against storage::BuildUsage, and — on the capped inputs
+// (bench_bandwidth's scenario) — link peaks against
+// storage::MeasureStreams.
 TEST(PlaybackSimScenarioTest, FullScenarioAgreesWithAnalyticPeaks) {
-  const workload::Scenario scenario = workload::MakeScenario({});
-  core::VorScheduler scheduler(scenario.topology, scenario.catalog);
-  const auto solved = scheduler.Solve(scenario.requests);
-  ASSERT_TRUE(solved.ok());
-  const SimulationResult sim = SimulateSchedule(
-      solved->schedule, scenario.requests, scheduler.cost_model());
-  const storage::UsageMap usage =
-      storage::BuildUsage(solved->schedule, scheduler.cost_model());
-  for (const NodeTelemetry& node : sim.nodes) {
-    const auto it = usage.find(node.node);
-    const double analytic = it == usage.end() ? 0.0 : it->second.Max();
-    EXPECT_NEAR(node.peak_bytes, analytic, 10.0);
-    // Final schedule respects capacity, so simulated peaks must too.
-    EXPECT_LE(node.peak_bytes,
-              scenario.topology.node(node.node).capacity.value() + 10.0);
+  std::vector<ScenarioInput> inputs{ScenarioInput{}};
+  workload::ScenarioParams bandwidth_params;
+  bandwidth_params.is_capacity = util::GB(8.0);
+  bandwidth_params.nrate_per_gb = 500.0;
+  bandwidth_params.srate_per_gb_hour = 5.0;
+  for (const double cap : {1.0, 2.0, 4.0, 8.0, 16.0}) {
+    inputs.push_back(ScenarioInput{bandwidth_params, cap});
+  }
+  // A typical title streams size/playback ~ 0.58 MB/s.
+  const double one_stream = 3.3e9 / (95.0 * 60.0);
+
+  for (const ScenarioInput& input : inputs) {
+    SCOPED_TRACE("cap_streams=" + std::to_string(input.cap_streams));
+    workload::Scenario scenario = workload::MakeScenario(input.params);
+    scenario.topology.SetUniformBandwidthCap(
+        util::BytesPerSecond{input.cap_streams * one_stream});
+    core::VorScheduler scheduler(scenario.topology, scenario.catalog);
+    const auto solved = scheduler.Solve(scenario.requests);
+    ASSERT_TRUE(solved.ok());
+    const SimulationResult sim = SimulateSchedule(
+        solved->schedule, scenario.requests, scheduler.cost_model());
+    const storage::UsageMap usage =
+        storage::BuildUsage(solved->schedule, scheduler.cost_model());
+    for (const NodeTelemetry& node : sim.nodes) {
+      const auto it = usage.find(node.node);
+      const double analytic = it == usage.end() ? 0.0 : it->second.Max();
+      EXPECT_NEAR(node.peak_bytes, analytic, 10.0);
+      // Final schedule respects capacity, so simulated peaks must too.
+      EXPECT_LE(node.peak_bytes,
+                scenario.topology.node(node.node).capacity.value() + 10.0);
+    }
+    if (input.cap_streams == 0.0) continue;
+
+    // Every link carries the same cap, so the simulator's per-link peaks
+    // give the overload count and worst utilization directly.
+    const double cap = input.cap_streams * one_stream;
+    std::size_t overloaded = 0;
+    double worst = 0.0;
+    for (const LinkTelemetry& link : sim.links) {
+      if (link.peak_bandwidth > cap * (1.0 + 1e-12)) ++overloaded;
+      worst = std::max(worst, link.peak_bandwidth / cap);
+    }
+    const storage::StreamReport streams = storage::MeasureStreams(
+        solved->schedule, scenario.topology, scenario.catalog);
+    EXPECT_EQ(streams.overloaded_links, overloaded);
+    EXPECT_DOUBLE_EQ(streams.worst_utilization, worst);
   }
 }
 

@@ -120,21 +120,17 @@ TEST(RejectiveTest, RouteHookVetoesCandidates) {
   const auto requests = CloseRequests();
   Schedule s = IvspSolve(requests, env.cm, IvspOptions{});
   const storage::UsageView empty;
-  // Veto every multi-hop route: only local (single-node) deliveries pass,
-  // which is impossible for the first request -> fallback direct.
-  std::size_t vetoes = 0;
+  // Every link capped below one stream: only local (single-node)
+  // deliveries fit, which is impossible for the first request -> fallback
+  // direct.
+  net::Topology capped = env.topo;
+  capped.SetUniformBandwidthCap(util::GB(0.5) / util::Hours(1.0));
+  storage::StreamLoad streams(capped, env.catalog);
   const RescheduleResult result = RescheduleVictim(
-      s, 0, requests, env.cm, IvspOptions{}, {}, empty,
-      [&vetoes](const std::vector<net::NodeId>& route, util::Seconds,
-                media::VideoId) {
-        if (route.size() > 1) {
-          ++vetoes;
-          return false;
-        }
-        return true;
-      });
-  EXPECT_GT(vetoes, 0u);
-  // The fallback serves everyone directly even against the veto.
+      s, 0, requests, env.cm, IvspOptions{}, {}, empty, &streams);
+  EXPECT_GT(result.greedy.rejected_route, 0u);
+  EXPECT_GE(result.greedy.forced_direct, 1u);
+  // The fallback serves everyone even against the caps.
   EXPECT_EQ(result.schedule.deliveries.size(), requests.size());
 }
 

@@ -10,9 +10,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/scheduler.hpp"
 #include "io/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "sim/validator.hpp"
+#include "storage/stream_load.hpp"
 #include "svc/reservation_service.hpp"
 #include "svc/snapshot.hpp"
 #include "test_helpers.hpp"
@@ -186,6 +188,43 @@ TEST(ServiceAdmission, LooseCapacityCommitsEverything) {
   EXPECT_EQ(stats->deferred_out, 0u);
   EXPECT_EQ(stats->solve_attempts, 1u);
   EXPECT_EQ(service.CommittedRequests().size(), scenario.requests.size());
+}
+
+TEST(ServiceAdmission, HonoursLinkBandwidthCaps) {
+  // VW - IS0 - IS1 - IS2, every link capped at two streams; three
+  // overlapping reservations at IS2.  Direct delivery would put three
+  // streams on every link, so the third must come from a cache.
+  net::Topology topo;
+  const net::NodeId vw = topo.AddWarehouse("VW");
+  const util::StorageRate srate{100.0 / 3.6e12};  // $100/(GB*h)
+  const util::BytesPerSecond two_streams =
+      util::GB(2.0) / util::Hours(1.0);
+  net::NodeId prev = vw;
+  for (int i = 0; i < 3; ++i) {
+    const net::NodeId n =
+        topo.AddStorage("IS" + std::to_string(i), util::GB(100), srate);
+    topo.AddLink(prev, n, util::NetworkRate{1.0 / 1e9}, two_streams);
+    prev = n;
+  }
+  const media::Catalog catalog = testing::OneVideoCatalog();
+
+  svc::ReservationService service(topo, catalog, svc::ServiceConfig{});
+  const double starts[] = {1.0, 1.1, 1.2};
+  for (workload::UserId user = 0; user < 3; ++user) {
+    const workload::Request r{user, 0, util::Hours(starts[user]), prev};
+    ASSERT_EQ(service.Submit(r, r.start_time), svc::SubmitOutcome::kAccepted);
+  }
+  ASSERT_TRUE(service.CloseCycle().ok());
+
+  const core::VorScheduler scheduler(topo, catalog);
+  const auto solved = scheduler.Solve(service.CommittedRequests());
+  ASSERT_TRUE(solved.ok());
+  EXPECT_EQ(io::ToJson(service.CommittedSchedule()).Dump(),
+            io::ToJson(solved->schedule).Dump());
+  const storage::StreamReport streams =
+      storage::MeasureStreams(service.CommittedSchedule(), topo, catalog);
+  EXPECT_EQ(streams.overloaded_links, 0u);
+  EXPECT_EQ(streams.forced_requests, 0u);
 }
 
 TEST(ServiceSnapshot, RestoreResumesWithIdenticalSchedule) {

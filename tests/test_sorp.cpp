@@ -145,22 +145,6 @@ TEST(SorpTest, PaperScaleScenarioResolves) {
   EXPECT_TRUE(report.ok());
 }
 
-TEST(SorpTest, HooksFireAroundEveryReschedule) {
-  OverflowEnv env;
-  Schedule s = IvspSolve(env.requests, env.cm, IvspOptions{});
-  std::size_t excluded = 0;
-  std::size_t included = 0;
-  SorpOptions options;
-  options.on_file_excluded = [&](std::size_t) { ++excluded; };
-  options.on_file_included = [&](std::size_t, const FileSchedule&) {
-    ++included;
-  };
-  const SorpStats stats = SorpSolve(s, env.requests, env.cm, options);
-  // One exclude/include pair per evaluation plus one per commit.
-  EXPECT_EQ(excluded, stats.evaluations + stats.victims_rescheduled);
-  EXPECT_EQ(included, excluded);
-}
-
 TEST(SorpAblationTest, FirstContributorPolicyStillResolves) {
   OverflowEnv env;
   Schedule s = IvspSolve(env.requests, env.cm, IvspOptions{});

@@ -35,9 +35,11 @@ namespace {
 /// the request stream replaced by a scale-generator trace.  At affinity
 /// 1.0 every region requests only its private catalog slice, so the file
 /// population splits into one shard per natural region; `affinity` < 1
-/// and a flash crowd re-couple the regions.
+/// and a flash crowd re-couple the regions.  A positive `cap_streams`
+/// caps every link at that many typical-title streams.
 struct RegionEnv {
-  explicit RegionEnv(double affinity, double flash_fraction = 0.0) {
+  explicit RegionEnv(double affinity, double flash_fraction = 0.0,
+                     double cap_streams = 0.0) {
     workload::ScenarioParams params;
     params.storage_count = 12;
     params.users_per_neighborhood = 1;  // replaced below
@@ -61,6 +63,9 @@ struct RegionEnv {
           scenario.requests.insert(scenario.requests.end(), batch, batch + n);
         });
 
+    // A typical title streams size/playback ~ 0.58 MB/s.
+    scenario.topology.SetUniformBandwidthCap(
+        util::BytesPerSecond{cap_streams * 3.3e9 / (95.0 * 60.0)});
     router.emplace(scenario.topology);
     cm.emplace(scenario.topology, *router, scenario.catalog);
     phase1 = IvspSolve(scenario.requests, *cm, IvspOptions{});
@@ -101,33 +106,40 @@ EngineRun RunReference(const RegionEnv& env) {
   return run;
 }
 
+// Uncapped, and with every link capped at 1 and at 4 streams: capped
+// dry runs each work on a private stream load, concurrently across the
+// pool and the shards.
 TEST(SorpRegionGoldenTest, GridMatchesMonolithic) {
-  const RegionEnv env(/*affinity=*/1.0);
-  const EngineRun reference = RunReference(env);
-  ASSERT_TRUE(reference.stats.HadOverflow()) << "scenario must engage SORP";
-  ASSERT_TRUE(reference.stats.Resolved());
+  for (const double cap_streams : {0.0, 1.0, 4.0}) {
+    SCOPED_TRACE("cap_streams=" + std::to_string(cap_streams));
+    const RegionEnv env(/*affinity=*/1.0, /*flash_fraction=*/0.0,
+                        cap_streams);
+    const EngineRun reference = RunReference(env);
+    ASSERT_TRUE(reference.stats.HadOverflow()) << "scenario must engage SORP";
+    ASSERT_TRUE(reference.stats.Resolved());
 
-  bool saw_multiple_shards = false;
-  for (const std::size_t regions : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}, std::size_t{0}}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      const EngineRun run = RunEngine(env, regions, threads);
-      EXPECT_EQ(run.bytes, reference.bytes)
-          << "diverged at regions=" << regions << " threads=" << threads;
-      EXPECT_EQ(run.stats.victims_rescheduled,
-                reference.stats.victims_rescheduled)
-          << "victim count drifted at regions=" << regions
-          << " threads=" << threads;
-      if (regions == 1) {
-        EXPECT_EQ(run.stats.region_shards, 0u)
-            << "regions=1 must stay on the monolithic engine";
+    bool saw_multiple_shards = false;
+    for (const std::size_t regions : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{8}, std::size_t{0}}) {
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        const EngineRun run = RunEngine(env, regions, threads);
+        EXPECT_EQ(run.bytes, reference.bytes)
+            << "diverged at regions=" << regions << " threads=" << threads;
+        EXPECT_EQ(run.stats.victims_rescheduled,
+                  reference.stats.victims_rescheduled)
+            << "victim count drifted at regions=" << regions
+            << " threads=" << threads;
+        if (regions == 1) {
+          EXPECT_EQ(run.stats.region_shards, 0u)
+              << "regions=1 must stay on the monolithic engine";
+        }
+        saw_multiple_shards |= run.stats.region_shards > 1;
       }
-      saw_multiple_shards |= run.stats.region_shards > 1;
     }
+    EXPECT_TRUE(saw_multiple_shards)
+        << "affinity-1.0 workload should split into >1 shard somewhere in "
+           "the grid, or the test is vacuous";
   }
-  EXPECT_TRUE(saw_multiple_shards)
-      << "affinity-1.0 workload should split into >1 shard somewhere in "
-         "the grid, or the test is vacuous";
 }
 
 // A global-draw + flash-crowd workload leaves files whose footprint spans

@@ -185,6 +185,11 @@ TEST(VorlintFixtures, Det1) {
 TEST(VorlintFixtures, Det1CrossFileAlias) {
   EXPECT_EQ(Count("det1_alias_positive.cpp", "DET-1", false), 1u);
   EXPECT_EQ(AllFindingsIn("det_alias.hpp"), 0u);
+  // Members declared in a source's same-stem header resolve the same way.
+  EXPECT_EQ(Count("det1_member_positive.cpp", "DET-1", false), 2u);
+  EXPECT_EQ(AllFindingsIn("det1_member_positive.hpp"), 0u);
+  EXPECT_EQ(AllFindingsIn("det1_member_negative.cpp"), 0u);
+  EXPECT_EQ(AllFindingsIn("det1_member_negative.hpp"), 0u);
 }
 
 TEST(VorlintFixtures, Det2) {

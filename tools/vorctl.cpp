@@ -15,12 +15,13 @@
 //       trace without ever materializing it; see workload/scale.hpp.
 //
 //   vorctl solve <scenario.json> [--heat m1|m2|m3|m4] [--out schedule.json]
-//                [--trace trace.csv] [--bandwidth] [--regions N|auto]
+//                [--trace trace.csv] [--regions N|auto]
 //       Runs the two-phase scheduler and prints the schedule report.
 //       --trace substitutes a CSV reservation log for the scenario's
-//       requests; --bandwidth uses the link-capacity-aware scheduler
-//       (meaningful when the topology carries bandwidth caps); --regions
-//       shards SORP by topology region (byte-identical schedule).
+//       requests; --regions shards SORP by topology region (byte-identical
+//       schedule).  When the topology declares bandwidth or storage I/O
+//       caps the scheduler honours them and a bandwidth line reports
+//       forced requests and residual overloads.
 //
 //   vorctl validate <scenario.json> <schedule.json>
 //       Re-validates a schedule against its scenario: service coverage,
@@ -98,7 +99,6 @@
 #include "core/diff.hpp"
 #include "core/report.hpp"
 #include "core/scheduler.hpp"
-#include "ext/bandwidth.hpp"
 #include "io/binary.hpp"
 #include "io/serialize.hpp"
 #include "obs/metrics.hpp"
@@ -107,6 +107,7 @@
 #include "rpc/socket.hpp"
 #include "sim/playback_sim.hpp"
 #include "sim/validator.hpp"
+#include "storage/stream_load.hpp"
 #include "svc/reservation_service.hpp"
 #include "svc/snapshot.hpp"
 #include "util/stats.hpp"
@@ -380,33 +381,18 @@ int CmdSolve(const Args& args) {
   obs::MetricsRegistry registry;
   if (!metrics_out.empty()) options.metrics = &registry;
 
-  core::Schedule schedule;
-  double phase1_cost = 0.0;
-  double final_cost = 0.0;
-  std::size_t victims = 0;
-
-  if (args.Flag("bandwidth")) {
-    const ext::BandwidthAwareScheduler scheduler(scenario->topology,
-                                                 scenario->catalog, options);
-    auto result = scheduler.Solve(scenario->requests);
-    if (!result.ok()) return Fail(result.error().message);
-    schedule = std::move(result->schedule);
-    phase1_cost = result->phase1_cost.value();
-    final_cost = result->final_cost.value();
-    victims = result->sorp.victims_rescheduled;
-    std::cout << "bandwidth: " << result->forced_requests
-              << " forced request(s), " << result->overloaded_links
+  const core::VorScheduler scheduler(scenario->topology, scenario->catalog,
+                                     options);
+  auto result = scheduler.Solve(scenario->requests);
+  if (!result.ok()) return Fail(result.error().message);
+  const core::Schedule& schedule = result->schedule;
+  if (storage::HasStreamCaps(scenario->topology)) {
+    const storage::StreamReport streams = storage::MeasureStreams(
+        schedule, scenario->topology, scenario->catalog);
+    std::cout << "bandwidth: " << streams.forced_requests
+              << " forced request(s), " << streams.overloaded_links
               << " overloaded link(s), worst utilization "
-              << result->worst_utilization << "\n";
-  } else {
-    const core::VorScheduler scheduler(scenario->topology, scenario->catalog,
-                                       options);
-    auto result = scheduler.Solve(scenario->requests);
-    if (!result.ok()) return Fail(result.error().message);
-    schedule = std::move(result->schedule);
-    phase1_cost = result->phase1_cost.value();
-    final_cost = result->final_cost.value();
-    victims = result->sorp.victims_rescheduled;
+              << streams.worst_utilization << "\n";
   }
 
   const net::Router router(scenario->topology);
@@ -415,9 +401,9 @@ int CmdSolve(const Args& args) {
   const core::ScheduleReport report =
       core::BuildReport(schedule, scenario->requests, cm);
   std::cout << report.ToText(scenario->topology);
-  std::cout << "phase-1 cost $" << phase1_cost
-            << ", overflows resolved with " << victims
-            << " victim reschedule(s)\n";
+  std::cout << "phase-1 cost $" << result->phase1_cost.value()
+            << ", overflows resolved with "
+            << result->sorp.victims_rescheduled << " victim reschedule(s)\n";
   const double direct =
       cm.TotalCost(baseline::NetworkOnlySchedule(scenario->requests, cm))
           .value();
@@ -425,7 +411,6 @@ int CmdSolve(const Args& args) {
       core::UnavoidableNetworkLowerBound(scenario->requests, cm).total();
   std::cout << "network-only baseline would cost $" << direct
             << "; unavoidable lower bound $" << bound << '\n';
-  (void)final_cost;
 
   const std::string out = args.Str("out", "");
   if (!out.empty()) {
@@ -981,7 +966,7 @@ void PrintUsage() {
       "            [--flash-length S] [--cycle-length S] [--buckets N]\n"
       "            [--seed N]      (streamed vor-bin, O(bucket) memory)\n"
       "  solve <scenario.json> [--heat m1|m2|m3|m4] [--out schedule]\n"
-      "        [--trace FILE] [--bandwidth] [--threads N] [--regions N|auto]\n"
+      "        [--trace FILE] [--threads N] [--regions N|auto]\n"
       "        [--binary] [--metrics-out FILE.json]\n"
       "  serve <scenario.json> --cycle SECS [--trace FILE]\n"
       "        [--producers N] [--shards N] [--threads N] [--regions N|auto]\n"

@@ -1,6 +1,6 @@
 // Rule engine for vorlint: path scope classification, the global context
-// pass (unordered-container aliases, join-bearing file stems), and the
-// per-file rule checks.
+// pass (unordered-container aliases, join-bearing file stems, each
+// header's unordered declarations), and the per-file rule checks.
 #include "vorlint/lint.hpp"
 
 #include <algorithm>
@@ -134,6 +134,9 @@ struct GlobalContext {
   /// Path stems (directory + basename sans extension) whose file contains
   /// a join()/joinable() token; clears CONC-2 for the sibling header.
   std::set<std::string> joining_stems;
+  /// Path stem -> names a header declares with an unordered container
+  /// type, so DET-1 in the sibling source sees the header's members.
+  std::map<std::string, std::set<std::string>> header_unordered_decls;
 };
 
 std::string PathStem(std::string_view path) {
@@ -207,12 +210,13 @@ struct FileLint {
 /// container type in this file.  Pattern: the type name, an optional
 /// balanced template argument list, any of {&, *, >, const}, then an
 /// identifier that is immediately followed by a declarator terminator.
-std::set<std::string> UnorderedDecls(const FileLint& fl) {
-  const Tokens& toks = fl.lexed.tokens;
+std::set<std::string> UnorderedDecls(const LexedFile& lexed,
+                                     const GlobalContext& ctx) {
+  const Tokens& toks = lexed.tokens;
   std::set<std::string> names;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != TokKind::kIdentifier ||
-        !IsUnorderedName(fl.ctx, toks[i].text)) {
+        !IsUnorderedName(ctx, toks[i].text)) {
       continue;
     }
     std::size_t j = i + 1;
@@ -243,7 +247,16 @@ std::set<std::string> UnorderedDecls(const FileLint& fl) {
 
 void CheckDet1(const FileLint& fl) {
   const Tokens& toks = fl.lexed.tokens;
-  const std::set<std::string> tracked = UnorderedDecls(fl);
+  // This file's declarations plus, for a source, its sibling header's
+  // (members are declared there and iterated here).
+  std::set<std::string> tracked = UnorderedDecls(fl.lexed, fl.ctx);
+  if (!IsHeaderPath(fl.file.path)) {
+    const auto sibling =
+        fl.ctx.header_unordered_decls.find(PathStem(fl.file.path));
+    if (sibling != fl.ctx.header_unordered_decls.end()) {
+      tracked.insert(sibling->second.begin(), sibling->second.end());
+    }
+  }
   if (tracked.empty()) return;
 
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
@@ -476,6 +489,14 @@ Report LintFiles(const std::vector<FileInput>& files) {
     lexed.push_back(Lex(file.source));
     CollectGlobalContext(file, lexed.back(), ctx);
     conc::CollectMutexDecls(lexed.back(), mutexes);
+  }
+  // Header declarations need the whole batch's aliases, so they follow
+  // the first pass.
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    if (IsHeaderPath(files[i].path)) {
+      ctx.header_unordered_decls[PathStem(files[i].path)] =
+          UnorderedDecls(lexed[i], ctx);
+    }
   }
 
   std::vector<conc::FileConc> conc_files;
