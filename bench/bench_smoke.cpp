@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/scale.hpp"
 #include "workload/scenario.hpp"
 #include "workload/trace_stream.hpp"
@@ -261,9 +263,11 @@ RegionRun RunRegionSorp(const workload::Scenario& scenario,
                         const core::Schedule& phase1, std::size_t regions,
                         std::size_t threads) {
   core::Schedule schedule = phase1;
+  std::optional<util::ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
   core::SorpOptions options;
   options.regions = regions;
-  options.parallel.threads = threads;
+  options.pool = pool.has_value() ? &*pool : nullptr;
   RegionRun run;
   run.stats = core::SorpSolve(schedule, scenario.requests, cm, options);
   run.bytes = io::ScheduleToBinary(schedule);

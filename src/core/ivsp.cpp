@@ -4,7 +4,7 @@
 #include <map>
 #include <cassert>
 #include <limits>
-#include <memory>
+#include <optional>
 
 #include "obs/metrics.hpp"
 #include "workload/generator.hpp"
@@ -301,46 +301,63 @@ Schedule IvspSolve(const std::vector<workload::Request>& requests,
   const auto groups = workload::GroupByVideo(requests);
   Schedule schedule;
   schedule.files.resize(groups.size());
-  const bool capped = storage::HasStreamCaps(cost_model.topology());
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  if (pool == nullptr && !capped && options.parallel.Resolve() > 1 &&
-      groups.size() > 1) {
-    owned_pool = std::make_unique<util::ThreadPool>(options.parallel.Resolve());
-    pool = owned_pool.get();
-  }
+  PlaceFiles(groups, requests, cost_model, options,
+             std::vector<const FileSchedule*>(groups.size(), nullptr),
+             schedule, pool, metrics);
+  return schedule;
+}
+
+void PlaceFiles(
+    const std::vector<std::pair<media::VideoId, std::vector<std::size_t>>>&
+        groups,
+    const std::vector<workload::Request>& requests,
+    const CostModel& cost_model, const IvspOptions& options,
+    const std::vector<const FileSchedule*>& carried, Schedule& schedule,
+    util::ThreadPool* pool, obs::MetricsRegistry* metrics) {
   // Per-file tallies/timings land in slot-indexed vectors and are folded
   // into the registry serially below, so counter values are identical at
   // any thread count (only the wall-clock observations vary).
   std::vector<GreedyStats> file_stats(metrics != nullptr ? groups.size() : 0);
   std::vector<double> file_seconds(file_stats.size(), 0.0);
-  const auto solve_one = [&](std::size_t i) {
-    GreedyStats* stats = metrics != nullptr ? &file_stats[i] : nullptr;
+  std::optional<storage::StreamLoad> streams;
+  ConstraintSet constraints;
+  const auto place = [&](std::size_t i) {
+    if (carried[i] != nullptr) {
+      schedule.files[i] = *carried[i];
+      return;
+    }
     const obs::Stopwatch watch;
-    schedule.files[i] =
-        ScheduleFileGreedy(groups[i].first, requests, groups[i].second,
-                           cost_model, options, /*constraints=*/nullptr, stats);
+    schedule.files[i] = ScheduleFileGreedy(
+        groups[i].first, requests, groups[i].second, cost_model, options,
+        streams.has_value() ? &constraints : nullptr,
+        metrics != nullptr ? &file_stats[i] : nullptr);
     if (metrics != nullptr) file_seconds[i] = watch.Seconds();
   };
-  if (capped) {
-    PlaceFilesUnderStreamCaps(groups, requests, cost_model, options,
-                              std::vector<char>(groups.size(), 1), schedule,
-                              metrics != nullptr ? &file_stats : nullptr,
-                              metrics != nullptr ? &file_seconds : nullptr);
-  } else if (pool == nullptr || groups.size() < 2) {
-    for (std::size_t i = 0; i < groups.size(); ++i) solve_one(i);
-  } else {
+  if (storage::HasStreamCaps(cost_model.topology())) {
+    streams.emplace(cost_model.topology(), cost_model.catalog());
+    for (const FileSchedule* file : carried) {
+      if (file != nullptr) streams->AddFile(*file);
+    }
+    constraints.streams = &*streams;
+    for (std::size_t i = 0; i < groups.size(); ++i) place(i);
+  } else if (pool != nullptr && groups.size() > 1) {
     // Shared-nothing fan-out: each shard writes only its own slot, reads
     // only const state (CP.1/CP.9 compliant by construction).
-    pool->ParallelFor(groups.size(), solve_one);
+    pool->ParallelFor(groups.size(), place);
+  } else {
+    for (std::size_t i = 0; i < groups.size(); ++i) place(i);
   }
   if (metrics != nullptr) {
     GreedyStats total;
+    std::size_t placed = 0;
     obs::Timer& greedy_timer = metrics->GetTimer("ivsp.file_greedy");
-    for (std::size_t i = 0; i < file_stats.size(); ++i) {
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      if (carried[i] != nullptr) continue;
+      ++placed;
       total += file_stats[i];
       greedy_timer.Observe(file_seconds[i]);
     }
-    obs::Add(metrics, "ivsp.files", groups.size());
+    obs::Add(metrics, "ivsp.files", placed);
     obs::Add(metrics, "ivsp.requests", total.requests);
     obs::Add(metrics, "ivsp.decision.direct", total.direct);
     obs::Add(metrics, "ivsp.decision.extend", total.extend);
@@ -348,31 +365,6 @@ Schedule IvspSolve(const std::vector<workload::Request>& requests,
     obs::Add(metrics, "ivsp.candidates_evaluated", total.candidates);
     obs::Add(metrics, "ivsp.forced_direct", total.forced_direct);
     obs::Add(metrics, "ivsp.reject.route", total.rejected_route);
-    if (owned_pool != nullptr) obs::ExportPoolTelemetry(metrics, *owned_pool);
-  }
-  return schedule;
-}
-
-void PlaceFilesUnderStreamCaps(
-    const std::vector<std::pair<media::VideoId, std::vector<std::size_t>>>&
-        groups,
-    const std::vector<workload::Request>& requests,
-    const CostModel& cost_model, const IvspOptions& options,
-    const std::vector<char>& place, Schedule& schedule,
-    std::vector<GreedyStats>* stats, std::vector<double>* seconds) {
-  storage::StreamLoad streams(cost_model.topology(), cost_model.catalog());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    if (place[i] == 0) streams.AddFile(schedule.files[i]);
-  }
-  ConstraintSet constraints;
-  constraints.streams = &streams;
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    if (place[i] == 0) continue;
-    const obs::Stopwatch watch;
-    schedule.files[i] = ScheduleFileGreedy(
-        groups[i].first, requests, groups[i].second, cost_model, options,
-        &constraints, stats != nullptr ? &(*stats)[i] : nullptr);
-    if (seconds != nullptr) (*seconds)[i] = watch.Seconds();
   }
 }
 

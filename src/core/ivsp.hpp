@@ -46,12 +46,6 @@ struct IvspOptions {
   bool allow_remote_caching = true;
   /// Allow serving a request from a cache in another neighborhood.
   bool allow_remote_cache_service = true;
-  /// Worker threads for the per-file fan-out of IvspSolve (phase 1 is
-  /// embarrassingly parallel by construction).  Only consulted when no
-  /// external pool is passed to IvspSolve; the per-file greedy itself
-  /// (ScheduleFileGreedy) is always sequential.  Output is identical at
-  /// any thread count.
-  util::ParallelOptions parallel{};
 };
 
 /// Decision/rejection tallies of one greedy run.  Collected inline (a few
@@ -124,40 +118,41 @@ struct ConstraintSet {
 
 /// Phase 1, IVSP-solve (Table 2 of the paper): independent greedy per file,
 /// capacity ignored.  Returns one FileSchedule per distinct requested video,
-/// ordered by video id.
+/// ordered by video id.  Placement is PlaceFiles with nothing carried over:
+/// pass a thread pool to fan the per-file greedies out across cores
+/// (results are identical to the serial run).
 ///
-/// Files are scheduled independently (the definition of phase 1), so the
-/// per-file greedies are embarrassingly parallel: pass a thread pool to
-/// shard them across cores.  Results are identical to the serial run.  On
-/// a topology with stream caps the files are placed serially instead
-/// (PlaceFilesUnderStreamCaps); the pool is then unused.
-///
-/// A non-null `metrics` registry receives the phase span ("ivsp"),
-/// per-file greedy timings, and aggregated decision counters; counter and
-/// series values are identical at any thread count (per-file tallies are
-/// collected slot-indexed and folded in serially).
+/// A non-null `metrics` registry receives the phase span ("ivsp") and
+/// PlaceFiles' per-file timings and decision counters.
 [[nodiscard]] Schedule IvspSolve(const std::vector<workload::Request>& requests,
                                  const CostModel& cost_model,
                                  const IvspOptions& options,
                                  util::ThreadPool* pool = nullptr,
                                  obs::MetricsRegistry* metrics = nullptr);
 
-/// Phase 1 on a topology with stream caps (storage::HasStreamCaps), shared
-/// by IvspSolve and IncrementalSolve.  Slots of `schedule.files` whose
-/// `place` flag is 0 already hold a plan (carried over from an earlier
-/// solve); they seed one stream load.  Every flagged slot i then receives
-/// the greedy plan of groups[i], in ascending order, each run constrained
-/// by that load and adding its streams to it.  A file's streams thus
-/// constrain every later file, so the loop is serial.  Non-null `stats`
-/// and `seconds` (one entry per group) receive each placed file's tallies
-/// and greedy wall time.
-void PlaceFilesUnderStreamCaps(
+/// Phase-1 placement, shared by IvspSolve and the two-phase solve behind
+/// VorScheduler::Solve and IncrementalSolve.  Slot i of `schedule.files`
+/// (one per group) receives `*carried[i]` when that is non-null, a plan
+/// carried over from an earlier solve, and otherwise the greedy plan of
+/// groups[i].  Files are scheduled independently (the definition of phase
+/// 1), so without stream caps the slots fan out over `pool` (null =
+/// serial); each slot is written by one task, so the result is identical
+/// at any thread count.  On a topology with stream caps
+/// (storage::HasStreamCaps) the carried plans seed one stream load and
+/// the other files are placed serially in ascending order, each
+/// constrained by that load and adding its streams to it: a file's
+/// streams constrain every later file.
+///
+/// A non-null `metrics` receives the placed files' greedy timings
+/// ("ivsp.file_greedy") and aggregated decision counters (ivsp.*).
+/// Per-file tallies are collected slot-indexed and folded in serially, so
+/// counter values are identical at any thread count.
+void PlaceFiles(
     const std::vector<std::pair<media::VideoId, std::vector<std::size_t>>>&
         groups,
     const std::vector<workload::Request>& requests,
     const CostModel& cost_model, const IvspOptions& options,
-    const std::vector<char>& place, Schedule& schedule,
-    std::vector<GreedyStats>* stats = nullptr,
-    std::vector<double>* seconds = nullptr);
+    const std::vector<const FileSchedule*>& carried, Schedule& schedule,
+    util::ThreadPool* pool, obs::MetricsRegistry* metrics);
 
 }  // namespace vor::core

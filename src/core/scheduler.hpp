@@ -6,6 +6,14 @@
 //   schedules are integrated, overflows detected, and victims rescheduled
 //   by heat until the schedule fits every intermediate storage
 //   (SORP-solve, Table 3).
+//
+// One routine runs both phases, behind two entry points.  Solve plans a
+// whole cycle; IncrementalSolve extends a previous solution with late
+// reservations.  The routine checks the new requests, places every title
+// that has a new request or no previous plan (PlaceFiles), carries every
+// other title's previous plan over, builds the one thread pool both
+// phases share, and runs SORP on the merged schedule.  Solve(r) is
+// IncrementalSolve from an empty previous solution.
 #pragma once
 
 #include <vector>
@@ -39,20 +47,22 @@ struct SchedulerOptions {
   /// schedule is byte-identical to the monolithic engine (DESIGN.md
   /// "Region-sharded SORP").
   std::size_t sorp_regions = 1;
-  /// Worker threads shared by both phases: phase 1's per-file greedies
-  /// and each SORP round's tentative victim evaluations fan out over one
-  /// pool (1 = serial, 0 = hardware concurrency, N = pool of N).  The
-  /// commit step stays serial and the victim reduction is deterministic,
-  /// so the solved schedule is byte-identical at any thread count.
+  /// Worker threads for a solve, the one parallelism knob: phase 1's
+  /// per-file greedies, SORP's region shards and each SORP round's
+  /// tentative victim evaluations fan out over one pool per solve (1 =
+  /// serial, 0 = hardware concurrency, N = pool of N).  The commit step
+  /// stays serial and the victim reduction is deterministic, so the
+  /// solved schedule is byte-identical at any thread count.
   util::ParallelOptions parallel{};
-  /// Optional caller-owned metrics sink (src/obs).  When set, Solve
+  /// Optional caller-owned metrics sink (src/obs).  When set, a solve
   /// records the span hierarchy ("solve" -> "solve/ivsp" / "solve/sorp" /
-  /// "solve/sorp/round"), per-phase counters (greedy decision mix,
-  /// candidates, rejections, victims), the SORP excess trajectory, and
-  /// thread-pool telemetry.  Never alters the schedule; counter and
-  /// series values are identical at any thread count.  nullptr (the
-  /// default) disables all instrumentation at the cost of one pointer
-  /// test per site.
+  /// "solve/sorp/round"; IncrementalSolve roots it at
+  /// "incremental_solve"), per-phase counters (greedy decision mix,
+  /// candidates, rejections, victims, re-planned and carried-over
+  /// titles), the SORP excess trajectory, and thread-pool telemetry.
+  /// Never alters the schedule; counter and series values are identical
+  /// at any thread count.  nullptr (the default) disables all
+  /// instrumentation at the cost of one pointer test per site.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -75,7 +85,7 @@ class VorScheduler {
 
   /// Computes a complete service schedule for one cycle of reservations.
   /// Requests must reference catalog videos and storage-node
-  /// neighborhoods.
+  /// neighborhoods, and start at a finite, non-negative time.
   [[nodiscard]] util::Result<SolveOutput> Solve(
       const std::vector<workload::Request>& requests) const;
 
@@ -84,11 +94,46 @@ class VorScheduler {
   [[nodiscard]] const SchedulerOptions& options() const { return options_; }
 
  private:
-  const net::Topology* topology_;
-  const media::Catalog* catalog_;
   SchedulerOptions options_;
   net::Router router_;
   CostModel cost_model_;
 };
+
+/// Extends a previous solution with `late_requests`, for reservations that
+/// arrive before the cycle's cutoff.  In phase 1 files are scheduled
+/// independently, so only the titles the late requests touch are
+/// re-planned; every other title's plan in `previous` carries over
+/// verbatim, and phase 2 re-resolves storage overflows on the merged
+/// schedule (overflow interactions are global, so no shortcut is sound
+/// there).
+///
+/// `previous` must be the output of VorScheduler::Solve (or a prior
+/// IncrementalSolve) over `original_requests` with the same scheduler.
+/// Returns a fresh SolveOutput over the concatenated request list
+/// (original order preserved; late requests appended — request indices in
+/// the result refer to that concatenation, which is also returned via
+/// `merged_requests`).  A non-null `SchedulerOptions::metrics` receives
+/// the "incremental.files_rescheduled" and "incremental.files_carried_over"
+/// counts.
+///
+/// Two properties follow:
+///   * when the previous run was overflow free, carried-over plans equal
+///     their phase-1 plans, so the incremental result is IDENTICAL to
+///     re-solving the enlarged cycle from scratch (tests assert this);
+///   * when it was not, carrying over the previous *resolved* plans keeps
+///     unaffected titles' schedules stable (operationally desirable — the
+///     provider has likely already pre-staged those transfers) at a
+///     possibly slightly different cost than a scratch re-solve.
+///
+/// On a topology with stream caps the carried-over files are committed
+/// load: their streams seed the stream load and the re-planned files are
+/// placed around them (PlaceFiles), so a previous run with carried-over
+/// files no longer equals a scratch re-solve; from an empty previous
+/// solution the result still equals VorScheduler::Solve.
+[[nodiscard]] util::Result<SolveOutput> IncrementalSolve(
+    const VorScheduler& scheduler, const SolveOutput& previous,
+    const std::vector<workload::Request>& original_requests,
+    const std::vector<workload::Request>& late_requests,
+    std::vector<workload::Request>* merged_requests);
 
 }  // namespace vor::core

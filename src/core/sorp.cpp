@@ -366,15 +366,14 @@ ShardPlan FormShards(const Schedule& schedule,
 /// residual pass (phase B) that re-detects against the full schedule and
 /// mops up anything a shard left behind (per-shard iteration budgets or
 /// progress-guard stalls) — a no-op when the shards fully resolved, which
-/// is the common case.
+/// is the common case.  Costs are left to SorpSolve.
 SorpStats RegionShardedSolve(Schedule& schedule,
                              const std::vector<workload::Request>& requests,
                              const CostModel& cost_model,
                              const SorpOptions& options) {
   obs::MetricsRegistry* metrics = options.metrics;
-  const obs::ScopedSpan span(metrics, "sorp");
+  util::ThreadPool* pool = options.pool;
   SorpStats stats;
-  stats.cost_before = cost_model.TotalCost(schedule);
 
   const ShardPlan plan =
       FormShards(schedule, requests, cost_model, options.regions);
@@ -382,13 +381,6 @@ SorpStats RegionShardedSolve(Schedule& schedule,
   obs::Add(metrics, "sorp.regions.base", plan.base_regions);
   obs::Add(metrics, "sorp.regions.shards", plan.shard_files.size());
   obs::Add(metrics, "sorp.regions.cross_files", plan.cross_files);
-
-  util::ThreadPool* pool = options.pool;
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  if (pool == nullptr && options.parallel.Resolve() > 1) {
-    owned_pool = std::make_unique<util::ThreadPool>(options.parallel.Resolve());
-    pool = owned_pool.get();
-  }
 
   // Phase A: per-shard resolution.  Each shard owns its tracker, overlay
   // caches, and (when observability is on) a private metrics registry, so
@@ -469,12 +461,6 @@ SorpStats RegionShardedSolve(Schedule& schedule,
                residual.victims_rescheduled);
     }
   }
-
-  stats.cost_after = cost_model.TotalCost(schedule);
-  if (owned_pool != nullptr) obs::ExportPoolTelemetry(metrics, *owned_pool);
-  if (metrics != nullptr && !stats.Resolved()) {
-    obs::Add(metrics, "sorp.unresolved_runs");
-  }
   return stats;
 }
 
@@ -514,32 +500,20 @@ std::vector<SorpCandidate> CollectSorpCandidates(
 SorpStats SorpSolve(Schedule& schedule,
                     const std::vector<workload::Request>& requests,
                     const CostModel& cost_model, const SorpOptions& options) {
-  // The region engine requires commit commutativity (kMaxHeat's reduction
-  // is per-shard deterministic); otherwise fall back to the global loop,
-  // which handles every configuration.
-  if (options.regions != 1 &&
-      options.victim_policy == VictimPolicy::kMaxHeat) {
-    return RegionShardedSolve(schedule, requests, cost_model, options);
-  }
-
   obs::MetricsRegistry* metrics = options.metrics;
   const obs::ScopedSpan span(metrics, "sorp");
-  SorpStats stats_header;
-  stats_header.cost_before = cost_model.TotalCost(schedule);
-
-  util::ThreadPool* pool = options.pool;
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  if (pool == nullptr && options.parallel.Resolve() > 1) {
-    owned_pool = std::make_unique<util::ThreadPool>(options.parallel.Resolve());
-    pool = owned_pool.get();
-  }
-
+  const util::Money cost_before = cost_model.TotalCost(schedule);
+  // The region engine requires commit commutativity (kMaxHeat's reduction
+  // is per-shard deterministic); otherwise the global loop runs, which
+  // handles every configuration.
   SorpStats stats =
-      RunSorpLoop(schedule, requests, cost_model, options, pool, metrics,
-                  /*shard_files=*/nullptr, /*round_spans=*/true);
-  stats.cost_before = stats_header.cost_before;
+      options.regions != 1 && options.victim_policy == VictimPolicy::kMaxHeat
+          ? RegionShardedSolve(schedule, requests, cost_model, options)
+          : RunSorpLoop(schedule, requests, cost_model, options, options.pool,
+                        metrics, /*shard_files=*/nullptr,
+                        /*round_spans=*/true);
+  stats.cost_before = cost_before;
   stats.cost_after = cost_model.TotalCost(schedule);
-  if (owned_pool != nullptr) obs::ExportPoolTelemetry(metrics, *owned_pool);
   if (metrics != nullptr && !stats.Resolved()) {
     obs::Add(metrics, "sorp.unresolved_runs");
   }

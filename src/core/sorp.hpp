@@ -77,17 +77,15 @@ struct SorpOptions {
   std::size_t regions = 1;
 
   // ---- parallelism ----------------------------------------------------
-  /// Each round's tentative victim evaluations (one rejective-greedy dry
-  /// run per overflow contributor, all against the same frozen integrated
-  /// schedule) are independent and fan out over a thread pool; the commit
+  /// Optional caller-owned pool (null = serial).  Each round's tentative
+  /// victim evaluations (one rejective-greedy dry run per overflow
+  /// contributor, all against the same frozen integrated schedule) are
+  /// independent and fan out over it, as do region shards; the commit
   /// step stays serial and the victim is reduced with a deterministic
   /// tie-break (max heat, then smallest file index, then discovery
   /// order), so the victim sequence — and the final schedule bytes — are
-  /// identical at any thread count.
-  util::ParallelOptions parallel{};
-  /// Optional externally owned pool (shared with phase 1); when null and
-  /// `parallel` resolves to more than one thread, SorpSolve builds its
-  /// own.
+  /// identical at any thread count.  VorScheduler passes the pool phase 1
+  /// ran on.
   util::ThreadPool* pool = nullptr;
 
   // ---- observability --------------------------------------------------

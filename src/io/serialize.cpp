@@ -6,6 +6,7 @@
 
 #include "io/json_schema.hpp"
 #include "io/schema.hpp"
+#include "workload/trace.hpp"
 
 namespace vor::io {
 
@@ -340,12 +341,10 @@ util::Result<workload::Scenario> ScenarioFromJson(const Json& j) {
   auto requests = RequestsFromJson(j["requests"]);
   if (!requests.ok()) return requests.error();
   scenario.requests = std::move(*requests);
-  for (const workload::Request& r : scenario.requests) {
-    if (!scenario.catalog.Contains(r.video) ||
-        !scenario.topology.IsStorage(r.neighborhood)) {
-      return util::InvalidArgument(
-          "request references an unknown video or neighborhood");
-    }
+  if (const util::Status s = workload::ValidateTrace(
+          scenario.requests, scenario.topology, scenario.catalog);
+      !s.ok()) {
+    return s.error();
   }
   return scenario;
 }

@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/bounds.hpp"
-#include "core/incremental.hpp"
 #include "obs/metrics.hpp"
 #include "sim/validator.hpp"
 #include "storage/usage_timeline.hpp"
@@ -16,12 +14,22 @@ namespace vor::svc {
 
 namespace {
 
+/// Per-IS candidate-bytes threshold of the capacity estimate, as a
+/// multiple of the node's remaining headroom (committed peak usage vs
+/// capacity).  The estimate also always allows one full capacity of
+/// candidate bytes: direct deliveries use no storage, so a saturated IS
+/// stays serviceable — the threshold bounds *caching pressure*, not
+/// service.
+constexpr double kAdmissionOvercommit = 8.0;
+
+/// Defensive cap on solve-validate-halve attempts per close.
+constexpr std::size_t kMaxAdmissionRetries = 24;
+
 /// Why an admitted candidate was pushed back, for the svc.admit.*
 /// counter split.
 enum class DeferCause : std::uint8_t {
   kFairness,
   kCapacityEstimate,
-  kBudgetEstimate,
   kInfeasible,
 };
 
@@ -29,7 +37,6 @@ const char* CounterName(DeferCause cause) {
   switch (cause) {
     case DeferCause::kFairness: return "svc.admit.deferred_fairness";
     case DeferCause::kCapacityEstimate: return "svc.admit.deferred_capacity";
-    case DeferCause::kBudgetEstimate: return "svc.admit.deferred_budget";
     case DeferCause::kInfeasible: return "svc.admit.deferred_infeasible";
   }
   return "svc.admit.deferred_other";
@@ -41,16 +48,16 @@ struct AdmissionSplit {
   std::vector<std::pair<StampedRequest, DeferCause>> pushed_back;
 };
 
-/// The estimate tier of admission control — fairness cap, per-IS
-/// caching-pressure estimate, optional cost budget — as a pure function
-/// of (config, committed state, canonical batch).  No counters and no
-/// service mutation: the close does the bookkeeping.
-AdmissionSplit RunAdmissionEstimates(
-    const ServiceConfig& config, const net::Topology& topology,
-    const media::Catalog& catalog, const core::VorScheduler& scheduler,
-    const core::SolveOutput& previous,
-    const std::vector<workload::Request>& committed,
-    std::vector<StampedRequest> batch) {
+/// The estimate tier of admission control — fairness cap and per-IS
+/// caching-pressure estimate — as a pure function of (config, committed
+/// schedule, canonical batch).  No counters and no service mutation: the
+/// close does the bookkeeping.
+AdmissionSplit RunAdmissionEstimates(const ServiceConfig& config,
+                                     const net::Topology& topology,
+                                     const media::Catalog& catalog,
+                                     const core::VorScheduler& scheduler,
+                                     const core::SolveOutput& previous,
+                                     std::vector<StampedRequest> batch) {
   AdmissionSplit split;
   split.admitted.reserve(batch.size());
 
@@ -59,86 +66,52 @@ AdmissionSplit RunAdmissionEstimates(
   {
     std::unordered_map<workload::UserId, std::size_t> per_user;
     for (StampedRequest& s : batch) {
-      if (config.admission_control &&
-          ++per_user[s.request.user] > config.user_cycle_cap) {
+      if (++per_user[s.request.user] > config.user_cycle_cap) {
         split.pushed_back.emplace_back(std::move(s), DeferCause::kFairness);
       } else {
         split.admitted.push_back(std::move(s));
       }
     }
   }
+  if (split.admitted.empty()) return split;
 
-  if (config.admission_control && !split.admitted.empty()) {
-    // Capacity estimate: bound the caching pressure a cycle may add to
-    // each IS.  Headroom comes from the committed schedule's peak usage
-    // (UsageTracker — same aggregate SORP maintains); each (video, IS)
-    // pair contributes one copy's worth of bytes.  The floor of one full
-    // capacity keeps saturated nodes serviceable (direct deliveries use
-    // no storage) while still shedding pathological pile-ups up front.
-    const storage::UsageTracker tracker(previous.schedule,
-                                        scheduler.cost_model());
-    std::unordered_map<net::NodeId, double> budget;
-    for (net::NodeId n = 0; n < topology.node_count(); ++n) {
-      if (!topology.IsStorage(n)) continue;
-      const double capacity = topology.node(n).capacity.value();
-      const double headroom =
-          std::max(0.0, capacity - storage::PeakUsage(tracker.usage(), n));
-      budget[n] = headroom * config.admission_overcommit + capacity;
-    }
-    std::unordered_set<std::uint64_t> seen_copy;  // (video, node) pairs
-    std::vector<StampedRequest> kept;
-    kept.reserve(split.admitted.size());
-    for (StampedRequest& s : split.admitted) {
-      const net::NodeId node = s.request.neighborhood;
-      const std::uint64_t copy_key = AdmissionCopyKey(s.request.video, node);
-      double footprint = 0.0;
-      if (seen_copy.insert(copy_key).second) {
-        footprint = catalog.video(s.request.video).size.value();
-      }
-      double& remaining = budget[node];
-      if (footprint > remaining) {
-        seen_copy.erase(copy_key);
-        split.pushed_back.emplace_back(std::move(s),
-                                       DeferCause::kCapacityEstimate);
-      } else {
-        remaining -= footprint;
-        kept.push_back(std::move(s));
-      }
-    }
-    split.admitted = std::move(kept);
+  // Capacity estimate: bound the caching pressure a cycle may add to each
+  // IS.  Headroom comes from the committed schedule's peak usage
+  // (UsageTracker — same aggregate SORP maintains); each (video, IS) pair
+  // contributes one copy's worth of bytes.  The floor of one full
+  // capacity keeps saturated nodes serviceable (direct deliveries use no
+  // storage) while still shedding pathological pile-ups up front.
+  const storage::UsageTracker tracker(previous.schedule,
+                                      scheduler.cost_model());
+  std::unordered_map<net::NodeId, double> budget;
+  for (net::NodeId n = 0; n < topology.node_count(); ++n) {
+    if (!topology.IsStorage(n)) continue;
+    const double capacity = topology.node(n).capacity.value();
+    const double headroom =
+        std::max(0.0, capacity - storage::PeakUsage(tracker.usage(), n));
+    budget[n] = headroom * kAdmissionOvercommit + capacity;
   }
-
-  if (config.admission_control && config.cycle_cost_budget > 0.0 &&
-      !split.admitted.empty()) {
-    // Cost budget: the unavoidable-network lower bound (core/bounds) of
-    // committed + admitted must fit the horizon budget.  The bound is
-    // monotone in the admitted prefix, so binary-search the cut.
-    const auto bound_of = [&](std::size_t prefix) {
-      std::vector<workload::Request> merged = committed;
-      for (std::size_t i = 0; i < prefix; ++i) {
-        merged.push_back(split.admitted[i].request);
-      }
-      return core::UnavoidableNetworkLowerBound(merged, scheduler.cost_model())
-          .total();
-    };
-    if (bound_of(split.admitted.size()) > config.cycle_cost_budget) {
-      std::size_t lo = 0;
-      std::size_t hi = split.admitted.size();  // first prefix over budget
-      while (lo < hi) {
-        const std::size_t mid = (lo + hi + 1) / 2;
-        if (bound_of(mid) <= config.cycle_cost_budget) {
-          lo = mid;
-        } else {
-          hi = mid - 1;
-        }
-      }
-      for (std::size_t i = split.admitted.size(); i > lo; --i) {
-        split.pushed_back.emplace_back(std::move(split.admitted[i - 1]),
-                                       DeferCause::kBudgetEstimate);
-      }
-      split.admitted.resize(lo);
+  std::unordered_set<std::uint64_t> seen_copy;  // (video, node) pairs
+  std::vector<StampedRequest> kept;
+  kept.reserve(split.admitted.size());
+  for (StampedRequest& s : split.admitted) {
+    const net::NodeId node = s.request.neighborhood;
+    const std::uint64_t copy_key = AdmissionCopyKey(s.request.video, node);
+    double footprint = 0.0;
+    if (seen_copy.insert(copy_key).second) {
+      footprint = catalog.video(s.request.video).size.value();
+    }
+    double& remaining = budget[node];
+    if (footprint > remaining) {
+      seen_copy.erase(copy_key);
+      split.pushed_back.emplace_back(std::move(s),
+                                     DeferCause::kCapacityEstimate);
+    } else {
+      remaining -= footprint;
+      kept.push_back(std::move(s));
     }
   }
+  split.admitted = std::move(kept);
   return split;
 }
 
@@ -289,7 +262,7 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
 
   AdmissionSplit split =
       RunAdmissionEstimates(config_, *topology_, *catalog_, scheduler_,
-                            previous_, committed_, std::move(batch));
+                            previous_, std::move(batch));
   std::vector<StampedRequest>& admitted = split.admitted;
   std::vector<std::pair<StampedRequest, DeferCause>>& pushed_back =
       split.pushed_back;
@@ -305,7 +278,7 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
   std::vector<workload::Request> merged;
   bool committed_new = false;
   while (!admitted.empty()) {
-    if (stats.solve_attempts >= config_.max_admission_retries) {
+    if (stats.solve_attempts >= kMaxAdmissionRetries) {
       for (StampedRequest& s : admitted) {
         pushed_back.emplace_back(std::move(s), DeferCause::kInfeasible);
       }
@@ -334,13 +307,10 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
       obs::Add(config_.metrics, "svc.cycle.solve_errors");
       return out.error();
     }
-    bool feasible = out->sorp.Resolved();
-    if (feasible && config_.admission_control) {
-      feasible = sim::ValidateSchedule(out->schedule, attempt_merged,
-                                       scheduler_.cost_model())
-                     .ok();
-    }
-    if (feasible || !config_.admission_control) {
+    if (out->sorp.Resolved() &&
+        sim::ValidateSchedule(out->schedule, attempt_merged,
+                              scheduler_.cost_model())
+            .ok()) {
       next = std::move(*out);
       merged = std::move(attempt_merged);
       committed_new = true;

@@ -21,9 +21,8 @@
 //     close cycles explicitly at virtual-time epochs instead.
 //   * Admission control — before committing, cheap estimates shed load
 //     (per-user fairness cap; per-IS capacity headroom from
-//     storage::UsageTracker; optional cost budget against the
-//     core::bounds lower bound), and the commit itself is guarded: a
-//     cycle is committed only when SORP resolved every overflow AND
+//     storage::UsageTracker), and the commit itself is guarded: a cycle
+//     is committed only when SORP resolved every overflow AND
 //     sim::ValidateSchedule passes.  Otherwise the latest arrivals are
 //     deferred (halving) and the cycle re-solved, so the committed
 //     schedule can never overflow an intermediate storage.
@@ -117,22 +116,6 @@ struct ServiceConfig {
   std::size_t max_deferrals = 8;
   /// Background clock period for Start() (wall-clock seconds).
   double cycle_period_seconds = 1.0;
-  /// Master switch for the estimate tier + the validated-commit loop.
-  /// Off, every drained request is committed unconditionally (useful for
-  /// A/B and for tests that want raw solver behaviour).
-  bool admission_control = true;
-  /// Per-IS candidate-bytes threshold, as a multiple of the node's
-  /// remaining headroom (committed peak usage vs capacity).  The
-  /// estimate also always allows one full capacity of candidate bytes:
-  /// direct deliveries use no storage, so a saturated IS stays
-  /// serviceable — the threshold bounds *caching pressure*, not service.
-  double admission_overcommit = 8.0;
-  /// Optional cost budget ($) for the whole horizon: admission defers
-  /// the newest arrivals while the core::bounds lower bound of the
-  /// committed + admitted set exceeds it.  0 disables the check.
-  double cycle_cost_budget = 0.0;
-  /// Defensive cap on solve-validate-halve attempts per close.
-  std::size_t max_admission_retries = 24;
   /// Solver configuration (heat metric, SORP engine, worker threads...).
   /// `scheduler.metrics` is overridden by `metrics` below.
   core::SchedulerOptions scheduler;

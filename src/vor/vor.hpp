@@ -17,7 +17,6 @@
 #include "core/cost_model.hpp"           // IWYU pragma: export
 #include "core/diff.hpp"                 // IWYU pragma: export
 #include "core/heat.hpp"                 // IWYU pragma: export
-#include "core/incremental.hpp"          // IWYU pragma: export
 #include "core/ivsp.hpp"                 // IWYU pragma: export
 #include "core/overflow.hpp"             // IWYU pragma: export
 #include "core/rejective_greedy.hpp"     // IWYU pragma: export
@@ -32,7 +31,6 @@
 #include "net/routing.hpp"               // IWYU pragma: export
 #include "net/topology.hpp"              // IWYU pragma: export
 #include "io/serialize.hpp"              // IWYU pragma: export
-#include "sim/cycle_driver.hpp"          // IWYU pragma: export
 #include "sim/playback_sim.hpp"          // IWYU pragma: export
 #include "sim/validator.hpp"             // IWYU pragma: export
 #include "storage/stream_load.hpp"       // IWYU pragma: export

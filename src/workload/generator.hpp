@@ -38,9 +38,9 @@ struct WorkloadParams {
     const WorkloadParams& params);
 
 /// Same, with an explicit popularity ranking: the Zipf draw selects a
-/// RANK and `rank_to_video[rank]` the title.  Lets multi-cycle drivers
-/// drift which titles are hot without touching the catalog.  Must be a
-/// permutation of the catalog's ids.
+/// RANK and `rank_to_video[rank]` the title.  Lets a multi-day replay
+/// (examples/week_of_service) drift which titles are hot without
+/// touching the catalog.  Must be a permutation of the catalog's ids.
 [[nodiscard]] std::vector<Request> GenerateRequestsRanked(
     const net::Topology& topology, const media::Catalog& catalog,
     const WorkloadParams& params,

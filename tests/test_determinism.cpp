@@ -9,7 +9,6 @@
 
 #include <string>
 
-#include "core/incremental.hpp"
 #include "core/scheduler.hpp"
 #include "core/sorp.hpp"
 #include "io/serialize.hpp"
@@ -20,12 +19,19 @@
 namespace vor::core {
 namespace {
 
+/// Schedule bytes of VorScheduler::Solve at `threads`, or with
+/// `incremental` of IncrementalSolve from an empty previous solution —
+/// the same two-phase solve, so the bytes must match.
 std::string SolveToBytes(const workload::Scenario& scenario,
-                         std::size_t threads) {
+                         std::size_t threads, bool incremental = false) {
   SchedulerOptions options;
   options.parallel.threads = threads;
   const VorScheduler scheduler(scenario.topology, scenario.catalog, options);
-  const auto result = scheduler.Solve(scenario.requests);
+  std::vector<workload::Request> merged;
+  const auto result =
+      incremental ? IncrementalSolve(scheduler, SolveOutput{}, {},
+                                     scenario.requests, &merged)
+                  : scheduler.Solve(scenario.requests);
   EXPECT_TRUE(result.ok());
   return io::ToJson(result->schedule).Dump(2);
 }
@@ -39,6 +45,11 @@ TEST(DeterminismTest, Table4ScheduleBytesIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {2u, 8u}) {
     EXPECT_EQ(SolveToBytes(scenario, threads), serial)
         << "schedule bytes diverged at " << threads << " threads";
+  }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    EXPECT_EQ(SolveToBytes(scenario, threads, /*incremental=*/true), serial)
+        << "IncrementalSolve from nothing diverged at " << threads
+        << " threads";
   }
 }
 
@@ -61,6 +72,11 @@ TEST(DeterminismTest, TightCapacityScheduleBytesIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {2u, 8u}) {
     EXPECT_EQ(SolveToBytes(scenario, threads), serial)
         << "schedule bytes diverged at " << threads << " threads";
+  }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    EXPECT_EQ(SolveToBytes(scenario, threads, /*incremental=*/true), serial)
+        << "IncrementalSolve from nothing diverged at " << threads
+        << " threads";
   }
 }
 

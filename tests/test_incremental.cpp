@@ -1,8 +1,12 @@
-#include "core/incremental.hpp"
+#include "core/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "core/overflow.hpp"
+#include "obs/metrics.hpp"
 #include "sim/validator.hpp"
 #include "storage/stream_load.hpp"
 #include "workload/scenario.hpp"
@@ -20,6 +24,16 @@ void SplitRequests(const std::vector<workload::Request>& all, std::size_t k,
   }
 }
 
+/// Options that record into `metrics`: every solve adds the titles it
+/// re-planned and carried over to the incremental.* counters (a Solve
+/// carries nothing over), so a test reads one IncrementalSolve's split as
+/// the counters' change across the call.
+SchedulerOptions WithMetrics(obs::MetricsRegistry& metrics) {
+  SchedulerOptions options;
+  options.metrics = &metrics;
+  return options;
+}
+
 TEST(IncrementalTest, MatchesScratchSolveWhenNoOverflow) {
   workload::ScenarioParams params;
   params.is_capacity = util::GB(100);  // overflow free
@@ -28,18 +42,22 @@ TEST(IncrementalTest, MatchesScratchSolveWhenNoOverflow) {
   std::vector<workload::Request> late;
   SplitRequests(scenario.requests, 7, &early, &late);
 
-  const VorScheduler scheduler(scenario.topology, scenario.catalog);
+  obs::MetricsRegistry metrics;
+  const VorScheduler scheduler(scenario.topology, scenario.catalog,
+                               WithMetrics(metrics));
   const auto first = scheduler.Solve(early);
   ASSERT_TRUE(first.ok());
   ASSERT_FALSE(first->sorp.HadOverflow());
 
   std::vector<workload::Request> merged;
-  IncrementalStats stats;
-  const auto incremental = IncrementalSolve(scheduler, *first, early, late,
-                                            &merged, &stats);
+  const obs::Counter& rescheduled =
+      metrics.GetCounter("incremental.files_rescheduled");
+  const std::uint64_t rescheduled_before = rescheduled.value();
+  const auto incremental =
+      IncrementalSolve(scheduler, *first, early, late, &merged);
   ASSERT_TRUE(incremental.ok());
-  EXPECT_GT(stats.files_carried_over, 0u);
-  EXPECT_GT(stats.files_rescheduled, 0u);
+  EXPECT_GT(metrics.GetCounter("incremental.files_carried_over").value(), 0u);
+  EXPECT_GT(rescheduled.value(), rescheduled_before);
 
   const auto scratch = scheduler.Solve(merged);
   ASSERT_TRUE(scratch.ok());
@@ -87,16 +105,19 @@ TEST(IncrementalTest, TightCapacityStaysFeasibleAndServed) {
 
 TEST(IncrementalTest, EmptyLateBatchKeepsEverything) {
   const workload::Scenario scenario = workload::MakeScenario({});
-  const VorScheduler scheduler(scenario.topology, scenario.catalog);
+  obs::MetricsRegistry metrics;
+  const VorScheduler scheduler(scenario.topology, scenario.catalog,
+                               WithMetrics(metrics));
   const auto first = scheduler.Solve(scenario.requests);
   ASSERT_TRUE(first.ok());
   std::vector<workload::Request> merged;
-  IncrementalStats stats;
-  const auto incremental = IncrementalSolve(scheduler, *first,
-                                            scenario.requests, {}, &merged,
-                                            &stats);
+  const obs::Counter& rescheduled =
+      metrics.GetCounter("incremental.files_rescheduled");
+  const std::uint64_t rescheduled_before = rescheduled.value();
+  const auto incremental =
+      IncrementalSolve(scheduler, *first, scenario.requests, {}, &merged);
   ASSERT_TRUE(incremental.ok());
-  EXPECT_EQ(stats.files_rescheduled, 0u);
+  EXPECT_EQ(rescheduled.value(), rescheduled_before);
   EXPECT_EQ(merged.size(), scenario.requests.size());
   EXPECT_DOUBLE_EQ(incremental->final_cost.value(),
                    first->final_cost.value());
@@ -130,15 +151,15 @@ TEST(IncrementalTest, CarriedOverStreamsConstrainRescheduledFiles) {
                                              {1, 1, util::Hours(1.2), is1}};
   const std::vector<workload::Request> late{{2, 0, util::Hours(1.5), is1}};
 
-  const VorScheduler scheduler(topo, catalog);
+  obs::MetricsRegistry metrics;
+  const VorScheduler scheduler(topo, catalog, WithMetrics(metrics));
   const auto first = scheduler.Solve(early);
   ASSERT_TRUE(first.ok());
   std::vector<workload::Request> merged;
-  IncrementalStats stats;
   const auto incremental =
-      IncrementalSolve(scheduler, *first, early, late, &merged, &stats);
+      IncrementalSolve(scheduler, *first, early, late, &merged);
   ASSERT_TRUE(incremental.ok());
-  EXPECT_EQ(stats.files_carried_over, 1u);
+  EXPECT_EQ(metrics.GetCounter("incremental.files_carried_over").value(), 1u);
   const storage::StreamReport streams =
       storage::MeasureStreams(incremental->schedule, topo, catalog);
   EXPECT_EQ(streams.forced_requests, 0u);
@@ -169,6 +190,14 @@ TEST(IncrementalTest, RejectsBadLateRequests) {
   EXPECT_FALSE(IncrementalSolve(scheduler, *first, scenario.requests, {bad},
                                 &merged)
                    .ok());
+  for (const double start : {-3600.0, std::nan("")}) {
+    bad = scenario.requests[0];
+    bad.start_time = util::Seconds{start};
+    const auto result = IncrementalSolve(scheduler, *first,
+                                         scenario.requests, {bad}, &merged);
+    ASSERT_FALSE(result.ok()) << "start " << start;
+    EXPECT_EQ(result.error().code, util::Error::Code::kInvalidArgument);
+  }
 }
 
 }  // namespace

@@ -56,6 +56,12 @@ TEST(SchedulerTest, RejectsBadNeighborhood) {
   const auto result = scheduler.Solve(requests);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, util::Error::Code::kInvalidArgument);
+  // A start time no trace or service intake would accept is refused too.
+  requests = scenario.requests;
+  requests[0].start_time = util::Seconds{-3600.0};
+  const auto negative = scheduler.Solve(requests);
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.error().code, util::Error::Code::kInvalidArgument);
 }
 
 TEST(SchedulerTest, EmptyRequestSetYieldsEmptySchedule) {

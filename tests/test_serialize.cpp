@@ -113,6 +113,23 @@ TEST(SerializeTest, ScenarioBundleRoundTripSolvesIdentically) {
   EXPECT_DOUBLE_EQ(ra->final_cost.value(), rb->final_cost.value());
 }
 
+TEST(SerializeTest, ScenarioRejectsInvalidRequests) {
+  // Scenario requests pass the trace's per-record check: a catalog
+  // title, a storage-node neighborhood, a finite non-negative start.
+  const workload::Scenario scenario = SmallScenario();
+  std::vector<workload::Request> bad(3, scenario.requests[0]);
+  bad[0].video = 99999;
+  bad[1].neighborhood = scenario.topology.warehouse();
+  bad[2].start_time = util::Seconds{-3600.0};
+  for (const workload::Request& r : bad) {
+    workload::Scenario corrupt = scenario;
+    corrupt.requests[0] = r;
+    const auto restored = ScenarioFromJson(ScenarioToJson(corrupt));
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.error().code, util::Error::Code::kInvalidArgument);
+  }
+}
+
 TEST(SerializeTest, ScenarioParamsRoundTrip) {
   workload::ScenarioParams params;
   params.nrate_per_gb = 777;

@@ -16,6 +16,7 @@
 #include "io/serialize.hpp"
 #include "net/routing.hpp"
 #include "reference_sorp.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/scenario.hpp"
 
 namespace vor::core {
@@ -84,7 +85,9 @@ TEST(SorpIncrementalGoldenTest, AllMetricsPoliciesAndThreadCountsMatch) {
           EXPECT_FALSE(reference.stats.Resolved());
         }
         for (const std::size_t threads : {1u, 2u, 8u}) {
-          options.parallel.threads = threads;
+          std::optional<util::ThreadPool> pool;
+          if (threads > 1) pool.emplace(threads);
+          options.pool = pool.has_value() ? &*pool : nullptr;
           const EngineRun run = RunEngine(env, options, /*reference=*/false);
           EXPECT_EQ(run.bytes, reference.bytes)
               << "engines diverged: heat=" << ToString(heat)

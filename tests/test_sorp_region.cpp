@@ -24,6 +24,7 @@
 #include "reference_sorp.hpp"
 #include "svc/reservation_service.hpp"
 #include "svc/snapshot.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/scale.hpp"
 #include "workload/scenario.hpp"
 #include "workload/trace.hpp"
@@ -86,9 +87,11 @@ EngineRun RunEngine(const RegionEnv& env, std::size_t regions,
                     std::size_t threads,
                     obs::MetricsRegistry* metrics = nullptr) {
   Schedule schedule = env.phase1;
+  std::optional<util::ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
   SorpOptions options;
   options.regions = regions;
-  options.parallel.threads = threads;
+  options.pool = pool.has_value() ? &*pool : nullptr;
   options.metrics = metrics;
   EngineRun run;
   run.stats = SorpSolve(schedule, env.scenario.requests, *env.cm, options);
