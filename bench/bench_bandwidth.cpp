@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "storage/stream_load.hpp"
+#include "storage/load.hpp"
 
 int main() {
   using namespace vor;

@@ -57,7 +57,14 @@ class GreedyRun {
         playback_(cm.catalog().video(video).playback),
         vw_(cm.topology().warehouse()),
         stream_bytes_(cm.StreamBytes(video)),
-        cached_nodes_(cm.topology().node_count(), 0) {}
+        cached_nodes_(cm.topology().node_count(), 0),
+        load_(constraints != nullptr ? constraints->load : nullptr) {
+    // An uncapped load checks no route: RouteAllowed runs for every
+    // candidate, so it must cost nothing there.
+    if (load_ != nullptr && load_->load().holds_streams()) {
+      streams_.emplace(*load_);
+    }
+  }
 
   FileSchedule Run(const std::vector<std::size_t>& indices) {
     for (const std::size_t idx : indices) {
@@ -87,30 +94,24 @@ class GreedyRun {
       ++stats_.rejected_forbidden;
       return false;
     }
-    if (constraints_->other_usage != nullptr) {
-      Residency probe;
-      probe.video = video_;
-      probe.location = node;
-      probe.t_start = t_start;
-      probe.t_last = t_last;
-      const util::LinearPiece piece = cm_.OccupancyPiece(probe, /*tag=*/0);
-      const double capacity = cm_.topology().node(node).capacity.value();
-      const util::PiecewiseLinear* timeline = constraints_->other_usage->Find(node);
-      const bool fits = timeline == nullptr
-                            ? piece.height <= capacity
-                            : timeline->FitsUnder(piece, capacity);
-      if (!fits) ++stats_.rejected_capacity;
-      return fits;
+    if (load_ == nullptr) return true;
+    Residency probe;
+    probe.video = video_;
+    probe.location = node;
+    probe.t_start = t_start;
+    probe.t_last = t_last;
+    if (load_->ResidencyFits(node, cm_.OccupancyPiece(probe, /*tag=*/0))) {
+      return true;
     }
-    return true;
+    ++stats_.rejected_capacity;
+    return false;
   }
 
   bool RouteAllowed(const std::vector<net::NodeId>& route,
                     util::Seconds t) const {
-    if (constraints_ == nullptr || constraints_->streams == nullptr) {
+    if (!streams_.has_value() || streams_->RouteFits(route, t, video_)) {
       return true;
     }
-    if (constraints_->streams->RouteFits(route, t, video_)) return true;
     ++stats_.rejected_route;
     return false;
   }
@@ -203,9 +204,7 @@ class GreedyRun {
         }
       }
     }
-    if (constraints_ != nullptr && constraints_->streams != nullptr) {
-      constraints_->streams->AddDelivery(d);
-    }
+    if (streams_.has_value()) streams_->AddStream(d);
     deliveries_.push_back(std::move(d));
   }
 
@@ -270,6 +269,10 @@ class GreedyRun {
   util::Bytes stream_bytes_;
   /// Nodes with an open cache (O(1) IsCached; mirrors caches_ inserts).
   std::vector<char> cached_nodes_;
+  /// The other files' load (null: unconstrained), and on a capped
+  /// topology this run's own streams over it.
+  const storage::LoadView* load_;
+  std::optional<storage::LoadDelta> streams_;
 
   std::vector<Delivery> deliveries_;
   std::vector<Residency> caches_;
@@ -319,9 +322,7 @@ void PlaceFiles(
   // any thread count (only the wall-clock observations vary).
   std::vector<GreedyStats> file_stats(metrics != nullptr ? groups.size() : 0);
   std::vector<double> file_seconds(file_stats.size(), 0.0);
-  std::optional<storage::StreamLoad> streams;
-  ConstraintSet constraints;
-  const auto place = [&](std::size_t i) {
+  const auto place = [&](std::size_t i, const ConstraintSet* constraints) {
     if (carried[i] != nullptr) {
       schedule.files[i] = *carried[i];
       return;
@@ -329,23 +330,34 @@ void PlaceFiles(
     const obs::Stopwatch watch;
     schedule.files[i] = ScheduleFileGreedy(
         groups[i].first, requests, groups[i].second, cost_model, options,
-        streams.has_value() ? &constraints : nullptr,
-        metrics != nullptr ? &file_stats[i] : nullptr);
+        constraints, metrics != nullptr ? &file_stats[i] : nullptr);
     if (metrics != nullptr) file_seconds[i] = watch.Seconds();
   };
   if (storage::HasStreamCaps(cost_model.topology())) {
-    streams.emplace(cost_model.topology(), cost_model.catalog());
-    for (const FileSchedule* file : carried) {
-      if (file != nullptr) streams->AddFile(*file);
+    // The carried plans' streams load the topology before any file is
+    // placed.
+    std::vector<std::size_t> carried_files;
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      if (carried[i] == nullptr) continue;
+      place(i, nullptr);
+      carried_files.push_back(i);
     }
-    constraints.streams = &*streams;
-    for (std::size_t i = 0; i < groups.size(); ++i) place(i);
+    storage::Load streams(schedule, cost_model, carried_files,
+                          storage::Resources::kStreams);
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      if (carried[i] != nullptr) continue;
+      const storage::LoadView others = streams.Excluding(i);
+      ConstraintSet constraints;
+      constraints.load = &others;
+      place(i, &constraints);
+      streams.ApplyCommit(i, schedule.files[i]);
+    }
   } else if (pool != nullptr && groups.size() > 1) {
     // Shared-nothing fan-out: each shard writes only its own slot, reads
     // only const state (CP.1/CP.9 compliant by construction).
-    pool->ParallelFor(groups.size(), place);
+    pool->ParallelFor(groups.size(), [&](std::size_t i) { place(i, nullptr); });
   } else {
-    for (std::size_t i = 0; i < groups.size(); ++i) place(i);
+    for (std::size_t i = 0; i < groups.size(); ++i) place(i, nullptr);
   }
   if (metrics != nullptr) {
     GreedyStats total;

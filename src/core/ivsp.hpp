@@ -25,8 +25,7 @@
 
 #include "core/cost_model.hpp"
 #include "core/schedule.hpp"
-#include "storage/stream_load.hpp"
-#include "storage/usage_timeline.hpp"
+#include "storage/load.hpp"
 #include "util/interval.hpp"
 #include "util/piecewise.hpp"
 #include "util/thread_pool.hpp"
@@ -91,16 +90,14 @@ struct ConstraintSet {
   /// (occupancy support vs. window overlap test).
   std::vector<std::pair<net::NodeId, util::Interval>> forbidden;
 
-  /// Space already reserved at each IS by all *other* files.  Candidate
-  /// residencies must keep total usage within the node's capacity.
-  /// May be nullptr (no capacity enforcement).
-  const storage::UsageView* other_usage = nullptr;
-
-  /// Stream load of the other files on a capped topology; null when the
-  /// topology declares no caps.  A candidate whose route does not fit is
-  /// rejected, and every delivery the run records is added, so later
-  /// requests of the same file see the run's own earlier streams.
-  storage::StreamLoad* streams = nullptr;
+  /// The load of all *other* files, usually storage::Load::Excluding of
+  /// the file being planned; null = no capacity or stream checks.  Where
+  /// the load holds space, a candidate residency must keep its IS within
+  /// capacity; where it holds streams, a candidate's route must fit every
+  /// capped link and io-capped origin.  The run keeps the streams it
+  /// records in a private storage::LoadDelta over the view, so later
+  /// requests of the same file see its earlier streams.
+  const storage::LoadView* load = nullptr;
 
   [[nodiscard]] bool ForbidsResidency(net::NodeId node,
                                       util::Interval support) const;
@@ -138,10 +135,10 @@ struct ConstraintSet {
 /// 1), so without stream caps the slots fan out over `pool` (null =
 /// serial); each slot is written by one task, so the result is identical
 /// at any thread count.  On a topology with stream caps
-/// (storage::HasStreamCaps) the carried plans seed one stream load and
-/// the other files are placed serially in ascending order, each
-/// constrained by that load and adding its streams to it: a file's
-/// streams constrain every later file.
+/// (storage::HasStreamCaps) the carried plans seed one storage::Load of
+/// streams and the other files are placed serially in ascending order,
+/// each constrained by that load and committed to it: a file's streams
+/// constrain every later file.
 ///
 /// A non-null `metrics` receives the placed files' greedy timings
 /// ("ivsp.file_greedy") and aggregated decision counters (ivsp.*).

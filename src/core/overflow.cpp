@@ -1,22 +1,29 @@
 #include "core/overflow.hpp"
 
-#include <algorithm>
-
 namespace vor::core {
 
-std::vector<OverflowWindow> DetectOverflowsIn(const storage::UsageMap& usage,
-                                              const net::Topology& topology) {
+namespace {
+
+bool IsSpace(const storage::LoadKey& key) {
+  return key.kind == storage::LoadKey::Kind::kSpace;
+}
+
+}  // namespace
+
+std::vector<OverflowWindow> DetectOverflowsIn(const storage::Load& load) {
+  // Space keys come in node order and each key's regions in time order,
+  // so the windows come out ordered by (node, start).
   std::vector<OverflowWindow> overflows;
-  // Hash-order traversal is safe here: the windows are sorted by
-  // (node, start) below before anything reads them.
-  for (const auto& [node, timeline] : usage) {  // vorlint: ok(DET-1)
-    const double capacity = topology.node(node).capacity.value();
-    for (const util::ExcessRegion& region : timeline.RegionsAbove(capacity)) {
+  for (std::size_t k = 0; k < load.keys().size(); ++k) {
+    const storage::LoadKey& key = load.keys()[k];
+    if (!IsSpace(key)) continue;
+    for (const util::ExcessRegion& region :
+         load.timeline(k).RegionsAbove(key.cap)) {
       OverflowWindow of;
-      of.node = node;
+      of.node = key.node;
       of.window = region.window;
       of.peak_bytes = region.peak;
-      of.capacity_bytes = capacity;
+      of.capacity_bytes = key.cap;
       of.contributors.reserve(region.contributors.size());
       for (const std::uint64_t tag : region.contributors) {
         of.contributors.push_back(ResidencyRef::Unpack(tag));
@@ -24,40 +31,27 @@ std::vector<OverflowWindow> DetectOverflowsIn(const storage::UsageMap& usage,
       overflows.push_back(std::move(of));
     }
   }
-  std::sort(overflows.begin(), overflows.end(),
-            [](const OverflowWindow& a, const OverflowWindow& b) {
-              if (a.node != b.node) return a.node < b.node;
-              return a.window.start < b.window.start;
-            });
   return overflows;
 }
 
 std::vector<OverflowWindow> DetectOverflows(const core::Schedule& schedule,
                                             const core::CostModel& cost_model) {
-  const storage::UsageMap usage = storage::BuildUsage(schedule, cost_model);
-  return DetectOverflowsIn(usage, cost_model.topology());
+  const storage::Load load(schedule, cost_model, storage::Resources::kSpace);
+  return DetectOverflowsIn(load);
 }
 
-double TotalExcess(const storage::UsageMap& usage,
-                   const net::Topology& topology) {
-  // Sum in node order, not map iteration order: two UsageMaps holding the
-  // same timelines but built differently (fresh rebuild vs. delta
-  // maintenance) hash-order their buckets differently, and floating-point
-  // addition is not associative.  The SORP progress guard compares these
-  // sums across engines, so the summation order must be canonical.
-  std::vector<const storage::UsageMap::value_type*> entries;
-  entries.reserve(usage.size());
-  for (const auto& entry : usage) entries.push_back(&entry);  // vorlint: ok(DET-1) sorted just below
-  std::sort(entries.begin(), entries.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+double TotalExcess(const storage::Load& load) {
+  // Summed in node order: floating-point addition is not associative, and
+  // the SORP progress guard compares these sums across engines.
   double total = 0.0;
-  for (const auto* entry : entries) {
-    const auto& [node, timeline] = *entry;
-    const double capacity = topology.node(node).capacity.value();
-    for (const util::ExcessRegion& region : timeline.RegionsAbove(capacity)) {
+  for (std::size_t k = 0; k < load.keys().size(); ++k) {
+    const storage::LoadKey& key = load.keys()[k];
+    if (!IsSpace(key)) continue;
+    const util::PiecewiseLinear& timeline = load.timeline(k);
+    for (const util::ExcessRegion& region : timeline.RegionsAbove(key.cap)) {
       // Integral of (usage - capacity) over the region.
       total += timeline.IntegralOver(region.window) -
-               capacity * region.window.length().value();
+               key.cap * region.window.length().value();
     }
   }
   return total;

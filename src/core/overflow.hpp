@@ -9,7 +9,7 @@
 
 #include "core/cost_model.hpp"
 #include "core/schedule.hpp"
-#include "storage/usage_timeline.hpp"
+#include "storage/load.hpp"
 #include "util/interval.hpp"
 
 namespace vor::core {
@@ -29,14 +29,13 @@ struct OverflowWindow {
 [[nodiscard]] std::vector<OverflowWindow> DetectOverflows(
     const core::Schedule& schedule, const core::CostModel& cost_model);
 
-/// Detection against a prebuilt usage map (avoids rebuilding inside the
-/// SORP loop).
+/// Detection against a prebuilt load's space keys (avoids rebuilding
+/// inside the SORP loop).
 [[nodiscard]] std::vector<OverflowWindow> DetectOverflowsIn(
-    const storage::UsageMap& usage, const net::Topology& topology);
+    const storage::Load& load);
 
-/// Total time-space excess (byte-seconds above capacity), a monotone
-/// progress measure for the resolution loop.
-[[nodiscard]] double TotalExcess(const storage::UsageMap& usage,
-                                 const net::Topology& topology);
+/// Total time-space excess (byte-seconds above capacity) over the load's
+/// space keys, a monotone progress measure for the resolution loop.
+[[nodiscard]] double TotalExcess(const storage::Load& load);
 
 }  // namespace vor::core

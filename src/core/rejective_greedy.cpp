@@ -27,14 +27,14 @@ RescheduleResult RescheduleVictim(
     const std::vector<workload::Request>& requests,
     const CostModel& cost_model, const IvspOptions& options,
     std::vector<std::pair<net::NodeId, util::Interval>> forbidden,
-    const storage::UsageView& other_usage, storage::StreamLoad* streams) {
+    const storage::LoadView& others) {
   assert(file_index < schedule.files.size());
+  assert(others.file() == file_index);
   const FileSchedule& old_file = schedule.files[file_index];
 
   ConstraintSet constraints;
   constraints.forbidden = std::move(forbidden);
-  constraints.other_usage = &other_usage;
-  constraints.streams = streams;
+  constraints.load = &others;
 
   RescheduleResult result;
   result.old_cost = cost_model.FileCost(old_file);

@@ -13,7 +13,7 @@
 #include "core/cost_model.hpp"
 #include "core/ivsp.hpp"
 #include "core/schedule.hpp"
-#include "storage/usage_timeline.hpp"
+#include "storage/load.hpp"
 #include "util/interval.hpp"
 #include "workload/request.hpp"
 
@@ -40,16 +40,14 @@ struct RescheduleResult {
 /// Recomputes S_i^new(dt, ISj) for the file at `file_index`:
 ///   * `forbidden` — (node, interval) pairs the file must not be resident
 ///     in (the overflow being resolved);
-///   * `other_usage` — reserved space of all other files; candidates must
-///     fit within each IS's remaining capacity.  A default-constructed
-///     view disables capacity enforcement beyond the static height check;
-///   * `streams` — on a topology with stream caps, the stream load of all
-///     other files (null otherwise).  The run adds its own deliveries to
-///     it, so the caller passes a private copy.
+///   * `others` — the load of all other files, a storage::Load view
+///     excluding `file_index`: candidates must fit each IS's remaining
+///     space and, on a topology with stream caps, their streams must fit
+///     the capped links and origins.  The run keeps its own streams in a
+///     private delta over the view.
 ///
 /// The run reads only schedule.files[file_index] from `schedule` — every
-/// other file's influence arrives exclusively through `other_usage` and
-/// `streams`.
+/// other file's influence arrives exclusively through `others`.
 /// Region-sharded SORP relies on this: a shard commits to its own file
 /// slots while other shards' dry runs read the same schedule.
 [[nodiscard]] RescheduleResult RescheduleVictim(
@@ -57,7 +55,6 @@ struct RescheduleResult {
     const std::vector<workload::Request>& requests,
     const CostModel& cost_model, const IvspOptions& options,
     std::vector<std::pair<net::NodeId, util::Interval>> forbidden,
-    const storage::UsageView& other_usage,
-    storage::StreamLoad* streams = nullptr);
+    const storage::LoadView& others);
 
 }  // namespace vor::core

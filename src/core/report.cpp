@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "storage/usage_timeline.hpp"
+#include "storage/load.hpp"
 #include "util/table.hpp"
 
 namespace vor::core {
@@ -52,10 +52,10 @@ ScheduleReport BuildReport(const Schedule& schedule,
           : static_cast<double>(report.served_from_cache) /
                 static_cast<double>(report.requests);
 
-  const storage::UsageMap usage = storage::BuildUsage(schedule, cost_model);
+  const storage::Load load(schedule, cost_model, storage::Resources::kSpace);
   for (auto& [id, node] : nodes) {
     node.node = id;
-    node.peak_bytes = storage::PeakUsage(usage, id);
+    node.peak_bytes = load.SpacePeak(id);
     report.nodes.push_back(node);
   }
   std::sort(report.nodes.begin(), report.nodes.end(),

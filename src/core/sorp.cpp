@@ -17,8 +17,7 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
-#include "storage/stream_load.hpp"
-#include "storage/usage_timeline.hpp"
+#include "storage/load.hpp"
 
 namespace vor::core {
 
@@ -44,9 +43,9 @@ struct Evaluation {
 /// scope: ScopedSpan paths are per-thread and would start fresh roots on
 /// pool workers.  Costs (stats.cost_*) are left at zero — TotalCost reads
 /// every file and is therefore computed only on the serial control path.
-/// On a topology with stream caps the scope's stream load sits beside the
-/// usage aggregate; shards stay exact because every link a shard file's
-/// candidates can cross has both ends in that shard (see FormShards).
+/// On a topology with stream caps the scope's load also holds the streams;
+/// shards stay exact because every link a shard file's candidates can
+/// cross has both ends in that shard (see FormShards).
 SorpStats RunSorpLoop(Schedule& schedule,
                       const std::vector<workload::Request>& requests,
                       const CostModel& cost_model, const SorpOptions& options,
@@ -55,33 +54,20 @@ SorpStats RunSorpLoop(Schedule& schedule,
                       bool round_spans) {
   SorpStats stats;
 
-  // Aggregate usage, built once and diffed on every commit.  The tracker
-  // keeps the canonical ascending-tag piece order a fresh build produces.
-  std::optional<storage::UsageTracker> tracker;
+  // The scope's load (space, plus streams on a capped topology), built
+  // once and diffed on every commit.  It keeps the canonical piece order
+  // a fresh build produces.
+  std::optional<storage::Load> load;
   if (shard_files != nullptr) {
-    tracker.emplace(schedule, cost_model, *shard_files);
+    load.emplace(schedule, cost_model, *shard_files);
   } else {
-    tracker.emplace(schedule, cost_model);
+    load.emplace(schedule, cost_model);
   }
   ++stats.usage_rebuilds;
-  // The scope's stream load, likewise swapped per commit.
-  std::optional<storage::StreamLoad> streams;
-  if (storage::HasStreamCaps(cost_model.topology())) {
-    streams.emplace(cost_model.topology(), cost_model.catalog());
-    if (shard_files != nullptr) {
-      for (const std::size_t f : *shard_files) {
-        streams->AddFile(schedule.files[f]);
-      }
-    } else {
-      for (const FileSchedule& file : schedule.files) streams->AddFile(file);
-    }
-  }
-  const storage::UsageMap& usage = tracker->usage();
 
-  std::vector<OverflowWindow> overflows =
-      DetectOverflowsIn(usage, cost_model.topology());
+  std::vector<OverflowWindow> overflows = DetectOverflowsIn(*load);
   stats.initial_overflow_windows = overflows.size();
-  stats.initial_excess = TotalExcess(usage, cost_model.topology());
+  stats.initial_excess = TotalExcess(*load);
   double excess = stats.initial_excess;
   obs::Add(metrics, "sorp.initial_overflow_windows", overflows.size());
   if (metrics != nullptr && !overflows.empty()) {
@@ -93,22 +79,15 @@ SorpStats RunSorpLoop(Schedule& schedule,
   // Evaluation and are folded into the registry serially.
   const auto evaluate = [&](const SorpCandidate& c) -> Evaluation {
     const obs::Stopwatch watch;
-    // The backdrop the victim must fit into: all other files' usage, as a
-    // subtractive view that copies only the nodes hosting the victim.  A
-    // default view (capacity-unaware ablation) enforces the static height
-    // check only.
-    const storage::UsageView other = options.capacity_aware_reschedule
-                                         ? tracker->ExcludingFile(c.file_index)
-                                         : storage::UsageView();
-    // All other files' streams, in a private copy the run adds its own to.
-    std::optional<storage::StreamLoad> other_streams = streams;
-    if (other_streams.has_value()) {
-      other_streams->RemoveFile(schedule.files[c.file_index].video);
-    }
-    RescheduleResult attempt = RescheduleVictim(
-        schedule, c.file_index, requests, cost_model, options.ivsp,
-        {{c.node, c.window}}, other,
-        other_streams.has_value() ? &*other_streams : nullptr);
+    // The backdrop the victim must fit into: all other files' load, as a
+    // view that overlays only the keys where the victim has pieces.  The
+    // capacity-unaware ablation blanks its space keys, leaving the static
+    // height check.
+    const storage::LoadView others =
+        load->Excluding(c.file_index, options.capacity_aware_reschedule);
+    RescheduleResult attempt =
+        RescheduleVictim(schedule, c.file_index, requests, cost_model,
+                         options.ivsp, {{c.node, c.window}}, others);
     Evaluation out;
     out.heat =
         ComputeHeat(options.heat, c.chi, c.ds, attempt.Overhead().value());
@@ -182,22 +161,19 @@ SorpStats RunSorpLoop(Schedule& schedule,
     // scope the victim is a shard-owned file, so concurrent shards write
     // disjoint schedule slots.
     const std::size_t victim = candidates[best].file_index;
-    if (streams.has_value()) streams->RemoveFile(schedule.files[victim].video);
     schedule.files[victim] = std::move(evals[best].schedule);
-    if (streams.has_value()) streams->AddFile(schedule.files[victim]);
     ++stats.victims_rescheduled;
 
-    // O(victim residencies) diff: swap the victim's old pieces for its new
-    // ones.
-    tracker->ApplyCommit(victim, schedule.files[victim]);
-    overflows = DetectOverflowsIn(usage, cost_model.topology());
-    const double new_excess = TotalExcess(usage, cost_model.topology());
+    // O(victim pieces) diff: swap the victim's old pieces for its new ones.
+    load->ApplyCommit(victim, schedule.files[victim]);
+    overflows = DetectOverflowsIn(*load);
+    const double new_excess = TotalExcess(*load);
     obs::Append(metrics, "sorp.excess_trajectory", new_excess);
     if (new_excess >= excess) break;  // defensive: no progress
     excess = new_excess;
   }
 
-  stats.final_excess = TotalExcess(usage, cost_model.topology());
+  stats.final_excess = TotalExcess(*load);
   obs::Add(metrics, "sorp.victims_rescheduled", stats.victims_rescheduled);
   obs::Add(metrics, "sorp.usage_rebuilds", stats.usage_rebuilds);
   return stats;
@@ -382,7 +358,7 @@ SorpStats RegionShardedSolve(Schedule& schedule,
   obs::Add(metrics, "sorp.regions.shards", plan.shard_files.size());
   obs::Add(metrics, "sorp.regions.cross_files", plan.cross_files);
 
-  // Phase A: per-shard resolution.  Each shard owns its tracker, overlay
+  // Phase A: per-shard resolution.  Each shard owns its load, overlay
   // caches, and (when observability is on) a private metrics registry, so
   // the workers share nothing but read-only inputs and their disjoint
   // schedule slots.

@@ -5,15 +5,14 @@
 // the heat of that rescheduling; commit the single hottest victim; repeat
 // until the integrated schedule is overflow free.
 //
-// The per-node usage aggregate is built once per solve and delta-
-// maintained across commits (storage::UsageTracker); every dry run reads
-// a subtractive "all files but the victim" view of it.  On a topology
-// with stream caps the loop keeps a storage::StreamLoad beside it the same
-// way: each dry run works on a private copy without the victim's streams
-// (adding its own as it places them), and a commit swaps the victim's old
-// streams for its new ones.  The literal rebuild-per-dry-run loop lives on
-// only as the test oracle in tests/reference_sorp.hpp, which the golden
-// suites compare against.
+// One storage::Load, holding each IS's space and, on a topology with
+// stream caps, the capped links' and origins' streams, is built once per
+// solve and delta-maintained across commits (one ApplyCommit each).  Every
+// dry run reads a subtractive "all files but the victim" view of it and
+// keeps its own streams in a private storage::LoadDelta, which copies a
+// key only when the run first writes to it.  The literal
+// rebuild-per-dry-run loop lives on only as the test oracle in
+// tests/reference_sorp.hpp, which the golden suites compare against.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +62,7 @@ struct SorpOptions {
   /// graph into regions (net::MakeRegions), merges regions until every
   /// region is closed under cheapest-path routing and no file's requests
   /// span two shards, then resolves each shard's overflows concurrently —
-  /// each shard owns its UsageTracker and overlay caches — and finishes
+  /// each shard owns its storage::Load and overlay caches — and finishes
   /// with a serial canonical reconciliation pass (per-shard stats/metrics
   /// folded in sorted shard order, then a residual global detection +
   /// monolithic mop-up, normally a no-op).  Because a file's
@@ -126,7 +125,7 @@ struct SorpStats {
   std::size_t victims_rescheduled = 0;
   /// Tentative rejective-greedy dry runs (one per candidate per round).
   std::size_t evaluations = 0;
-  /// Full-aggregate usage builds (UsageTracker constructions): one per
+  /// Full-aggregate builds (storage::Load constructions): one per
   /// resolution loop — commits are diffs, never rebuilds.
   std::size_t usage_rebuilds = 0;
   /// Shards the region engine resolved concurrently (0 on the monolithic

@@ -91,7 +91,7 @@ util::Result<net::Topology> TopologyFromJson(const Json& j) {
       id = topo.AddStorage(
           name, util::Bytes{node.GetNumber("capacity_bytes", 0.0)},
           util::StorageRate{node.GetNumber("srate_per_byte_sec", 0.0)});
-      // Optional serving-I/O cap (storage::StreamLoad).
+      // Optional serving-I/O cap (storage::Load).
       const double io_cap = node.GetNumber("io_cap_bytes_per_sec", 0.0);
       if (io_cap > 0.0) topo.SetNodeIoCap(id, util::BytesPerSecond{io_cap});
     } else {

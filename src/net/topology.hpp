@@ -32,7 +32,7 @@ struct NodeInfo {
   /// Storage charging rate; zero for the warehouse.
   util::StorageRate srate{0.0};
   /// Outgoing stream-serving I/O capacity (bytes/sec), honoured by the
-  /// schedulers through storage::StreamLoad; <= 0 means uncapacitated (the
+  /// schedulers through storage::Load; <= 0 means uncapacitated (the
   /// base paper's assumption).  The warehouse is always uncapacitated.
   util::BytesPerSecond io_cap{0.0};
 };
@@ -43,7 +43,7 @@ struct Link {
   /// Charging rate for shipping one byte across this link.
   util::NetworkRate nrate{0.0};
   /// Bandwidth capacity (bytes/sec), honoured by the schedulers through
-  /// storage::StreamLoad; <= 0 means uncapacitated (the base paper's
+  /// storage::Load; <= 0 means uncapacitated (the base paper's
   /// assumption).
   util::BytesPerSecond bandwidth_cap{0.0};
 };

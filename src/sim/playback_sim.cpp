@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <queue>
-#include <unordered_map>
 
 namespace vor::sim {
 
@@ -143,8 +143,9 @@ SimulationResult SimulateSchedule(const core::Schedule& schedule,
     }
   }
 
-  std::unordered_map<net::NodeId, NodeState> nodes;
-  std::unordered_map<std::uint64_t, LinkState> links;
+  // Ordered, so the telemetry comes out by node and by (a, b) link.
+  std::map<net::NodeId, NodeState> nodes;
+  std::map<std::uint64_t, LinkState> links;
   SimulationResult result;
   std::size_t active_streams = 0;
   double first_time = 0.0;
@@ -239,10 +240,6 @@ SimulationResult SimulateSchedule(const core::Schedule& schedule,
     result.nodes.push_back(t);
     result.occupancy_trace.emplace(id, std::move(node.trace));
   }
-  std::sort(result.nodes.begin(), result.nodes.end(),
-            [](const NodeTelemetry& a, const NodeTelemetry& b) {
-              return a.node < b.node;
-            });
   for (const auto& [key, link] : links) {
     LinkTelemetry t;
     t.a = static_cast<net::NodeId>(key >> 32);
@@ -252,10 +249,6 @@ SimulationResult SimulateSchedule(const core::Schedule& schedule,
     t.total_bytes = link.total_bytes;
     result.links.push_back(t);
   }
-  std::sort(result.links.begin(), result.links.end(),
-            [](const LinkTelemetry& a, const LinkTelemetry& b) {
-              return a.a != b.a ? a.a < b.a : a.b < b.b;
-            });
   return result;
 }
 

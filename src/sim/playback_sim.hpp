@@ -6,7 +6,7 @@
 // the operational telemetry the schedule implies — per-IS occupancy
 // peaks, per-link bandwidth peaks, stream concurrency — and serves as an
 // independent cross-check of the analytic timelines (tests compare its
-// sampled occupancy against storage::BuildUsage).
+// sampled occupancy against storage::Load).
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,7 @@
 #include <unordered_set>
 
 #include "core/overflow.hpp"
-#include "storage/usage_timeline.hpp"
+#include "storage/load.hpp"
 
 namespace vor::sim {
 
@@ -204,14 +204,15 @@ class Validator {
   }
 
   void CheckCapacity() {
-    const storage::UsageMap usage = storage::BuildUsage(schedule_, cm_);
-    for (const auto& [node, timeline] : usage) {
-      const double capacity = cm_.topology().node(node).capacity.value();
-      const double peak = timeline.Max();
-      if (peak > capacity + options_.capacity_epsilon) {
+    // Space keys come in node order, so violations do too.
+    const storage::Load load(schedule_, cm_, storage::Resources::kSpace);
+    for (std::size_t k = 0; k < load.keys().size(); ++k) {
+      const storage::LoadKey& key = load.keys()[k];
+      const double peak = load.timeline(k).Max();
+      if (peak > key.cap + options_.capacity_epsilon) {
         std::ostringstream os;
-        os << "node " << node << " peaks at " << peak << " bytes over capacity "
-           << capacity;
+        os << "node " << key.node << " peaks at " << peak
+           << " bytes over capacity " << key.cap;
         Report(Violation::Kind::kCapacityExceeded, os.str());
       }
     }

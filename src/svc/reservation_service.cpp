@@ -7,7 +7,7 @@
 
 #include "obs/metrics.hpp"
 #include "sim/validator.hpp"
-#include "storage/usage_timeline.hpp"
+#include "storage/load.hpp"
 #include "workload/trace.hpp"
 
 namespace vor::svc {
@@ -76,19 +76,19 @@ AdmissionSplit RunAdmissionEstimates(const ServiceConfig& config,
   if (split.admitted.empty()) return split;
 
   // Capacity estimate: bound the caching pressure a cycle may add to each
-  // IS.  Headroom comes from the committed schedule's peak usage
-  // (UsageTracker — same aggregate SORP maintains); each (video, IS) pair
-  // contributes one copy's worth of bytes.  The floor of one full
-  // capacity keeps saturated nodes serviceable (direct deliveries use no
-  // storage) while still shedding pathological pile-ups up front.
-  const storage::UsageTracker tracker(previous.schedule,
-                                      scheduler.cost_model());
+  // IS.  Headroom comes from the committed schedule's peak usage (the
+  // space keys of a storage::Load, the aggregate SORP maintains); each
+  // (video, IS) pair contributes one copy's worth of bytes.  The floor of
+  // one full capacity keeps saturated nodes serviceable (direct
+  // deliveries use no storage) while still shedding pathological pile-ups
+  // up front.
+  const storage::Load load(previous.schedule, scheduler.cost_model(),
+                           storage::Resources::kSpace);
   std::unordered_map<net::NodeId, double> budget;
   for (net::NodeId n = 0; n < topology.node_count(); ++n) {
     if (!topology.IsStorage(n)) continue;
     const double capacity = topology.node(n).capacity.value();
-    const double headroom =
-        std::max(0.0, capacity - storage::PeakUsage(tracker.usage(), n));
+    const double headroom = std::max(0.0, capacity - load.SpacePeak(n));
     budget[n] = headroom * kAdmissionOvercommit + capacity;
   }
   std::unordered_set<std::uint64_t> seen_copy;  // (video, node) pairs

@@ -21,7 +21,7 @@
 //     close cycles explicitly at virtual-time epochs instead.
 //   * Admission control — before committing, cheap estimates shed load
 //     (per-user fairness cap; per-IS capacity headroom from
-//     storage::UsageTracker), and the commit itself is guarded: a cycle
+//     storage::Load), and the commit itself is guarded: a cycle
 //     is committed only when SORP resolved every overflow AND
 //     sim::ValidateSchedule passes.  Otherwise the latest arrivals are
 //     deferred (halving) and the cycle re-solved, so the committed

@@ -118,10 +118,10 @@ class PiecewiseLinear {
   void Add(const LinearPiece& piece);
 
   /// Adds a contribution keeping `pieces()` sorted ascending by tag, after
-  /// any pieces that already carry its tag.  Used by storage::UsageTracker
-  /// and storage::StreamLoad to keep delta-maintained timelines in the
-  /// same canonical order a from-scratch build produces, so downstream
-  /// sweeps are bit-identical between the two paths.
+  /// any pieces that already carry its tag.  Used by storage::Load and
+  /// storage::LoadDelta to keep delta-maintained timelines in the same
+  /// canonical order a from-scratch build produces, so downstream sweeps
+  /// are bit-identical between the two paths.
   void InsertSortedByTag(const LinearPiece& piece);
 
   /// Removes every piece carrying `tag`.  Returns number removed.

@@ -33,8 +33,7 @@
 #include "io/serialize.hpp"              // IWYU pragma: export
 #include "sim/playback_sim.hpp"          // IWYU pragma: export
 #include "sim/validator.hpp"             // IWYU pragma: export
-#include "storage/stream_load.hpp"       // IWYU pragma: export
-#include "storage/usage_timeline.hpp"    // IWYU pragma: export
+#include "storage/load.hpp"              // IWYU pragma: export
 #include "util/interval.hpp"             // IWYU pragma: export
 #include "util/piecewise.hpp"            // IWYU pragma: export
 #include "util/result.hpp"               // IWYU pragma: export

@@ -7,23 +7,21 @@
 #include "core/heat.hpp"
 #include "core/overflow.hpp"
 #include "core/rejective_greedy.hpp"
-#include "storage/stream_load.hpp"
-#include "storage/usage_timeline.hpp"
+#include "storage/load.hpp"
 
 namespace vor::oracle {
 
 core::SorpStats ReferenceSorpSolve(
     core::Schedule& schedule, const std::vector<workload::Request>& requests,
     const core::CostModel& cost_model, const core::SorpOptions& options) {
-  const net::Topology& topology = cost_model.topology();
   core::SorpStats stats;
   stats.cost_before = cost_model.TotalCost(schedule);
 
-  storage::UsageMap usage = storage::BuildUsage(schedule, cost_model);
-  std::vector<core::OverflowWindow> overflows =
-      core::DetectOverflowsIn(usage, topology);
+  std::optional<storage::Load> load;
+  load.emplace(schedule, cost_model, storage::Resources::kSpace);
+  std::vector<core::OverflowWindow> overflows = core::DetectOverflowsIn(*load);
   stats.initial_overflow_windows = overflows.size();
-  stats.initial_excess = core::TotalExcess(usage, topology);
+  stats.initial_excess = core::TotalExcess(*load);
   double excess = stats.initial_excess;
 
   while (!overflows.empty() &&
@@ -41,24 +39,16 @@ core::SorpStats ReferenceSorpSolve(
     double best_heat = 0.0;
     std::size_t best_file = 0;
     for (const core::SorpCandidate& c : candidates) {
-      storage::UsageMap other;
-      storage::UsageView view;
-      if (options.capacity_aware_reschedule) {
-        other = storage::BuildUsageExcludingFile(schedule, cost_model,
-                                                 c.file_index);
-        view = storage::UsageView(&other);
+      // The backdrop: a fresh load of every file but the victim.
+      std::vector<std::size_t> others;
+      for (std::size_t f = 0; f < schedule.files.size(); ++f) {
+        if (f != c.file_index) others.push_back(f);
       }
-      std::optional<storage::StreamLoad> streams;
-      if (storage::HasStreamCaps(topology)) {
-        streams.emplace(topology, cost_model.catalog());
-        for (std::size_t f = 0; f < schedule.files.size(); ++f) {
-          if (f != c.file_index) streams->AddFile(schedule.files[f]);
-        }
-      }
+      const storage::Load backdrop(schedule, cost_model, others);
       core::RescheduleResult attempt = core::RescheduleVictim(
           schedule, c.file_index, requests, cost_model, options.ivsp,
-          {{c.node, c.window}}, view,
-          streams.has_value() ? &*streams : nullptr);
+          {{c.node, c.window}},
+          backdrop.Excluding(c.file_index, options.capacity_aware_reschedule));
       const double heat = core::ComputeHeat(options.heat, c.chi, c.ds,
                                             attempt.Overhead().value());
       ++stats.evaluations;
@@ -73,14 +63,14 @@ core::SorpStats ReferenceSorpSolve(
     schedule.files[best_file] = std::move(best->schedule);
     ++stats.victims_rescheduled;
 
-    usage = storage::BuildUsage(schedule, cost_model);
-    overflows = core::DetectOverflowsIn(usage, topology);
-    const double new_excess = core::TotalExcess(usage, topology);
+    load.emplace(schedule, cost_model, storage::Resources::kSpace);
+    overflows = core::DetectOverflowsIn(*load);
+    const double new_excess = core::TotalExcess(*load);
     if (new_excess >= excess) break;  // no progress
     excess = new_excess;
   }
 
-  stats.final_excess = core::TotalExcess(usage, topology);
+  stats.final_excess = core::TotalExcess(*load);
   stats.cost_after = cost_model.TotalCost(schedule);
   return stats;
 }

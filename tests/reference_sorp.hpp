@@ -1,15 +1,14 @@
 // Test-only reference SORP: the paper's Table-3 loop written literally,
 // as the oracle the golden suites compare the production engine against.
 //
-// Serial and monolithic: every round rebuilds the aggregate usage from
-// scratch (storage::BuildUsage) and every dry run rebuilds its backdrop
-// (storage::BuildUsageExcludingFile) and, on a topology with stream caps,
-// a fresh storage::StreamLoad of every other file.  It shares
+// Serial and monolithic: every round rebuilds the aggregate load from
+// scratch, and every dry run builds its backdrop afresh: a storage::Load
+// of the schedule with the victim's slot emptied (every other file's
+// space and, on a topology with stream caps, streams).  It shares
 // CollectSorpCandidates, the heat metrics, the victim tie-break, the
 // max_iterations cap and the no-progress guard with core::SorpSolve, and
-// deliberately nothing else — no UsageTracker, no overlays, no swapped
-// stream load, no region shards, no thread pool — since those are exactly
-// what the comparison checks.
+// deliberately nothing else — no commits, no overlays, no region shards,
+// no thread pool — since those are exactly what the comparison checks.
 #pragma once
 
 #include <vector>

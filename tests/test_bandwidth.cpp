@@ -1,6 +1,6 @@
-// Stream capacity: storage::StreamLoad's accounting, and the scheduler
+// Stream capacity: the stream keys of storage::Load, and the scheduler
 // honouring the bandwidth and storage I/O caps a topology declares.
-#include "storage/stream_load.hpp"
+#include "storage/load.hpp"
 
 #include <gtest/gtest.h>
 
@@ -51,22 +51,51 @@ struct CappedSolve {
   StreamReport streams;
 };
 
+/// An environment for hand-placed streams: one cost model and an empty
+/// schedule of `files` slots, whose load holds only the stream keys.
+struct StreamEnv {
+  StreamEnv(net::Topology topology, std::size_t files)
+      : topo(std::move(topology)),
+        catalog(OneVideoCatalog()),
+        router(topo),
+        cm(topo, router, catalog) {
+    schedule.files.resize(files);
+  }
+  net::Topology topo;
+  media::Catalog catalog;
+  net::Router router;
+  core::CostModel cm;
+  core::Schedule schedule;
+};
+
 TEST(StreamLoadTest, TracksAndRemovesByFile) {
-  const net::Topology topo = CappedChain(2, 1.0);
-  const media::Catalog catalog = OneVideoCatalog();
-  StreamLoad load(topo, catalog);
+  StreamEnv env(CappedChain(2, 1.0), 2);
+  Load load(env.schedule, env.cm, Resources::kStreams);
 
   core::Delivery d;
   d.video = 0;
   d.route = {0, 1, 2};
   d.start = util::Hours(1);
-  EXPECT_TRUE(load.RouteFits(d.route, d.start, 0));
-  load.AddDelivery(d);
-  // The link now carries a full stream for the playback hour.
-  EXPECT_FALSE(load.RouteFits(d.route, util::Hours(1.5), 0));
-  EXPECT_TRUE(load.RouteFits(d.route, util::Hours(2.5), 0));
-  load.RemoveFile(0);
-  EXPECT_TRUE(load.RouteFits(d.route, util::Hours(1.5), 0));
+  {
+    const LoadView others = load.Excluding(0);
+    LoadDelta run(others);
+    EXPECT_TRUE(run.RouteFits(d.route, d.start, 0));
+    run.AddStream(d);
+    // The run sees its own stream on the link for the playback hour.
+    EXPECT_FALSE(run.RouteFits(d.route, util::Hours(1.5), 0));
+    EXPECT_TRUE(run.RouteFits(d.route, util::Hours(2.5), 0));
+  }
+  env.schedule.files[0].deliveries.push_back(d);
+  load.ApplyCommit(0, env.schedule.files[0]);
+  // Committed, the stream blocks another file...
+  const LoadView file1 = load.Excluding(1);
+  EXPECT_FALSE(LoadDelta(file1).RouteFits(d.route, util::Hours(1.5), 0));
+  // ...but not its own file's re-plan, and not once removed.
+  const LoadView file0 = load.Excluding(0);
+  EXPECT_TRUE(LoadDelta(file0).RouteFits(d.route, util::Hours(1.5), 0));
+  load.ApplyCommit(0, core::FileSchedule{});
+  const LoadView emptied = load.Excluding(1);
+  EXPECT_TRUE(LoadDelta(emptied).RouteFits(d.route, util::Hours(1.5), 0));
 }
 
 TEST(StreamLoadTest, UncapacitatedLinksAlwaysPass) {
@@ -75,17 +104,20 @@ TEST(StreamLoadTest, UncapacitatedLinksAlwaysPass) {
   const net::NodeId a = topo.AddStorage("A", util::GB(1), util::StorageRate{0});
   topo.AddLink(vw, a, util::NetworkRate{1e-9});  // no cap
   EXPECT_FALSE(HasStreamCaps(topo));
-  const media::Catalog catalog = OneVideoCatalog();
-  StreamLoad load(topo, catalog);
+  StreamEnv env(topo, 1);
+  const Load load(env.schedule, env.cm, Resources::kStreams);
+  EXPECT_FALSE(load.holds_streams());  // nothing tracked
+  const LoadView others = load.Excluding(0);
+  LoadDelta run(others);
   for (int i = 0; i < 50; ++i) {
     core::Delivery d;
     d.video = 0;
     d.route = {vw, a};
     d.start = util::Hours(1);
-    EXPECT_TRUE(load.RouteFits(d.route, d.start, 0));
-    load.AddDelivery(d);
+    EXPECT_TRUE(run.RouteFits(d.route, d.start, 0));
+    run.AddStream(d);
   }
-  EXPECT_DOUBLE_EQ(load.WorstUtilization(), 0.0);  // nothing tracked
+  EXPECT_TRUE(run.Touched().empty());
 }
 
 TEST(BandwidthSchedulerTest, CapsSpreadLoadWithoutOverload) {
@@ -189,22 +221,26 @@ TEST(BandwidthSchedulerTest, SorpDryRunCountsTheVictimsOwnStreams) {
 TEST(StorageIoCapTest, TrackerLimitsOriginServing) {
   net::Topology topo = CappedChain(2, /*cap_streams=*/100.0);
   topo.SetUniformStorageIoCap(kOneStream * 1.0);  // each IS serves 1 stream
-  const media::Catalog catalog = OneVideoCatalog();
-  StreamLoad load(topo, catalog);
+  StreamEnv env(topo, 1);
+  const Load load(env.schedule, env.cm, Resources::kStreams);
+  ASSERT_NE(load.ServingKey(1), Load::kNoKey);
+  EXPECT_EQ(load.ServingKey(0), Load::kNoKey);  // the warehouse
 
   core::Delivery replay;
   replay.video = 0;
   replay.route = {1, 2};  // served out of IS0's disks
   replay.start = util::Hours(1);
-  EXPECT_TRUE(load.RouteFits(replay.route, replay.start, 0));
-  load.AddDelivery(replay);
+  const LoadView others = load.Excluding(0);
+  LoadDelta run(others);
+  EXPECT_TRUE(run.RouteFits(replay.route, replay.start, 0));
+  run.AddStream(replay);
   // Second concurrent replay from the same storage is refused...
-  EXPECT_FALSE(load.RouteFits(replay.route, util::Hours(1.5), 0));
-  EXPECT_EQ(load.OverloadedNodes(), 0u);
+  EXPECT_FALSE(run.RouteFits(replay.route, util::Hours(1.5), 0));
+  EXPECT_LE(run.Find(load.ServingKey(1)).Max(), kOneStream.value());
   // ...but the warehouse is never I/O capped.
-  EXPECT_TRUE(load.RouteFits({0, 1, 2}, util::Hours(1.5), 0));
+  EXPECT_TRUE(run.RouteFits({0, 1, 2}, util::Hours(1.5), 0));
   // And a disjoint-in-time replay is fine.
-  EXPECT_TRUE(load.RouteFits(replay.route, util::Hours(3.0), 0));
+  EXPECT_TRUE(run.RouteFits(replay.route, util::Hours(3.0), 0));
 }
 
 TEST(StorageIoCapTest, SchedulerSpreadsReplaysAcrossStorages) {

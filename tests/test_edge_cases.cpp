@@ -7,7 +7,7 @@
 #include "core/scheduler.hpp"
 #include "sim/playback_sim.hpp"
 #include "sim/validator.hpp"
-#include "storage/usage_timeline.hpp"
+#include "storage/load.hpp"
 #include "test_helpers.hpp"
 #include "workload/scenario.hpp"
 
@@ -121,11 +121,10 @@ TEST(EdgeCaseTest, PlaybackSimMatchesAnalyticsForBatchingSchedule) {
   const core::Schedule s = baseline::BatchingSchedule(
       scenario.requests, cm, baseline::BatchingOptions{util::Hours(2)});
   const sim::SimulationResult sim = sim::SimulateSchedule(s, scenario.requests, cm);
-  const storage::UsageMap usage = storage::BuildUsage(s, cm);
+  const storage::Load load(s, cm);
   for (const sim::NodeTelemetry& node : sim.nodes) {
-    const auto it = usage.find(node.node);
-    const double analytic = it == usage.end() ? 0.0 : it->second.Max();
-    EXPECT_NEAR(node.peak_bytes, analytic, 10.0) << "node " << node.node;
+    EXPECT_NEAR(node.peak_bytes, load.SpacePeak(node.node), 10.0)
+        << "node " << node.node;
   }
 }
 

@@ -8,7 +8,7 @@
 #include "core/overflow.hpp"
 #include "obs/metrics.hpp"
 #include "sim/validator.hpp"
-#include "storage/stream_load.hpp"
+#include "storage/load.hpp"
 #include "workload/scenario.hpp"
 
 namespace vor::core {

@@ -153,20 +153,18 @@ TEST(IvspTest, CapacityConstraintRejectsOversizedCache) {
       {1, 0, util::Hours(1.5), 2},
   };
   ConstraintSet constraints;
-  const storage::UsageMap empty_usage;
-  const storage::UsageView empty_view(&empty_usage);
-  constraints.other_usage = &empty_view;
+  const storage::Load empty_load(Schedule{}, env.cm);
+  const storage::LoadView empty_view = empty_load.Excluding(0);
+  constraints.load = &empty_view;
   const FileSchedule f =
       ScheduleFileGreedy(0, requests, {0, 1}, env.cm, IvspOptions{}, &constraints);
   // gamma = 0.5h / 1h = 0.5 -> piece height 0.5 GB == capacity, fits; but
   // extending further would not.  At minimum no residency may exceed cap.
-  const storage::UsageMap usage = [&] {
-    Schedule s;
-    s.files.push_back(f);
-    return storage::BuildUsage(s, env.cm);
-  }();
-  for (const auto& [node, timeline] : usage) {
-    EXPECT_LE(timeline.Max(), env.topo.node(node).capacity.value() + 1.0);
+  Schedule s;
+  s.files.push_back(f);
+  const storage::Load load(s, env.cm);
+  for (std::size_t k = 0; k < load.keys().size(); ++k) {
+    EXPECT_LE(load.timeline(k).Max(), load.keys()[k].cap + 1.0);
   }
 }
 

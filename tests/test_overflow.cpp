@@ -109,16 +109,16 @@ TEST(OverflowTest, TotalExcessIsPositiveIffOverflow) {
   f.residencies.push_back(MakeResidency(1, 1, 5));
   s.files.push_back(f);
   {
-    const auto usage = storage::BuildUsage(s, env.cm);
-    EXPECT_DOUBLE_EQ(TotalExcess(usage, env.topo), 0.0);
+    const storage::Load load(s, env.cm);
+    EXPECT_DOUBLE_EQ(TotalExcess(load), 0.0);
   }
   s.files[0].residencies.push_back(MakeResidency(1, 3, 8));
   {
-    const auto usage = storage::BuildUsage(s, env.cm);
+    const storage::Load load(s, env.cm);
     // Excess = 0.5e9 over [3h, 5h] plus a draining tail [5h, 5.5h]:
     // integral of (usage - 1.5e9) = 0.5e9*2h + 0.5*0.5e9*0.5h.
     const double expected = 0.5e9 * 2 * 3600.0 + 0.5 * 0.5e9 * 0.5 * 3600.0;
-    EXPECT_NEAR(TotalExcess(usage, env.topo), expected, 1e6);
+    EXPECT_NEAR(TotalExcess(load), expected, 1e6);
   }
 }
 
@@ -134,11 +134,12 @@ TEST(OverflowTest, BuildUsageExcludingFileDropsItsPieces) {
   s.files.push_back(f0);
   s.files.push_back(f1);
 
-  const auto all = storage::BuildUsage(s, env.cm);
-  const auto without0 = storage::BuildUsageExcludingFile(s, env.cm, 0);
-  EXPECT_NEAR(storage::PeakUsage(all, 1), 2e9, 1e3);
-  EXPECT_NEAR(storage::PeakUsage(without0, 1), 1e9, 1e3);
-  EXPECT_DOUBLE_EQ(storage::PeakUsage(all, 2), 0.0);
+  const storage::Load all(s, env.cm);
+  const storage::Load without0(s, env.cm, std::vector<std::size_t>{1});
+  EXPECT_NEAR(all.SpacePeak(1), 2e9, 1e3);
+  EXPECT_NEAR(without0.SpacePeak(1), 1e9, 1e3);
+  EXPECT_NEAR(all.Excluding(0).Find(all.SpaceKey(1)).Max(), 1e9, 1e3);
+  EXPECT_DOUBLE_EQ(all.SpacePeak(2), 0.0);
 }
 
 TEST(OverflowTest, ZeroDurationResidencyNeverOverflows) {

@@ -332,7 +332,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PiecewiseRandomProperty,
                          ::testing::ValuesIn(Cases(20, 20)));
 
 /// Property: on rectangle-only sets (step functions, the shape of a
-/// storage::StreamLoad timeline), RegionsAbove matches dense sampling.
+/// stream key's timeline in storage::Load), RegionsAbove matches dense
+/// sampling.
 class StepRandomProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(StepRandomProperty, RegionsMatchDenseSampling) {

@@ -4,8 +4,7 @@
 
 #include "core/ivsp.hpp"
 #include "core/scheduler.hpp"
-#include "storage/stream_load.hpp"
-#include "storage/usage_timeline.hpp"
+#include "storage/load.hpp"
 #include "test_helpers.hpp"
 #include "workload/scenario.hpp"
 
@@ -45,19 +44,20 @@ TEST_F(PlaybackSimTest, HorizonSpansCycle) {
 TEST_F(PlaybackSimTest, PeakOccupancyMatchesAnalyticTimeline) {
   const SimulationResult result =
       SimulateSchedule(schedule_, ex_.requests, cm_);
-  const storage::UsageMap usage = storage::BuildUsage(schedule_, cm_);
+  const storage::Load load(schedule_, cm_);
   for (const NodeTelemetry& node : result.nodes) {
-    const auto it = usage.find(node.node);
-    const double analytic = it == usage.end() ? 0.0 : it->second.Max();
-    EXPECT_NEAR(node.peak_bytes, analytic, 1.0) << "node " << node.node;
+    EXPECT_NEAR(node.peak_bytes, load.SpacePeak(node.node), 1.0)
+        << "node " << node.node;
   }
 }
 
 TEST_F(PlaybackSimTest, SampledOccupancyMatchesAnalyticEverywhere) {
   const SimulationResult result =
       SimulateSchedule(schedule_, ex_.requests, cm_);
-  const storage::UsageMap usage = storage::BuildUsage(schedule_, cm_);
-  for (const auto& [node, timeline] : usage) {
+  const storage::Load load(schedule_, cm_);
+  for (std::size_t k = 0; k < load.keys().size(); ++k) {
+    const net::NodeId node = load.keys()[k].node;
+    const util::PiecewiseLinear& timeline = load.timeline(k);
     for (double h = 12.0; h < 19.0; h += 0.05) {
       const util::Seconds t = util::Hours(h);
       EXPECT_NEAR(result.OccupancyAt(node, t), timeline.ValueAt(t), 1e3)
@@ -101,7 +101,7 @@ struct ScenarioInput {
 };
 
 // The simulator is an independent oracle for both analytic timelines:
-// storage peaks against storage::BuildUsage, and — on the capped inputs
+// storage peaks against storage::Load, and — on the capped inputs
 // (bench_bandwidth's scenario) — link peaks against
 // storage::MeasureStreams.
 TEST(PlaybackSimScenarioTest, FullScenarioAgreesWithAnalyticPeaks) {
@@ -126,12 +126,10 @@ TEST(PlaybackSimScenarioTest, FullScenarioAgreesWithAnalyticPeaks) {
     ASSERT_TRUE(solved.ok());
     const SimulationResult sim = SimulateSchedule(
         solved->schedule, scenario.requests, scheduler.cost_model());
-    const storage::UsageMap usage =
-        storage::BuildUsage(solved->schedule, scheduler.cost_model());
+    const storage::Load load(solved->schedule, scheduler.cost_model(),
+                             storage::Resources::kSpace);
     for (const NodeTelemetry& node : sim.nodes) {
-      const auto it = usage.find(node.node);
-      const double analytic = it == usage.end() ? 0.0 : it->second.Max();
-      EXPECT_NEAR(node.peak_bytes, analytic, 10.0);
+      EXPECT_NEAR(node.peak_bytes, load.SpacePeak(node.node), 10.0);
       // Final schedule respects capacity, so simulated peaks must too.
       EXPECT_LE(node.peak_bytes,
                 scenario.topology.node(node.node).capacity.value() + 10.0);

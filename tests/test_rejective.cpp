@@ -45,12 +45,12 @@ TEST(RejectiveTest, RescheduleAvoidsForbiddenWindow) {
   ASSERT_EQ(s.files[0].residencies.size(), 1u);
   const Residency original = s.files[0].residencies[0];
 
-  const storage::UsageView empty;
+  const storage::Load load(s, env.cm);
   const util::Interval window{original.t_start,
                               original.t_last + util::Hours(1)};
   const RescheduleResult result = RescheduleVictim(
       s, 0, requests, env.cm, IvspOptions{}, {{original.location, window}},
-      empty);
+      load.Excluding(0));
 
   for (const Residency& c : result.schedule.residencies) {
     if (c.location == original.location) {
@@ -71,13 +71,16 @@ TEST(RejectiveTest, RescheduleRespectsOtherFilesCapacity) {
   const auto requests = CloseRequests();
   Schedule s = IvspSolve(requests, env.cm, IvspOptions{});
 
-  // Another file already reserves most of node 3.
-  storage::UsageMap other;
-  other[3].Add(util::LinearPiece{util::Hours(0), util::Hours(10),
-                                 util::Hours(11), 1.0e9, 99});
-  const storage::UsageView other_view(&other);
-  const RescheduleResult result =
-      RescheduleVictim(s, 0, requests, env.cm, IvspOptions{}, {}, other_view);
+  // Another file already reserves most of node 3: a full 1 GB copy from
+  // 0 h to 10 h, draining to 11 h.
+  core::Residency reserved;
+  reserved.location = 3;
+  reserved.t_start = util::Hours(0);
+  reserved.t_last = util::Hours(10);
+  s.files.push_back(FileSchedule{0, {}, {reserved}});
+  const storage::Load load(s, env.cm);
+  const RescheduleResult result = RescheduleVictim(
+      s, 0, requests, env.cm, IvspOptions{}, {}, load.Excluding(0));
   // Remaining headroom at node 3 is 0.2e9 < any real residency height, so
   // the victim may not cache there.
   for (const Residency& c : result.schedule.residencies) {
@@ -98,9 +101,10 @@ TEST(RejectiveTest, FullyForbiddenFallsBackToDirect) {
     forbidden.emplace_back(n,
                            util::Interval{util::Hours(0), util::Hours(100)});
   }
-  const storage::UsageView empty;
+  const storage::Load load(s, env.cm);
   const RescheduleResult result = RescheduleVictim(
-      s, 0, requests, env.cm, IvspOptions{}, std::move(forbidden), empty);
+      s, 0, requests, env.cm, IvspOptions{}, std::move(forbidden),
+      load.Excluding(0));
   EXPECT_TRUE(result.schedule.residencies.empty());
   for (const Delivery& d : result.schedule.deliveries) {
     EXPECT_EQ(d.origin(), env.topo.warehouse());
@@ -119,15 +123,16 @@ TEST(RejectiveTest, RouteHookVetoesCandidates) {
   Env env;
   const auto requests = CloseRequests();
   Schedule s = IvspSolve(requests, env.cm, IvspOptions{});
-  const storage::UsageView empty;
   // Every link capped below one stream: only local (single-node)
   // deliveries fit, which is impossible for the first request -> fallback
-  // direct.
+  // direct.  The other files' load is that of the capped topology.
   net::Topology capped = env.topo;
   capped.SetUniformBandwidthCap(util::GB(0.5) / util::Hours(1.0));
-  storage::StreamLoad streams(capped, env.catalog);
+  const net::Router capped_router(capped);
+  const CostModel capped_cm(capped, capped_router, env.catalog);
+  const storage::Load load(s, capped_cm);
   const RescheduleResult result = RescheduleVictim(
-      s, 0, requests, env.cm, IvspOptions{}, {}, empty, &streams);
+      s, 0, requests, env.cm, IvspOptions{}, {}, load.Excluding(0));
   EXPECT_GT(result.greedy.rejected_route, 0u);
   EXPECT_GE(result.greedy.forced_direct, 1u);
   // The fallback serves everyone even against the caps.

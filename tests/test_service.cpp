@@ -14,7 +14,7 @@
 #include "io/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "sim/validator.hpp"
-#include "storage/stream_load.hpp"
+#include "storage/load.hpp"
 #include "svc/reservation_service.hpp"
 #include "svc/snapshot.hpp"
 #include "test_helpers.hpp"

@@ -1,5 +1,5 @@
 // Golden byte-identity of the production SORP engine (delta-maintained
-// storage::UsageTracker, subtractive dry-run views, pooled evaluations)
+// storage::Load, subtractive dry-run views, pooled evaluations)
 // against the test-only reference loop (tests/reference_sorp.hpp), for
 // every heat metric, both victim policies, any thread count, and runs the
 // round cap stops early.  Also pins the tracker's one-build accounting.
@@ -116,8 +116,8 @@ TEST(SorpIncrementalTest, TrackerBuildsUsageOnce) {
 }
 
 TEST(SorpIncrementalTest, CapacityUnawareAblationStillMatchesReference) {
-  // With capacity_aware_reschedule off, dry runs consult no node usage at
-  // all.  The engines must still agree byte-for-byte.
+  // With capacity_aware_reschedule off, dry runs consult no other file's
+  // space at all.  The engines must still agree byte-for-byte.
   const TightEnv env;
   SorpOptions options;
   options.capacity_aware_reschedule = false;

@@ -110,40 +110,48 @@ EngineRun RunReference(const RegionEnv& env) {
 }
 
 // Uncapped, and with every link capped at 1 and at 4 streams: capped
-// dry runs each work on a private stream load, concurrently across the
-// pool and the shards.
-TEST(SorpRegionGoldenTest, GridMatchesMonolithic) {
-  for (const double cap_streams : {0.0, 1.0, 4.0}) {
-    SCOPED_TRACE("cap_streams=" + std::to_string(cap_streams));
-    const RegionEnv env(/*affinity=*/1.0, /*flash_fraction=*/0.0,
-                        cap_streams);
-    const EngineRun reference = RunReference(env);
-    ASSERT_TRUE(reference.stats.HadOverflow()) << "scenario must engage SORP";
-    ASSERT_TRUE(reference.stats.Resolved());
+// dry runs each keep their own streams in a private delta over one shared
+// load, concurrently across the pool and the shards.  One test per input,
+// so ctest runs the three in parallel.
+class SorpRegionGoldenGridTest : public ::testing::TestWithParam<double> {};
 
-    bool saw_multiple_shards = false;
-    for (const std::size_t regions : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{8}, std::size_t{0}}) {
-      for (const std::size_t threads : {1u, 2u, 8u}) {
-        const EngineRun run = RunEngine(env, regions, threads);
-        EXPECT_EQ(run.bytes, reference.bytes)
-            << "diverged at regions=" << regions << " threads=" << threads;
-        EXPECT_EQ(run.stats.victims_rescheduled,
-                  reference.stats.victims_rescheduled)
-            << "victim count drifted at regions=" << regions
-            << " threads=" << threads;
-        if (regions == 1) {
-          EXPECT_EQ(run.stats.region_shards, 0u)
-              << "regions=1 must stay on the monolithic engine";
-        }
-        saw_multiple_shards |= run.stats.region_shards > 1;
+TEST_P(SorpRegionGoldenGridTest, GridMatchesMonolithic) {
+  const double cap_streams = GetParam();
+  const RegionEnv env(/*affinity=*/1.0, /*flash_fraction=*/0.0, cap_streams);
+  const EngineRun reference = RunReference(env);
+  ASSERT_TRUE(reference.stats.HadOverflow()) << "scenario must engage SORP";
+  ASSERT_TRUE(reference.stats.Resolved());
+
+  bool saw_multiple_shards = false;
+  for (const std::size_t regions : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}, std::size_t{0}}) {
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      const EngineRun run = RunEngine(env, regions, threads);
+      EXPECT_EQ(run.bytes, reference.bytes)
+          << "diverged at regions=" << regions << " threads=" << threads;
+      EXPECT_EQ(run.stats.victims_rescheduled,
+                reference.stats.victims_rescheduled)
+          << "victim count drifted at regions=" << regions
+          << " threads=" << threads;
+      if (regions == 1) {
+        EXPECT_EQ(run.stats.region_shards, 0u)
+            << "regions=1 must stay on the monolithic engine";
       }
+      saw_multiple_shards |= run.stats.region_shards > 1;
     }
-    EXPECT_TRUE(saw_multiple_shards)
-        << "affinity-1.0 workload should split into >1 shard somewhere in "
-           "the grid, or the test is vacuous";
   }
+  EXPECT_TRUE(saw_multiple_shards)
+      << "affinity-1.0 workload should split into >1 shard somewhere in "
+         "the grid, or the test is vacuous";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, SorpRegionGoldenGridTest, ::testing::Values(0.0, 1.0, 4.0),
+    [](const ::testing::TestParamInfo<double>& info) {
+      return info.param == 0.0
+                 ? std::string("uncapped")
+                 : "cap" + std::to_string(static_cast<int>(info.param));
+    });
 
 // A global-draw + flash-crowd workload leaves files whose footprint spans
 // several base regions.  Closure merging must fold the straddled regions

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/ivsp.hpp"
 #include "test_helpers.hpp"
+#include "workload/scenario.hpp"
 
 namespace vor::sim {
 namespace {
@@ -139,6 +145,35 @@ TEST_F(ValidatorTest, CapacityCheckCanBeDisabled) {
   const auto report =
       ValidateSchedule(schedule_, ex_.requests, tight_cm, options);
   EXPECT_TRUE(report.ok());
+}
+
+TEST_F(ValidatorTest, CapacityViolationsComeInNodeOrder) {
+  // The Table-4 world at 5 GB per IS: its phase-1 schedule overflows
+  // several nodes, and the violations must name them in ascending order
+  // (vorctl validate prints them, and a refused restore quotes the first).
+  workload::ScenarioParams params;
+  params.is_capacity = util::GB(5);
+  params.nrate_per_gb = 1000;
+  params.srate_per_gb_hour = 3;
+  const workload::Scenario scenario = workload::MakeScenario(params);
+  const net::Router router(scenario.topology);
+  const core::CostModel cm(scenario.topology, router, scenario.catalog);
+  const Schedule phase1 = IvspSolve(scenario.requests, cm, IvspOptions{});
+  const auto report = ValidateSchedule(phase1, scenario.requests, cm);
+  std::vector<net::NodeId> nodes;
+  for (const Violation& v : report.violations) {
+    if (v.kind != Violation::Kind::kCapacityExceeded) continue;
+    std::istringstream detail(v.detail);
+    std::string word;
+    net::NodeId node = net::kInvalidNode;
+    detail >> word >> node;
+    ASSERT_EQ(word, "node") << v.detail;
+    nodes.push_back(node);
+  }
+  ASSERT_GE(nodes.size(), 2u) << "scenario must overflow several nodes";
+  EXPECT_TRUE(std::is_sorted(nodes.begin(), nodes.end()))
+      << "capacity violations out of node order";
+  EXPECT_EQ(std::adjacent_find(nodes.begin(), nodes.end()), nodes.end());
 }
 
 TEST_F(ValidatorTest, ViolationKindsHaveNames) {

@@ -141,8 +141,10 @@ TEST(VorlintScope, NearestDirectoryWins) {
             Scope::kDeterministic);
   EXPECT_EQ(ClassifyPath("src/svc/reservation_service.hpp"),
             Scope::kDeterministic);
-  EXPECT_EQ(ClassifyPath("src/storage/usage_timeline.cpp"),
-            Scope::kDeterministic);
+  EXPECT_EQ(ClassifyPath("src/storage/load.cpp"), Scope::kDeterministic);
+  // The validator runs in every close's validate-and-halve step and in
+  // snapshot restore, so src/sim is commit-path code.
+  EXPECT_EQ(ClassifyPath("src/sim/validator.cpp"), Scope::kDeterministic);
   // The wire protocol must encode deterministically (byte-identity
   // across connection counts), so src/rpc lints as deterministic too.
   EXPECT_EQ(ClassifyPath("src/rpc/protocol.cpp"), Scope::kDeterministic);
@@ -190,6 +192,11 @@ TEST(VorlintFixtures, Det1CrossFileAlias) {
   EXPECT_EQ(AllFindingsIn("det1_member_positive.hpp"), 0u);
   EXPECT_EQ(AllFindingsIn("det1_member_negative.cpp"), 0u);
   EXPECT_EQ(AllFindingsIn("det1_member_negative.hpp"), 0u);
+}
+
+TEST(VorlintFixtures, Det1MemberAccessThroughAnotherObject) {
+  EXPECT_EQ(AllFindingsIn("det1_through_negative.cpp"), 0u);
+  EXPECT_EQ(Count("det1_this_positive.cpp", "DET-1", false), 1u);
 }
 
 TEST(VorlintFixtures, Det2) {

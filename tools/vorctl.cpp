@@ -107,7 +107,7 @@
 #include "rpc/socket.hpp"
 #include "sim/playback_sim.hpp"
 #include "sim/validator.hpp"
-#include "storage/stream_load.hpp"
+#include "storage/load.hpp"
 #include "svc/reservation_service.hpp"
 #include "svc/snapshot.hpp"
 #include "util/stats.hpp"

@@ -14,7 +14,8 @@
 // with the project toolchain and runs as an ordinary ctest.
 //
 // Scope model (per-file, from path components, nearest directory wins):
-//   core/ svc/ io/ storage/          -> kDeterministic (all rules)
+//   core/ svc/ io/ storage/ rpc/
+//   sim/                             -> kDeterministic (all rules)
 //   util/ bench/ tools/ tests/
 //   examples/                        -> kExempt (DET-* rules off)
 //   everything else                  -> kGeneral (DET-* rules off)
@@ -110,12 +111,12 @@ struct Report {
 };
 
 /// Lints a batch of files as one unit.  A first pass collects global
-/// context — type aliases of unordered containers (e.g. storage::UsageMap),
-/// the unordered members each header declares (so DET-1 sees them in the
-/// same-stem source), and which file stems contain a join()/joinable()
-/// call, so a header's std::thread member is cleared by its sibling .cpp's
-/// joining destructor — then each file is checked against every applicable
-/// rule.
+/// context — type aliases of unordered containers (`using Map =
+/// std::unordered_map<...>`), the unordered members each header declares
+/// (so DET-1 sees them in the same-stem source), and which file stems
+/// contain a join()/joinable() call, so a header's std::thread member is
+/// cleared by its sibling .cpp's joining destructor — then each file is
+/// checked against every applicable rule.
 [[nodiscard]] Report LintFiles(const std::vector<FileInput>& files);
 
 /// Renders the findings (one line each, `file:line: [RULE] message` plus

@@ -129,7 +129,7 @@ bool FirstTemplateArgHasPointer(const Tokens& toks, std::size_t i) {
 
 struct GlobalContext {
   /// Right-hand identifiers of `using X = ...unordered_map...;` across
-  /// the whole batch, so storage::UsageMap reads as unordered everywhere.
+  /// the whole batch, so such an alias reads as unordered everywhere.
   std::set<std::string> unordered_aliases;
   /// Path stems (directory + basename sans extension) whose file contains
   /// a join()/joinable() token; clears CONC-2 for the sibling header.
@@ -260,8 +260,15 @@ void CheckDet1(const FileLint& fl) {
   if (tracked.empty()) return;
 
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    // name.begin() / name->cbegin() / ...
-    if (toks[i].kind == TokKind::kIdentifier && tracked.count(toks[i].text) &&
+    // name.begin() / name->cbegin() / ...  A name reached through another
+    // object (`result.name`, `p->name`) is that object's member, not the
+    // tracked declaration; `this->name` is the tracked member itself.
+    const bool via_other =
+        i > 0 && (toks[i - 1].text == "." ||
+                  (toks[i - 1].text == "->" &&
+                   !(i > 1 && IsIdent(toks[i - 2], "this"))));
+    if (!via_other && toks[i].kind == TokKind::kIdentifier &&
+        tracked.count(toks[i].text) &&
         (toks[i + 1].text == "." || toks[i + 1].text == "->") &&
         i + 3 < toks.size() && toks[i + 2].kind == TokKind::kIdentifier &&
         (toks[i + 2].text == "begin" || toks[i + 2].text == "cbegin" ||
@@ -447,7 +454,7 @@ Scope ClassifyPath(std::string_view path) {
   for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
     const std::string_view dir = *it;
     if (dir == "core" || dir == "svc" || dir == "io" || dir == "storage" ||
-        dir == "rpc") {
+        dir == "rpc" || dir == "sim") {
       return Scope::kDeterministic;
     }
     if (dir == "util" || dir == "bench" || dir == "tools" ||
