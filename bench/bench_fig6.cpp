@@ -57,5 +57,5 @@ int main() {
                     ? "Less biased access costs more at every nrate, as in "
                       "the paper.\n"
                     : "UNEXPECTED: alpha ordering violated somewhere.\n");
-  return 0;
+  return ordered ? 0 : 1;
 }

@@ -52,9 +52,11 @@ int main() {
   for (std::size_t col = 0; col < nrates.size(); ++col) {
     mid_row.push_back(cells[srates.size() / 2][col]);
   }
+  const double corr = util::PearsonCorrelation(nrates, mid_row);
+  const bool linear = corr >= 0.99;
   std::cout << "corr(cost, nrate) at srate="
-            << srates[srates.size() / 2] << ": "
-            << util::PearsonCorrelation(nrates, mid_row)
-            << "  (~1.0 means linear, as the paper notes)\n";
-  return 0;
+            << srates[srates.size() / 2] << ": " << corr
+            << (linear ? "  (~1.0 means linear, as the paper notes)\n"
+                       : "  (UNEXPECTED: not linear)\n");
+  return linear ? 0 : 1;
 }

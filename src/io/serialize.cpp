@@ -306,8 +306,8 @@ util::Result<workload::ScenarioParams> ScenarioParamsFromJson(const Json& j) {
                         ? workload::StartTimeProfile::kEveningPeak
                         : workload::StartTimeProfile::kUniform;
   p.seed = j.GetUint64("seed", 1997);
-  if (p.storage_count == 0 || p.catalog_size == 0) {
-    return util::InvalidArgument("scenario needs storages and a catalog");
+  if (const util::Status s = workload::ValidateScenarioParams(p); !s.ok()) {
+    return s.error();
   }
   return p;
 }

@@ -67,10 +67,6 @@ void Topology::SetUniformStorageRate(util::StorageRate srate) {
   }
 }
 
-void Topology::ScaleNetworkRates(double factor) {
-  for (Link& l : links_) l.nrate *= factor;
-}
-
 void Topology::SetUniformBandwidthCap(util::BytesPerSecond cap) {
   for (Link& l : links_) l.bandwidth_cap = cap;
 }

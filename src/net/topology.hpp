@@ -88,10 +88,6 @@ class Topology {
   /// Uniformly set every IS charging rate (Fig. 7/8 sweeps).
   void SetUniformStorageRate(util::StorageRate srate);
 
-  /// Uniformly scale every link's nrate by `factor` (Fig. 5/6 sweeps
-  /// multiply a base topology by the swept "network charging rate").
-  void ScaleNetworkRates(double factor);
-
   /// Sets the same bandwidth cap on every link (0 strips the caps).
   void SetUniformBandwidthCap(util::BytesPerSecond cap);
 

@@ -38,12 +38,4 @@ struct Interval {
   return e > s ? Interval{s, e} : Interval{s, s};
 }
 
-/// Smallest interval covering both inputs (ignores gaps).
-[[nodiscard]] constexpr Interval Hull(const Interval& a, const Interval& b) {
-  if (a.empty()) return b;
-  if (b.empty()) return a;
-  return Interval{Seconds{std::min(a.start.value(), b.start.value())},
-                  Seconds{std::max(a.end.value(), b.end.value())}};
-}
-
 }  // namespace vor::util

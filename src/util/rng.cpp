@@ -56,12 +56,6 @@ double Rng::Uniform(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
 }
 
-double Rng::Exponential(double rate) {
-  assert(rate > 0.0);
-  // 1 - U in (0, 1] avoids log(0).
-  return -std::log(1.0 - NextDouble()) / rate;
-}
-
 double Rng::Normal(double mean, double stddev) {
   const double u1 = 1.0 - NextDouble();
   const double u2 = NextDouble();

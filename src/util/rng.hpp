@@ -36,9 +36,6 @@ class Rng {
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
 
-  /// Exponential variate with the given rate (rate > 0).
-  double Exponential(double rate);
-
   /// Standard normal via Box-Muller (no cached spare: keeps state minimal).
   double Normal(double mean, double stddev);
 

@@ -60,19 +60,4 @@ double PearsonCorrelation(const std::vector<double>& x,
   return denom > 0.0 ? cov / denom : 0.0;
 }
 
-double LinearSlope(const std::vector<double>& x, const std::vector<double>& y) {
-  if (x.size() != y.size() || x.size() < 2) return 0.0;
-  Accumulator ax;
-  for (const double v : x) ax.Add(v);
-  Accumulator ay;
-  for (const double v : y) ay.Add(v);
-  double num = 0.0;
-  double den = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    num += (x[i] - ax.mean()) * (y[i] - ay.mean());
-    den += (x[i] - ax.mean()) * (x[i] - ax.mean());
-  }
-  return den > 0.0 ? num / den : 0.0;
-}
-
 }  // namespace vor::util

@@ -35,9 +35,4 @@ class Accumulator {
 [[nodiscard]] double PearsonCorrelation(const std::vector<double>& x,
                                         const std::vector<double>& y);
 
-/// Least-squares slope of y on x; returns 0 for degenerate input.  Used by
-/// tests to assert the paper's "cost grows linearly in nrate" claims.
-[[nodiscard]] double LinearSlope(const std::vector<double>& x,
-                                 const std::vector<double>& y);
-
 }  // namespace vor::util

@@ -9,8 +9,6 @@
 #pragma once
 
 #include "baseline/exhaustive.hpp"       // IWYU pragma: export
-#include "baseline/batching.hpp"         // IWYU pragma: export
-#include "baseline/local_cache.hpp"      // IWYU pragma: export
 #include "baseline/network_only.hpp"     // IWYU pragma: export
 #include "baseline/online_lru.hpp"       // IWYU pragma: export
 #include "core/bounds.hpp"               // IWYU pragma: export

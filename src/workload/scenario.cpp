@@ -4,6 +4,19 @@
 
 namespace vor::workload {
 
+util::Status ValidateScenarioParams(const ScenarioParams& params) {
+  if (params.storage_count == 0 || params.catalog_size == 0) {
+    return util::InvalidArgument("scenario needs storages and a catalog");
+  }
+  // Written so that NaN fails too.
+  if (!(params.zipf_alpha >= 0.0 && params.zipf_alpha <= 1.0)) {
+    std::ostringstream msg;
+    msg << "zipf alpha must be in [0, 1], got " << params.zipf_alpha;
+    return util::InvalidArgument(msg.str());
+  }
+  return util::Status::Ok();
+}
+
 Scenario MakeScenario(const ScenarioParams& params) {
   Scenario s;
   s.params = params;

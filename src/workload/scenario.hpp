@@ -19,6 +19,7 @@
 
 #include "media/catalog.hpp"
 #include "net/topology.hpp"
+#include "util/result.hpp"
 #include "util/units.hpp"
 #include "workload/generator.hpp"
 #include "workload/request.hpp"
@@ -65,6 +66,12 @@ struct Scenario {
   std::vector<Request> requests;
   ScenarioParams params;
 };
+
+/// Rejects parameters MakeScenario cannot build from: no storage nodes, an
+/// empty catalog, or a Zipf skew outside [0, 1].  Parameters that come
+/// from outside the program (scenario files, CLI flags) pass through here
+/// before MakeScenario sees them.
+[[nodiscard]] util::Status ValidateScenarioParams(const ScenarioParams& params);
 
 /// Builds the scenario deterministically from its parameters.  The same
 /// seed yields the same topology jitter, catalog, and request trace, so a

@@ -2,7 +2,7 @@
 // corners the main suites don't reach.
 #include <gtest/gtest.h>
 
-#include "baseline/batching.hpp"
+#include "baseline/online_lru.hpp"
 #include "core/cost_model.hpp"
 #include "core/scheduler.hpp"
 #include "sim/playback_sim.hpp"
@@ -112,14 +112,14 @@ TEST(EdgeCaseTest, RequestAtCycleBoundaryZero) {
   EXPECT_TRUE(report.ok());
 }
 
-TEST(EdgeCaseTest, PlaybackSimMatchesAnalyticsForBatchingSchedule) {
+TEST(EdgeCaseTest, PlaybackSimMatchesAnalyticsForOnlineLruSchedule) {
   // Cross-check the DES against the analytic timelines on a schedule the
-  // scheduler did NOT produce (the batching baseline).
+  // scheduler did NOT produce (the online-LRU baseline).
   const workload::Scenario scenario = workload::MakeScenario({});
   const net::Router router(scenario.topology);
   const CostModel cm(scenario.topology, router, scenario.catalog);
-  const core::Schedule s = baseline::BatchingSchedule(
-      scenario.requests, cm, baseline::BatchingOptions{util::Hours(2)});
+  const core::Schedule s =
+      baseline::OnlineLruSchedule(scenario.requests, cm).schedule;
   const sim::SimulationResult sim = sim::SimulateSchedule(s, scenario.requests, cm);
   const storage::Load load(s, cm);
   for (const sim::NodeTelemetry& node : sim.nodes) {

@@ -42,21 +42,6 @@ TEST(IntervalTest, IntersectDisjointIsEmpty) {
   EXPECT_TRUE(Intersect(Iv(0, 1), Iv(1, 2)).empty());
 }
 
-TEST(IntervalTest, HullCoversBoth) {
-  const Interval h = Hull(Iv(0, 2), Iv(5, 7));
-  EXPECT_DOUBLE_EQ(h.start.value(), 0.0);
-  EXPECT_DOUBLE_EQ(h.end.value(), 7.0);
-}
-
-TEST(IntervalTest, HullIgnoresEmptySides) {
-  const Interval h = Hull(Iv(3, 3), Iv(5, 7));
-  EXPECT_DOUBLE_EQ(h.start.value(), 5.0);
-  EXPECT_DOUBLE_EQ(h.end.value(), 7.0);
-  const Interval h2 = Hull(Iv(5, 7), Iv(9, 2));
-  EXPECT_DOUBLE_EQ(h2.start.value(), 5.0);
-  EXPECT_DOUBLE_EQ(h2.end.value(), 7.0);
-}
-
 TEST(IntervalTest, IntersectionIsCommutativeProperty) {
   for (int a = 0; a < 6; ++a) {
     for (int b = a; b < 6; ++b) {

@@ -2,9 +2,8 @@
 // scheduler output over randomized environments (parameterized by seed).
 #include <gtest/gtest.h>
 
-#include "baseline/batching.hpp"
-#include "baseline/local_cache.hpp"
 #include "baseline/network_only.hpp"
+#include "baseline/online_lru.hpp"
 #include "core/overflow.hpp"
 #include "core/scheduler.hpp"
 #include "sim/validator.hpp"
@@ -145,10 +144,8 @@ TEST_P(BaselineInvariants, EveryBaselineProducesValidFeasibleSchedules) {
     }
   };
   check(baseline::NetworkOnlySchedule(scenario.requests, cm), "network-only");
-  check(baseline::LocalCacheSchedule(scenario.requests, cm), "local-cache");
-  check(baseline::BatchingSchedule(scenario.requests, cm,
-                                   baseline::BatchingOptions{util::Hours(2)}),
-        "batching");
+  check(baseline::OnlineLruSchedule(scenario.requests, cm).schedule,
+        "online-lru");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BaselineInvariants, ::testing::Range(1, 11));

@@ -71,14 +71,6 @@ TEST(RngTest, UniformRespectsBounds) {
   }
 }
 
-TEST(RngTest, ExponentialMeanMatchesRate) {
-  Rng rng(21);
-  Accumulator acc;
-  for (int i = 0; i < 100000; ++i) acc.Add(rng.Exponential(2.0));
-  EXPECT_NEAR(acc.mean(), 0.5, 0.02);
-  EXPECT_GE(acc.min(), 0.0);
-}
-
 TEST(RngTest, NormalMomentsMatch) {
   Rng rng(31);
   Accumulator acc;

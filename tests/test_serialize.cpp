@@ -147,6 +147,20 @@ TEST(SerializeTest, ScenarioParamsRoundTrip) {
   EXPECT_EQ(restored->seed, 424242u);
 }
 
+TEST(SerializeTest, ScenarioParamsRejectsOutOfRange) {
+  // MakeScenario cannot build these: no storages, an empty catalog, or a
+  // Zipf skew util::ZipfDistribution does not accept.
+  std::vector<workload::ScenarioParams> bad(3);
+  bad[0].catalog_size = 0;
+  bad[1].storage_count = 0;
+  bad[2].zipf_alpha = 2.0;
+  for (const workload::ScenarioParams& params : bad) {
+    const auto restored = ScenarioParamsFromJson(ToJson(params));
+    ASSERT_FALSE(restored.ok()) << ToJson(params).Dump();
+    EXPECT_EQ(restored.error().code, util::Error::Code::kInvalidArgument);
+  }
+}
+
 TEST(SerializeTest, RejectsWrongKind) {
   const workload::Scenario scenario = SmallScenario();
   EXPECT_FALSE(CatalogFromJson(ToJson(scenario.topology)).ok());

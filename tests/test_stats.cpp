@@ -83,21 +83,5 @@ TEST(CorrelationTest, DegenerateInputsReturnZero) {
   EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 1, 1}, {2, 3, 4}), 0.0);
 }
 
-TEST(LinearSlopeTest, RecoversSlope) {
-  const std::vector<double> x{0, 1, 2, 3};
-  const std::vector<double> y{5, 8, 11, 14};
-  EXPECT_NEAR(LinearSlope(x, y), 3.0, 1e-12);
-}
-
-TEST(LinearSlopeTest, NoisyDataApproximates) {
-  std::vector<double> x;
-  std::vector<double> y;
-  for (int i = 0; i < 100; ++i) {
-    x.push_back(i);
-    y.push_back(2.5 * i + ((i % 2) ? 0.3 : -0.3));
-  }
-  EXPECT_NEAR(LinearSlope(x, y), 2.5, 0.01);
-}
-
 }  // namespace
 }  // namespace vor::util

@@ -70,14 +70,11 @@ TEST(TopologyTest, UniformSetters) {
 
   topo.SetUniformStorageCapacity(util::GB(11));
   topo.SetUniformStorageRate(util::StorageRate{3.0});
-  topo.ScaleNetworkRates(0.5);
 
   EXPECT_DOUBLE_EQ(topo.node(a).capacity.value(), 11e9);
   EXPECT_DOUBLE_EQ(topo.node(b).capacity.value(), 11e9);
   EXPECT_DOUBLE_EQ(topo.node(a).srate.value(), 3.0);
   EXPECT_TRUE(std::isinf(topo.node(vw).capacity.value()));
-  EXPECT_DOUBLE_EQ(topo.links()[0].nrate.value(), 5.0);
-  EXPECT_DOUBLE_EQ(topo.links()[1].nrate.value(), 10.0);
 }
 
 TEST(PaperTopologyTest, HasTwentyNodesAndValidates) {

@@ -106,6 +106,33 @@ execute_process(
 if(NOT rc EQUAL 1 OR NOT err MATCHES "expects a non-negative integer")
   message(FATAL_ERROR "overflowing --catalog: rc=${rc} err=${err}")
 endif()
+# Well-formed values a scenario cannot be built from are an error up front,
+# not a crash or a scenario file that solve refuses later.
+foreach(count_flag catalog storages)
+  execute_process(
+    COMMAND ${VORCTL} gen-scenario --${count_flag} 0
+            --out ${WORKDIR}/vorctl_bad.json
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "needs storages and a catalog")
+    message(FATAL_ERROR "gen-scenario --${count_flag} 0: rc=${rc} err=${err}")
+  endif()
+endforeach()
+foreach(alpha 3 -2)
+  execute_process(
+    COMMAND ${VORCTL} gen-scenario --alpha ${alpha}
+            --out ${WORKDIR}/vorctl_bad.json
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "alpha must be in")
+    message(FATAL_ERROR "gen-scenario --alpha ${alpha}: rc=${rc} err=${err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND ${VORCTL} gen-trace ${scenario} --alpha 3
+          --out ${WORKDIR}/vorctl_bad.vorb
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "alpha must be in")
+  message(FATAL_ERROR "gen-trace --alpha 3: rc=${rc} err=${err}")
+endif()
 
 # --metrics-out must emit a JSON document carrying the phase spans and
 # solver counters.

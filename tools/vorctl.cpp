@@ -256,6 +256,10 @@ int CmdGenScenario(const Args& args) {
   if (args.Flag("evening")) {
     params.start_profile = workload::StartTimeProfile::kEveningPeak;
   }
+  if (const util::Status s = workload::ValidateScenarioParams(params);
+      !s.ok()) {
+    return Fail(s.error().message);
+  }
 
   const workload::Scenario scenario = workload::MakeScenario(params);
   const std::string trace_out = args.Str("trace-out", "");
@@ -319,6 +323,9 @@ int CmdGenTrace(const Args& args) {
   params.buckets = args.Count("buckets", params.buckets);
   params.seed = args.Count("seed", params.seed);
   if (params.users == 0) return Fail("--users must be >= 1");
+  if (!(params.zipf_alpha >= 0.0 && params.zipf_alpha <= 1.0)) {
+    return Fail("--alpha must be in [0, 1]");
+  }
 
   std::ofstream file(out, std::ios::binary | std::ios::trunc);
   if (!file) return Fail("cannot open " + out);
