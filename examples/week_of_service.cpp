@@ -9,9 +9,12 @@
 // above the unavoidable-network lower bound.  Exits non-zero if the
 // committed week fails validation.
 //
-// The 8 GB stores fill up: the admission estimate then defers part of
-// each day's batch to later closes, and a reservation deferred more than
-// ServiceConfig::max_deferrals times is dropped.
+// The 8 GB stores fill up from day 1 on.  Each day's batch still reaches
+// the solver whole: SORP resolves the overflows the greedy creates, so
+// every close commits its batch in one attempt.  A batch SORP could not
+// resolve would be halved and its newer half deferred to later closes,
+// and a reservation deferred more than ServiceConfig::max_deferrals
+// times is dropped.
 //
 //   $ ./week_of_service
 #include <iostream>

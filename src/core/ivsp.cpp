@@ -195,13 +195,11 @@ class GreedyRun {
     // a later request may open a cache there that copies this stream's
     // blocks.  The latest anchor is kept — a shorter caching interval is
     // always cheaper for the same services.
-    if (options_.enable_caching) {
-      for (const net::NodeId n : d.route) {
-        if (!cm_.topology().IsStorage(n)) continue;
-        Anchor& a = anchors_[n];
-        if (a.origin == net::kInvalidNode || req.start_time >= a.time) {
-          a = Anchor{req.start_time, origin};
-        }
+    for (const net::NodeId n : d.route) {
+      if (!cm_.topology().IsStorage(n)) continue;
+      Anchor& a = anchors_[n];
+      if (a.origin == net::kInvalidNode || req.start_time >= a.time) {
+        a = Anchor{req.start_time, origin};
       }
     }
     if (streams_.has_value()) streams_->AddStream(d);
@@ -212,10 +210,8 @@ class GreedyRun {
     ++stats_.requests;
     Candidate best;
     ConsiderDirect(req, best);
-    if (options_.enable_caching) {
-      ConsiderExtensions(req, best);
-      ConsiderNewCaches(req, best);
-    }
+    ConsiderExtensions(req, best);
+    ConsiderNewCaches(req, best);
     // Direct delivery is only infeasible when the stream caps veto even
     // the VW route; in that case fall back to direct delivery anyway
     // (every reservation must be honoured) — storage::MeasureStreams

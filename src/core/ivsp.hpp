@@ -38,9 +38,6 @@ class MetricsRegistry;
 namespace vor::core {
 
 struct IvspOptions {
-  /// Master switch; false degenerates to direct-from-VW for every request
-  /// (the paper's "network only system" reference line in Figs. 5 and 7).
-  bool enable_caching = true;
   /// Allow opening a cache at an IS other than the requester's local one.
   bool allow_remote_caching = true;
   /// Allow serving a request from a cache in another neighborhood.

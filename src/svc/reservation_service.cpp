@@ -3,24 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "sim/validator.hpp"
-#include "storage/load.hpp"
 #include "workload/trace.hpp"
 
 namespace vor::svc {
 
 namespace {
-
-/// Per-IS candidate-bytes threshold of the capacity estimate, as a
-/// multiple of the node's remaining headroom (committed peak usage vs
-/// capacity).  The estimate also always allows one full capacity of
-/// candidate bytes: direct deliveries use no storage, so a saturated IS
-/// stays serviceable — the threshold bounds *caching pressure*, not
-/// service.
-constexpr double kAdmissionOvercommit = 8.0;
 
 /// Defensive cap on solve-validate-halve attempts per close.
 constexpr std::size_t kMaxAdmissionRetries = 24;
@@ -29,14 +19,12 @@ constexpr std::size_t kMaxAdmissionRetries = 24;
 /// counter split.
 enum class DeferCause : std::uint8_t {
   kFairness,
-  kCapacityEstimate,
   kInfeasible,
 };
 
 const char* CounterName(DeferCause cause) {
   switch (cause) {
     case DeferCause::kFairness: return "svc.admit.deferred_fairness";
-    case DeferCause::kCapacityEstimate: return "svc.admit.deferred_capacity";
     case DeferCause::kInfeasible: return "svc.admit.deferred_infeasible";
   }
   return "svc.admit.deferred_other";
@@ -48,70 +36,23 @@ struct AdmissionSplit {
   std::vector<std::pair<StampedRequest, DeferCause>> pushed_back;
 };
 
-/// The estimate tier of admission control — fairness cap and per-IS
-/// caching-pressure estimate — as a pure function of (config, committed
-/// schedule, canonical batch).  No counters and no service mutation: the
-/// close does the bookkeeping.
-AdmissionSplit RunAdmissionEstimates(const ServiceConfig& config,
-                                     const net::Topology& topology,
-                                     const media::Catalog& catalog,
-                                     const core::VorScheduler& scheduler,
-                                     const core::SolveOutput& previous,
-                                     std::vector<StampedRequest> batch) {
+/// The per-user fairness cap: each user gets at most `user_cycle_cap`
+/// slots per cycle, earliest arrivals first.  A pure function of the
+/// canonical batch; the close does the bookkeeping.  Capacity is not
+/// estimated here: the solve-validate-halve loop is the one capacity
+/// gate.
+AdmissionSplit ApplyFairnessCap(std::size_t user_cycle_cap,
+                                std::vector<StampedRequest> batch) {
   AdmissionSplit split;
   split.admitted.reserve(batch.size());
-
-  // Fairness cap: each user gets at most user_cycle_cap slots per cycle,
-  // earliest arrivals first.
-  {
-    std::unordered_map<workload::UserId, std::size_t> per_user;
-    for (StampedRequest& s : batch) {
-      if (++per_user[s.request.user] > config.user_cycle_cap) {
-        split.pushed_back.emplace_back(std::move(s), DeferCause::kFairness);
-      } else {
-        split.admitted.push_back(std::move(s));
-      }
-    }
-  }
-  if (split.admitted.empty()) return split;
-
-  // Capacity estimate: bound the caching pressure a cycle may add to each
-  // IS.  Headroom comes from the committed schedule's peak usage (the
-  // space keys of a storage::Load, the aggregate SORP maintains); each
-  // (video, IS) pair contributes one copy's worth of bytes.  The floor of
-  // one full capacity keeps saturated nodes serviceable (direct
-  // deliveries use no storage) while still shedding pathological pile-ups
-  // up front.
-  const storage::Load load(previous.schedule, scheduler.cost_model(),
-                           storage::Resources::kSpace);
-  std::unordered_map<net::NodeId, double> budget;
-  for (net::NodeId n = 0; n < topology.node_count(); ++n) {
-    if (!topology.IsStorage(n)) continue;
-    const double capacity = topology.node(n).capacity.value();
-    const double headroom = std::max(0.0, capacity - load.SpacePeak(n));
-    budget[n] = headroom * kAdmissionOvercommit + capacity;
-  }
-  std::unordered_set<std::uint64_t> seen_copy;  // (video, node) pairs
-  std::vector<StampedRequest> kept;
-  kept.reserve(split.admitted.size());
-  for (StampedRequest& s : split.admitted) {
-    const net::NodeId node = s.request.neighborhood;
-    const std::uint64_t copy_key = AdmissionCopyKey(s.request.video, node);
-    double footprint = 0.0;
-    if (seen_copy.insert(copy_key).second) {
-      footprint = catalog.video(s.request.video).size.value();
-    }
-    double& remaining = budget[node];
-    if (footprint > remaining) {
-      seen_copy.erase(copy_key);
-      split.pushed_back.emplace_back(std::move(s),
-                                     DeferCause::kCapacityEstimate);
+  std::unordered_map<workload::UserId, std::size_t> per_user;
+  for (StampedRequest& s : batch) {
+    if (++per_user[s.request.user] > user_cycle_cap) {
+      split.pushed_back.emplace_back(std::move(s), DeferCause::kFairness);
     } else {
-      remaining -= footprint;
-      kept.push_back(std::move(s));
+      split.admitted.push_back(std::move(s));
     }
   }
-  split.admitted = std::move(kept);
   return split;
 }
 
@@ -261,8 +202,7 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
   std::stable_sort(batch.begin(), batch.end(), DrainOrderLess);
 
   AdmissionSplit split =
-      RunAdmissionEstimates(config_, *topology_, *catalog_, scheduler_,
-                            previous_, std::move(batch));
+      ApplyFairnessCap(config_.user_cycle_cap, std::move(batch));
   std::vector<StampedRequest>& admitted = split.admitted;
   std::vector<std::pair<StampedRequest, DeferCause>>& pushed_back =
       split.pushed_back;

@@ -19,13 +19,13 @@
 //     schedule.  Start(period) runs a background thread that closes
 //     cycles on a wall-clock period for live deployments; trace replays
 //     close cycles explicitly at virtual-time epochs instead.
-//   * Admission control — before committing, cheap estimates shed load
-//     (per-user fairness cap; per-IS capacity headroom from
-//     storage::Load), and the commit itself is guarded: a cycle
-//     is committed only when SORP resolved every overflow AND
-//     sim::ValidateSchedule passes.  Otherwise the latest arrivals are
-//     deferred (halving) and the cycle re-solved, so the committed
-//     schedule can never overflow an intermediate storage.
+//   * Admission control — one pre-filter, the per-user fairness cap,
+//     then the one capacity gate: a cycle is committed only when SORP
+//     resolved every overflow AND sim::ValidateSchedule passes.
+//     Otherwise the latest arrivals are deferred (halving) and the cycle
+//     re-solved, so the committed schedule can never overflow an
+//     intermediate storage.  Capacity is phase 2's job (SORP, Sec. 4):
+//     a batch that piles onto one IS reaches SORP whole.
 //   * Snapshot/restore — the full service state (committed requests +
 //     schedule, deferred set, open intake) serializes through io/serialize
 //     as a versioned "vor-svc/1" document (src/svc/snapshot.hpp), so a
@@ -78,17 +78,6 @@ struct StampedRequest {
 [[nodiscard]] bool DrainOrderLess(const StampedRequest& a,
                                   const StampedRequest& b);
 
-/// Exact (video, node) admission-dedupe key: each id occupies its own
-/// 32-bit half, so distinct pairs can never collide.  Exposed for
-/// regression tests — the old `(video << 24) | node` packing let node
-/// ids >= 2^24 bleed into the video bits and alias across pairs,
-/// corrupting the per-IS footprint estimate.
-[[nodiscard]] constexpr std::uint64_t AdmissionCopyKey(media::VideoId video,
-                                                       net::NodeId node) {
-  return (static_cast<std::uint64_t>(video) << 32) |
-         static_cast<std::uint64_t>(node);
-}
-
 enum class SubmitOutcome : std::uint8_t {
   /// Queued into the open cycle.
   kAccepted,
@@ -134,7 +123,8 @@ struct CycleStats {
   std::size_t deferred_in = 0;
   /// Newly committed this close.
   std::size_t admitted = 0;
-  /// Deferred to a later cycle (fairness / estimates / infeasibility).
+  /// Pushed back to the next close, by the fairness cap or by the
+  /// solve-validate-halve loop.
   std::size_t deferred_out = 0;
   /// Dropped: deferred more than max_deferrals times (genuine expiry).
   std::size_t rejected_expired = 0;

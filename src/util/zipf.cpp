@@ -1,9 +1,7 @@
 #include "util/zipf.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 
 namespace vor::util {
 
@@ -17,14 +15,7 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double alpha) : alpha_(alpha) 
     pmf_[i] = std::pow(1.0 / static_cast<double>(i + 1), exponent);
     total += pmf_[i];
   }
-  cdf_.resize(n);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    pmf_[i] /= total;
-    acc += pmf_[i];
-    cdf_[i] = acc;
-  }
-  cdf_.back() = 1.0;  // guard against rounding drift
+  for (double& p : pmf_) p /= total;
   BuildAliasTable();
 }
 
@@ -67,17 +58,6 @@ std::size_t ZipfDistribution::Sample(Rng& rng) const {
   return rng.NextDouble() < alias_prob_[column]
              ? column
              : static_cast<std::size_t>(alias_idx_[column]);
-}
-
-std::size_t ZipfDistribution::SampleByInversion(Rng& rng) const {
-  const double u = rng.NextDouble();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(std::distance(cdf_.begin(), it));
-}
-
-double ZipfDistribution::TopMass(std::size_t k) const {
-  k = std::min(k, pmf_.size());
-  return std::accumulate(pmf_.begin(), pmf_.begin() + static_cast<long>(k), 0.0);
 }
 
 }  // namespace vor::util

@@ -25,23 +25,14 @@ class ZipfDistribution {
   /// Draw a 0-based rank.  O(1) via Walker alias sampling.
   [[nodiscard]] std::size_t Sample(Rng& rng) const;
 
-  /// Draw via CDF inversion (O(log n)).  Identical distribution to
-  /// Sample(); kept for cross-validation in tests and benchmarks.
-  [[nodiscard]] std::size_t SampleByInversion(Rng& rng) const;
-
   [[nodiscard]] std::size_t size() const { return pmf_.size(); }
   [[nodiscard]] double alpha() const { return alpha_; }
-
-  /// Fraction of total mass carried by the top k ranks; used by tests to
-  /// check the skew ordering the paper's Fig. 6/9 depend on.
-  [[nodiscard]] double TopMass(std::size_t k) const;
 
  private:
   void BuildAliasTable();
 
   double alpha_;
   std::vector<double> pmf_;
-  std::vector<double> cdf_;
   // Walker alias structures.
   std::vector<double> alias_prob_;
   std::vector<std::uint32_t> alias_idx_;

@@ -14,16 +14,22 @@
 namespace vor {
 namespace {
 
-double SolveCost(const workload::ScenarioParams& params,
-                 bool enable_caching = true) {
+double SolveCost(const workload::ScenarioParams& params) {
   const workload::Scenario scenario = workload::MakeScenario(params);
-  core::SchedulerOptions options;
-  options.ivsp.enable_caching = enable_caching;
-  core::VorScheduler scheduler(scenario.topology, scenario.catalog, options);
+  core::VorScheduler scheduler(scenario.topology, scenario.catalog);
   const auto result = scheduler.Solve(scenario.requests);
   EXPECT_TRUE(result.ok());
   EXPECT_TRUE(result->sorp.Resolved());
   return result->final_cost.value();
+}
+
+/// The "network only system" of Figs. 5 and 7: no intermediate storage.
+double NetworkOnlyCost(const workload::ScenarioParams& params) {
+  const workload::Scenario scenario = workload::MakeScenario(params);
+  const net::Router router(scenario.topology);
+  const core::CostModel cm(scenario.topology, router, scenario.catalog);
+  return cm.TotalCost(baseline::NetworkOnlySchedule(scenario.requests, cm))
+      .value();
 }
 
 TEST(IntegrationShape, CostIncreasesWithNetworkRate) {
@@ -52,7 +58,7 @@ TEST(IntegrationShape, IntermediateStorageBeatsNetworkOnlyMoreAsNrateGrows) {
     workload::ScenarioParams p;
     p.nrate_per_gb = nrate;
     const double with_is = SolveCost(p);
-    const double without_is = SolveCost(p, /*enable_caching=*/false);
+    const double without_is = NetworkOnlyCost(p);
     advantages.push_back(without_is - with_is);
   }
   EXPECT_GT(advantages[1], advantages[0]);
@@ -63,7 +69,7 @@ TEST(IntegrationShape, CostIncreasesWithStorageRateAndSaturates) {
   // network-only asymptote.
   workload::ScenarioParams base;
   base.nrate_per_gb = 300;
-  const double network_only = SolveCost(base, /*enable_caching=*/false);
+  const double network_only = NetworkOnlyCost(base);
 
   std::vector<double> costs;
   for (const double srate : {1.0, 30.0, 100.0, 300.0}) {

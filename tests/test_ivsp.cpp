@@ -76,23 +76,6 @@ TEST(IvspTest, ExpensiveStorageDisablesCaching) {
   }
 }
 
-TEST(IvspTest, CachingDisabledOptionForcesDirect) {
-  Env env(3);
-  const std::vector<workload::Request> requests{
-      {0, 0, util::Hours(1.0), 3},
-      {1, 0, util::Hours(1.1), 3},
-      {2, 0, util::Hours(1.2), 3},
-  };
-  IvspOptions options;
-  options.enable_caching = false;
-  const FileSchedule f =
-      ScheduleFileGreedy(0, requests, {0, 1, 2}, env.cm, options, nullptr);
-  EXPECT_TRUE(f.residencies.empty());
-  for (const Delivery& d : f.deliveries) {
-    EXPECT_EQ(d.origin(), env.topo.warehouse());
-  }
-}
-
 TEST(IvspTest, CacheExtensionAccumulatesServices) {
   Env env(2);
   std::vector<workload::Request> requests;

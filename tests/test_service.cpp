@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "svc/snapshot.hpp"
 #include "test_helpers.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
+#include "workload/generator.hpp"
 #include "workload/scenario.hpp"
 #include "workload/trace.hpp"
 
@@ -188,6 +191,65 @@ TEST(ServiceAdmission, LooseCapacityCommitsEverything) {
   EXPECT_EQ(stats->deferred_out, 0u);
   EXPECT_EQ(stats->solve_attempts, 1u);
   EXPECT_EQ(service.CommittedRequests().size(), scenario.requests.size());
+}
+
+TEST(ServiceAdmission, FullStoresStillAdmitTheWholeBatch) {
+  // The first two daily closes of examples/week_of_service: 8 GB stores,
+  // an evening peak, and a popularity ranking that drifts 15% overnight.
+  // Day 1's copies leave little headroom, so day 2's batch piles onto
+  // full stores.  Capacity is phase 2's job: the batch reaches SORP
+  // whole and commits in one attempt, with nothing deferred.
+  workload::ScenarioParams params;
+  params.nrate_per_gb = 600.0;
+  params.srate_per_gb_hour = 4.0;
+  params.is_capacity = util::GB(8.0);
+  params.start_profile = workload::StartTimeProfile::kEveningPeak;
+  const workload::Scenario base = workload::MakeScenario(params);
+  svc::ReservationService service(base.topology, base.catalog);
+
+  std::vector<media::VideoId> rank_to_video(base.catalog.size());
+  std::iota(rank_to_video.begin(), rank_to_video.end(), media::VideoId{0});
+  util::Rng drift_rng(params.seed ^ 0xD81F7ULL);
+  svc::CycleStats last;
+  for (std::size_t day = 0; day < 2; ++day) {
+    if (day > 0) {
+      for (std::size_t m = 0; m < rank_to_video.size() * 15 / 100; ++m) {
+        const std::size_t from = drift_rng.NextBounded(rank_to_video.size());
+        const std::size_t to = drift_rng.NextBounded(rank_to_video.size());
+        const media::VideoId moved = rank_to_video[from];
+        rank_to_video.erase(rank_to_video.begin() + static_cast<long>(from));
+        rank_to_video.insert(rank_to_video.begin() + static_cast<long>(to),
+                             moved);
+      }
+    }
+    workload::WorkloadParams wl;
+    wl.users_per_neighborhood = params.users_per_neighborhood;
+    wl.zipf_alpha = params.zipf_alpha;
+    wl.cycle_length = params.cycle_length;
+    wl.profile = params.start_profile;
+    wl.seed = params.seed + 0x9E3779B9ULL * (day + 1);
+    for (workload::Request r : workload::GenerateRequestsRanked(
+             base.topology, base.catalog, wl, rank_to_video)) {
+      r.start_time =
+          r.start_time + util::Hours(24.0 * static_cast<double>(day));
+      ASSERT_EQ(service.Submit(r, r.start_time),
+                svc::SubmitOutcome::kAccepted);
+    }
+    const auto stats = service.CloseCycle();
+    ASSERT_TRUE(stats.ok()) << stats.error().message;
+    last = *stats;
+  }
+
+  EXPECT_GT(last.drained, 0u);
+  EXPECT_EQ(last.admitted, last.drained);
+  EXPECT_EQ(last.solve_attempts, 1u);
+  EXPECT_EQ(last.deferred_out, 0u);
+  EXPECT_EQ(service.CommittedRequests().size(), 2 * last.drained);
+  const net::Router router(base.topology);
+  const core::CostModel cm(base.topology, router, base.catalog);
+  const auto report = sim::ValidateSchedule(service.CommittedSchedule(),
+                                            service.CommittedRequests(), cm);
+  EXPECT_TRUE(report.ok()) << report.violations.size() << " violations";
 }
 
 TEST(ServiceAdmission, HonoursLinkBandwidthCaps) {
@@ -500,26 +562,6 @@ TEST(ServiceOrdering, DrainOrderIsTotalAndArrivalFirst) {
                                   {a, util::Seconds{1.0}, 1}));
   EXPECT_FALSE(svc::DrainOrderLess({a, util::Seconds{1.0}, 0},
                                    {a, util::Seconds{1.0}, 0}));
-}
-
-TEST(ServiceAdmission, CopyKeySeparatesIdsAcross24BitBoundary) {
-  // Regression: the old (video << 24) | node packing aliased once node
-  // ids crossed 2^24 (or video ids grew past 8 bits of headroom).  These
-  // pairs collided under the old key; the 32+32 split must keep them
-  // (and the id halves themselves) exact.
-  const media::VideoId v0 = 0, v1 = 1;
-  const net::NodeId big = (1u << 24) | 7u;
-  // Old scheme: (0 << 24) | ((1<<24)|7)  ==  (1 << 24) | 7.
-  EXPECT_NE(svc::AdmissionCopyKey(v0, big), svc::AdmissionCopyKey(v1, 7u));
-  // Old scheme: (1 << 24) | (1<<24)  ==  (2 << 24) | 0.
-  EXPECT_NE(svc::AdmissionCopyKey(v1, 1u << 24),
-            svc::AdmissionCopyKey(2u, 0u));
-  // The halves round-trip exactly at the extremes.
-  const media::VideoId vmax = 0xffffffffu;
-  const net::NodeId nmax = 0xffffffffu;
-  EXPECT_EQ(svc::AdmissionCopyKey(vmax, nmax) >> 32, vmax);
-  EXPECT_EQ(svc::AdmissionCopyKey(vmax, nmax) & 0xffffffffu, nmax);
-  EXPECT_NE(svc::AdmissionCopyKey(vmax, 0u), svc::AdmissionCopyKey(0u, nmax));
 }
 
 TEST(ServiceIntake, DeferredSetOverflowIsNotCountedAsExpiry) {

@@ -107,23 +107,26 @@ if(NOT rc EQUAL 1 OR NOT err MATCHES "expects a non-negative integer")
   message(FATAL_ERROR "overflowing --catalog: rc=${rc} err=${err}")
 endif()
 # Well-formed values a scenario cannot be built from are an error up front,
-# not a crash or a scenario file that solve refuses later.
-foreach(count_flag catalog storages)
+# not a crash or a scenario file that solve refuses later.  Negative rates
+# and capacities get solve's own messages; "nan" and "inf", which
+# std::stod parses, would otherwise be written out as non-JSON tokens.
+foreach(case "catalog;0;needs storages and a catalog"
+             "storages;0;needs storages and a catalog"
+             "alpha;3;alpha must be in" "alpha;-2;alpha must be in"
+             "capacity-gb;-1;negative capacity at node IS-hub0"
+             "nrate;-5;negative nrate on a link"
+             "srate;nan;--srate expects a finite number"
+             "capacity-gb;nan;--capacity-gb expects a finite number"
+             "nrate;inf;--nrate expects a finite number")
+  list(GET case 0 flag)
+  list(GET case 1 value)
+  list(GET case 2 expected)
   execute_process(
-    COMMAND ${VORCTL} gen-scenario --${count_flag} 0
+    COMMAND ${VORCTL} gen-scenario --${flag} ${value}
             --out ${WORKDIR}/vorctl_bad.json
     RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
-  if(NOT rc EQUAL 1 OR NOT err MATCHES "needs storages and a catalog")
-    message(FATAL_ERROR "gen-scenario --${count_flag} 0: rc=${rc} err=${err}")
-  endif()
-endforeach()
-foreach(alpha 3 -2)
-  execute_process(
-    COMMAND ${VORCTL} gen-scenario --alpha ${alpha}
-            --out ${WORKDIR}/vorctl_bad.json
-    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
-  if(NOT rc EQUAL 1 OR NOT err MATCHES "alpha must be in")
-    message(FATAL_ERROR "gen-scenario --alpha ${alpha}: rc=${rc} err=${err}")
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "${expected}")
+    message(FATAL_ERROR "gen-scenario --${flag} ${value}: rc=${rc} err=${err}")
   endif()
 endforeach()
 execute_process(
@@ -211,12 +214,16 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "restored serve diverged from the original run")
 endif()
-execute_process(
-  COMMAND ${VORCTL} serve ${scenario} --cycle 0
-  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
-if(NOT rc EQUAL 1 OR NOT err MATCHES "--cycle")
-  message(FATAL_ERROR "serve without --cycle: rc=${rc} err=${err}")
-endif()
+# --cycle must be a finite positive number of seconds (nan and inf would
+# replay the whole trace as one window).
+foreach(cycle 0 nan inf)
+  execute_process(
+    COMMAND ${VORCTL} serve ${scenario} --cycle ${cycle}
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "--cycle")
+    message(FATAL_ERROR "serve --cycle ${cycle}: rc=${rc} err=${err}")
+  endif()
+endforeach()
 
 # ---- vor-bin codec round trips -------------------------------------------
 # CSV -> binary -> CSV -> binary: the two binary encodings must be

@@ -83,6 +83,7 @@
 //       submit->commit latency percentiles; a comma-separated --connect
 //       list enables sticky-host failover.
 #include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -151,11 +152,14 @@ struct Args {
     try {
       std::size_t consumed = 0;
       const double v = std::stod(it->second, &consumed);
-      if (consumed != it->second.size()) throw std::invalid_argument(key);
+      // stod accepts "nan" and "inf"; no flag means either.
+      if (consumed != it->second.size() || !std::isfinite(v)) {
+        throw std::invalid_argument(key);
+      }
       return v;
     } catch (const std::exception&) {
-      throw UsageError{"--" + key + " expects a number, got '" + it->second +
-                       "'"};
+      throw UsageError{"--" + key + " expects a finite number, got '" +
+                       it->second + "'"};
     }
   }
   /// Exact non-negative integer flags (seeds, counts, thread numbers).
@@ -206,6 +210,24 @@ Args ParseArgs(int argc, char** argv, int first) {
 int Fail(const std::string& message) {
   std::cerr << "vorctl: " << message << '\n';
   return 1;
+}
+
+/// The per-close table of `serve` and `load`.  `dropped` counts both drop
+/// causes: a request deferred too often, and a push-back that found the
+/// deferred set full.
+void PrintCycleTable(const std::vector<svc::CycleStats>& closes) {
+  util::Table table({"cycle", "drained", "admitted", "deferred", "dropped",
+                     "tries", "solve s", "cost $"});
+  for (const svc::CycleStats& s : closes) {
+    table.AddRow({std::to_string(s.cycle), std::to_string(s.drained),
+                  std::to_string(s.admitted), std::to_string(s.deferred_out),
+                  std::to_string(s.rejected_expired +
+                                 s.rejected_deferred_full),
+                  std::to_string(s.solve_attempts),
+                  util::Table::Num(s.solve_seconds, 3),
+                  util::Table::Num(s.final_cost, 2)});
+  }
+  table.PrintPretty(std::cout);
 }
 
 util::Result<workload::Scenario> LoadScenario(const std::string& path) {
@@ -262,6 +284,11 @@ int CmdGenScenario(const Args& args) {
   }
 
   const workload::Scenario scenario = workload::MakeScenario(params);
+  // The checks solve runs on load, so a negative rate or capacity fails
+  // here instead of in a scenario file solve refuses.
+  if (const util::Status s = scenario.topology.Validate(); !s.ok()) {
+    return Fail(s.error().message);
+  }
   const std::string trace_out = args.Str("trace-out", "");
   if (!trace_out.empty()) {
     std::string trace_text;
@@ -587,16 +614,7 @@ int CmdServe(const Args& args) {
     }
   }
 
-  util::Table table({"cycle", "drained", "admitted", "deferred", "expired",
-                     "tries", "solve s", "cost $"});
-  auto add_row = [&table](const svc::CycleStats& s) {
-    table.AddRow({std::to_string(s.cycle), std::to_string(s.drained),
-                  std::to_string(s.admitted), std::to_string(s.deferred_out),
-                  std::to_string(s.rejected_expired),
-                  std::to_string(s.solve_attempts),
-                  util::Table::Num(s.solve_seconds, 3),
-                  util::Table::Num(s.final_cost, 2)});
-  };
+  std::vector<svc::CycleStats> closes;
 
   const bool binary_out = args.Flag("binary");
   const bool listen_mode = !listen_spec.empty();
@@ -647,7 +665,7 @@ int CmdServe(const Args& args) {
     }
     server.Stop();
     if (clock_ms > 0) service.Stop();
-    for (const svc::CycleStats& s : service.History()) add_row(s);
+    closes = service.History();
     total = service.CommittedRequests().size() + service.DeferredCount() +
             service.PendingCount();
   } else {
@@ -700,7 +718,7 @@ int CmdServe(const Args& args) {
     window.clear();
     auto stats = service.CloseCycle();
     if (!stats.ok()) return Fail(stats.error().message);
-    add_row(*stats);
+    closes.push_back(*stats);
     return 0;
   };
 
@@ -738,13 +756,13 @@ int CmdServe(const Args& args) {
   for (int extra = 0; backlog > 0 && extra < 16; ++extra) {
     auto stats = service.CloseCycle();
     if (!stats.ok()) return Fail(stats.error().message);
-    add_row(*stats);
+    closes.push_back(*stats);
     const std::size_t now = service.DeferredCount();
     if (now >= backlog) break;
     backlog = now;
   }
   }  // !listen_mode
-  table.PrintPretty(std::cout);
+  PrintCycleTable(closes);
   if (backpressured > 0) {
     std::cout << backpressured << " submit(s) rejected at intake\n";
   }
@@ -839,17 +857,7 @@ int CmdLoad(const Args& args) {
   auto report = rpc::RunLoad(*stream, config);
   if (!report.ok()) return Fail(report.error().message);
 
-  util::Table table({"cycle", "drained", "admitted", "deferred", "expired",
-                     "tries", "solve s", "cost $"});
-  for (const svc::CycleStats& s : report->closes) {
-    table.AddRow({std::to_string(s.cycle), std::to_string(s.drained),
-                  std::to_string(s.admitted), std::to_string(s.deferred_out),
-                  std::to_string(s.rejected_expired),
-                  std::to_string(s.solve_attempts),
-                  util::Table::Num(s.solve_seconds, 3),
-                  util::Table::Num(s.final_cost, 2)});
-  }
-  table.PrintPretty(std::cout);
+  PrintCycleTable(report->closes);
 
   std::cout << "submitted " << report->submitted << " request(s) over "
             << config.connections << " connection(s): " << report->accepted
