@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <cassert>
+#include <cstddef>
 #include <limits>
 #include <optional>
 
@@ -66,8 +67,19 @@ class GreedyRun {
     }
   }
 
-  FileSchedule Run(const std::vector<std::size_t>& indices) {
-    for (const std::size_t idx : indices) {
+  FileSchedule Run(const std::vector<std::size_t>& indices,
+                   const PlanSeed& seed) {
+    // Every request gets one delivery: reserving the final count up front
+    // keeps a resumed plan's copy from growing (and over-allocating) as
+    // the rest is served.
+    deliveries_.reserve(indices.size());
+    if (seed.kept > 0) Resume(*seed.plan, seed.kept);
+    assert(std::equal(deliveries_.begin(), deliveries_.end(), indices.begin(),
+                      [](const Delivery& d, std::size_t r) {
+                        return d.request_index == r;
+                      }));
+    for (std::size_t i = deliveries_.size(); i < indices.size(); ++i) {
+      const std::size_t idx = indices[i];
       const workload::Request& req = requests_[idx];
       assert(req.video == video_);
       ServeRequest(idx, req);
@@ -82,6 +94,40 @@ class GreedyRun {
   [[nodiscard]] const GreedyStats& stats() const { return stats_; }
 
  private:
+  /// Takes the state a run reaches after serving the first `kept`
+  /// requests of `plan`: their deliveries, the caches they opened with
+  /// the services among them (t_last back at the last kept service), and
+  /// the anchors and cached nodes those imply.  The greedy serves in
+  /// chronological order, so the kept requests are those before the
+  /// plan's (kept+1)-th delivery in that order.
+  void Resume(const FileSchedule& plan, std::size_t kept) {
+    assert(constraints_ == nullptr);
+    assert(kept <= plan.deliveries.size());
+    deliveries_.assign(
+        plan.deliveries.begin(),
+        plan.deliveries.begin() + static_cast<std::ptrdiff_t>(kept));
+    for (const Delivery& d : deliveries_) AnchorAlong(d);
+    const auto is_kept = [&](std::size_t r) {
+      return kept == plan.deliveries.size() ||
+             workload::ChronologicalOrder{&requests_}(
+                 r, plan.deliveries[kept].request_index);
+    };
+    for (const Residency& cache : plan.residencies) {
+      const auto end = std::partition_point(cache.services.begin(),
+                                            cache.services.end(), is_kept);
+      // A cache opened by a later request is not open yet.
+      if (end == cache.services.begin()) continue;
+      Residency& open = caches_.emplace_back();
+      open.video = cache.video;
+      open.location = cache.location;
+      open.source = cache.source;
+      open.t_start = cache.t_start;
+      open.services.assign(cache.services.begin(), end);
+      open.t_last = requests_[open.services.back()].start_time;
+      cached_nodes_[open.location] = 1;
+    }
+  }
+
   /// Checks a hypothetical residency [t_start, t_last] at `node` against
   /// forbidden windows and capacity.  `replacing` points at the current
   /// residency being extended (so its own reservation is not double
@@ -191,19 +237,23 @@ class GreedyRun {
     d.route = cm_.router().CheapestPath(origin, req.neighborhood).nodes;
     d.start = req.start_time;
     d.request_index = request_index;
-    // Every IS the stream touches becomes a (re-)anchoring opportunity:
-    // a later request may open a cache there that copies this stream's
-    // blocks.  The latest anchor is kept — a shorter caching interval is
-    // always cheaper for the same services.
+    AnchorAlong(d);
+    if (streams_.has_value()) streams_->AddStream(d);
+    deliveries_.push_back(std::move(d));
+  }
+
+  /// Every IS a stream touches becomes a (re-)anchoring opportunity: a
+  /// later request may open a cache there that copies the stream's
+  /// blocks.  The latest anchor is kept — a shorter caching interval is
+  /// always cheaper for the same services.
+  void AnchorAlong(const Delivery& d) {
     for (const net::NodeId n : d.route) {
       if (!cm_.topology().IsStorage(n)) continue;
       Anchor& a = anchors_[n];
-      if (a.origin == net::kInvalidNode || req.start_time >= a.time) {
-        a = Anchor{req.start_time, origin};
+      if (a.origin == net::kInvalidNode || d.start >= a.time) {
+        a = Anchor{d.start, d.origin()};
       }
     }
-    if (streams_.has_value()) streams_->AddStream(d);
-    deliveries_.push_back(std::move(d));
   }
 
   void ServeRequest(std::size_t request_index, const workload::Request& req) {
@@ -286,9 +336,9 @@ FileSchedule ScheduleFileGreedy(media::VideoId video,
                                 const CostModel& cost_model,
                                 const IvspOptions& options,
                                 const ConstraintSet* constraints,
-                                GreedyStats* stats) {
+                                GreedyStats* stats, const PlanSeed& seed) {
   GreedyRun run(video, requests, cost_model, options, constraints);
-  FileSchedule out = run.Run(indices);
+  FileSchedule out = run.Run(indices, seed);
   if (stats != nullptr) *stats = run.stats();
   return out;
 }
@@ -297,36 +347,37 @@ Schedule IvspSolve(const std::vector<workload::Request>& requests,
                    const CostModel& cost_model, const IvspOptions& options,
                    util::ThreadPool* pool, obs::MetricsRegistry* metrics) {
   const obs::ScopedSpan span(metrics, "ivsp");
-  const auto groups = workload::GroupByVideo(requests);
+  const workload::VideoGroups groups = workload::GroupByVideo(requests);
   Schedule schedule;
   schedule.files.resize(groups.size());
   PlaceFiles(groups, requests, cost_model, options,
-             std::vector<const FileSchedule*>(groups.size(), nullptr),
-             schedule, pool, metrics);
+             std::vector<PlanSeed>(groups.size()), schedule, pool, metrics);
   return schedule;
 }
 
-void PlaceFiles(
-    const std::vector<std::pair<media::VideoId, std::vector<std::size_t>>>&
-        groups,
-    const std::vector<workload::Request>& requests,
-    const CostModel& cost_model, const IvspOptions& options,
-    const std::vector<const FileSchedule*>& carried, Schedule& schedule,
-    util::ThreadPool* pool, obs::MetricsRegistry* metrics) {
+void PlaceFiles(const workload::VideoGroups& groups,
+                const std::vector<workload::Request>& requests,
+                const CostModel& cost_model, const IvspOptions& options,
+                const std::vector<PlanSeed>& seeds, Schedule& schedule,
+                util::ThreadPool* pool, obs::MetricsRegistry* metrics) {
+  const auto carried = [&](std::size_t i) {
+    return seeds[i].plan != nullptr &&
+           seeds[i].kept == groups[i].second.size();
+  };
   // Per-file tallies/timings land in slot-indexed vectors and are folded
   // into the registry serially below, so counter values are identical at
   // any thread count (only the wall-clock observations vary).
   std::vector<GreedyStats> file_stats(metrics != nullptr ? groups.size() : 0);
   std::vector<double> file_seconds(file_stats.size(), 0.0);
   const auto place = [&](std::size_t i, const ConstraintSet* constraints) {
-    if (carried[i] != nullptr) {
-      schedule.files[i] = *carried[i];
+    if (carried(i)) {
+      schedule.files[i] = *seeds[i].plan;
       return;
     }
     const obs::Stopwatch watch;
     schedule.files[i] = ScheduleFileGreedy(
         groups[i].first, requests, groups[i].second, cost_model, options,
-        constraints, metrics != nullptr ? &file_stats[i] : nullptr);
+        constraints, metrics != nullptr ? &file_stats[i] : nullptr, seeds[i]);
     if (metrics != nullptr) file_seconds[i] = watch.Seconds();
   };
   if (storage::HasStreamCaps(cost_model.topology())) {
@@ -334,14 +385,15 @@ void PlaceFiles(
     // placed.
     std::vector<std::size_t> carried_files;
     for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (carried[i] == nullptr) continue;
+      assert(carried(i) || seeds[i].kept == 0);
+      if (!carried(i)) continue;
       place(i, nullptr);
       carried_files.push_back(i);
     }
     storage::Load streams(schedule, cost_model, carried_files,
                           storage::Resources::kStreams);
     for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (carried[i] != nullptr) continue;
+      if (carried(i)) continue;
       const storage::LoadView others = streams.Excluding(i);
       ConstraintSet constraints;
       constraints.load = &others;
@@ -360,7 +412,7 @@ void PlaceFiles(
     std::size_t placed = 0;
     obs::Timer& greedy_timer = metrics->GetTimer("ivsp.file_greedy");
     for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (carried[i] != nullptr) continue;
+      if (carried(i)) continue;
       ++placed;
       total += file_stats[i];
       greedy_timer.Observe(file_seconds[i]);

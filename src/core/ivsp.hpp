@@ -29,6 +29,7 @@
 #include "util/interval.hpp"
 #include "util/piecewise.hpp"
 #include "util/thread_pool.hpp"
+#include "workload/generator.hpp"
 #include "workload/request.hpp"
 
 namespace vor::obs {
@@ -100,15 +101,34 @@ struct ConstraintSet {
                                       util::Interval support) const;
 };
 
+/// Where a file's greedy starts: from an empty plan, or resumed from a
+/// committed plan of the same title.  The greedy serves a title's
+/// requests in chronological order and its plan after k requests depends
+/// only on those k, so the committed plan, cut back to its first `kept`
+/// requests, is the state a straight run reaches after indices[0..kept).
+struct PlanSeed {
+  /// The unconstrained greedy's own output (constraints null) over a
+  /// chronological request list whose first `kept` entries are the first
+  /// `kept` of the run's `indices`; null starts from an empty plan.
+  const FileSchedule* plan = nullptr;
+  /// Requests whose deliveries and caches are kept from `plan` (which
+  /// must then be non-null); the greedy serves indices[kept..].  0 replays
+  /// from the first request.
+  std::size_t kept = 0;
+};
+
 /// Computes S_i for one file.  `indices` are positions into `requests`,
-/// already sorted by start time; all must reference `video`.
+/// in workload::ChronologicalOrder; all must reference `video`.
 /// `constraints` may be nullptr (pure phase-1 behaviour: capacity ignored).
-/// A non-null `stats` receives this run's decision/rejection tallies.
+/// A non-null `stats` receives this run's decision/rejection tallies,
+/// which count only the requests served after `seed.kept`.  A seed with
+/// a plan requires null `constraints`; the result is byte-identical to
+/// the run from an empty plan.
 [[nodiscard]] FileSchedule ScheduleFileGreedy(
     media::VideoId video, const std::vector<workload::Request>& requests,
     const std::vector<std::size_t>& indices, const CostModel& cost_model,
     const IvspOptions& options, const ConstraintSet* constraints,
-    GreedyStats* stats = nullptr);
+    GreedyStats* stats = nullptr, const PlanSeed& seed = {});
 
 /// Phase 1, IVSP-solve (Table 2 of the paper): independent greedy per file,
 /// capacity ignored.  Returns one FileSchedule per distinct requested video,
@@ -126,27 +146,28 @@ struct ConstraintSet {
 
 /// Phase-1 placement, shared by IvspSolve and the two-phase solve behind
 /// VorScheduler::Solve and IncrementalSolve.  Slot i of `schedule.files`
-/// (one per group) receives `*carried[i]` when that is non-null, a plan
-/// carried over from an earlier solve, and otherwise the greedy plan of
-/// groups[i].  Files are scheduled independently (the definition of phase
+/// (one per group) receives `*seeds[i].plan` verbatim when the seed keeps
+/// every request of groups[i] (a plan carried over from an earlier
+/// solve), and otherwise the greedy plan of groups[i] started from
+/// seeds[i].  Files are scheduled independently (the definition of phase
 /// 1), so without stream caps the slots fan out over `pool` (null =
 /// serial); each slot is written by one task, so the result is identical
 /// at any thread count.  On a topology with stream caps
 /// (storage::HasStreamCaps) the carried plans seed one storage::Load of
 /// streams and the other files are placed serially in ascending order,
-/// each constrained by that load and committed to it: a file's streams
-/// constrain every later file.
+/// from their first request, each constrained by that load and committed
+/// to it: a file's streams constrain every later file.  A capped
+/// topology therefore takes no resumed seeds.
 ///
 /// A non-null `metrics` receives the placed files' greedy timings
-/// ("ivsp.file_greedy") and aggregated decision counters (ivsp.*).
-/// Per-file tallies are collected slot-indexed and folded in serially, so
-/// counter values are identical at any thread count.
-void PlaceFiles(
-    const std::vector<std::pair<media::VideoId, std::vector<std::size_t>>>&
-        groups,
-    const std::vector<workload::Request>& requests,
-    const CostModel& cost_model, const IvspOptions& options,
-    const std::vector<const FileSchedule*>& carried, Schedule& schedule,
-    util::ThreadPool* pool, obs::MetricsRegistry* metrics);
+/// ("ivsp.file_greedy") and aggregated decision counters (ivsp.*), which
+/// count the requests served, not the plans' sizes.  Per-file tallies are
+/// collected slot-indexed and folded in serially, so counter values are
+/// identical at any thread count.
+void PlaceFiles(const workload::VideoGroups& groups,
+                const std::vector<workload::Request>& requests,
+                const CostModel& cost_model, const IvspOptions& options,
+                const std::vector<PlanSeed>& seeds, Schedule& schedule,
+                util::ThreadPool* pool, obs::MetricsRegistry* metrics);
 
 }  // namespace vor::core

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "workload/generator.hpp"
+
 namespace vor::core {
 
 std::vector<std::size_t> FileRequestIndices(
@@ -12,12 +14,8 @@ std::vector<std::size_t> FileRequestIndices(
   for (const Delivery& d : file.deliveries) {
     if (d.request_index != kNoRequest) indices.push_back(d.request_index);
   }
-  std::sort(indices.begin(), indices.end(), [&](std::size_t a, std::size_t b) {
-    if (requests[a].start_time != requests[b].start_time) {
-      return requests[a].start_time < requests[b].start_time;
-    }
-    return a < b;
-  });
+  std::sort(indices.begin(), indices.end(),
+            workload::ChronologicalOrder{&requests});
   indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
   return indices;
 }

@@ -32,8 +32,8 @@ struct RescheduleResult {
   [[nodiscard]] util::Money Overhead() const { return new_cost - old_cost; }
 };
 
-/// Chronological request indices of the file at `file_index`, recovered
-/// from its delivery records.
+/// The request indices a file's delivery records serve, in
+/// workload::ChronologicalOrder (the order phase 1 served them in).
 [[nodiscard]] std::vector<std::size_t> FileRequestIndices(
     const FileSchedule& file, const std::vector<workload::Request>& requests);
 

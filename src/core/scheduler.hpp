@@ -9,11 +9,13 @@
 //
 // One routine runs both phases, behind two entry points.  Solve plans a
 // whole cycle; IncrementalSolve extends a previous solution with late
-// reservations.  The routine checks the new requests, places every title
-// that has a new request or no previous plan (PlaceFiles), carries every
-// other title's previous plan over, builds the one thread pool both
-// phases share, and runs SORP on the merged schedule.  Solve(r) is
-// IncrementalSolve from an empty previous solution.
+// reservations.  The routine checks the new requests, groups only them
+// and merges them into the previous solution's per-title groups, places
+// every title that has a new request or no previous plan (PlaceFiles:
+// resumed from its committed plan where that plan is still phase 1's),
+// carries every other title's previous plan over, builds the one thread
+// pool both phases share, and runs SORP on the merged schedule.  Solve(r)
+// is IncrementalSolve from an empty previous solution.
 #pragma once
 
 #include <vector>
@@ -26,6 +28,7 @@
 #include "net/topology.hpp"
 #include "util/result.hpp"
 #include "util/thread_pool.hpp"
+#include "workload/generator.hpp"
 #include "workload/request.hpp"
 
 namespace vor::obs {
@@ -68,6 +71,18 @@ struct SchedulerOptions {
 
 struct SolveOutput {
   Schedule schedule;
+  /// Per file of `schedule` (same order), the title and the request
+  /// indices it serves in workload::ChronologicalOrder — the phase-1
+  /// groups a later IncrementalSolve merges its new requests into.
+  workload::VideoGroups groups;
+  /// Per file, 1 when its plan is the unconstrained phase-1 greedy's own
+  /// output over groups[i], so a later solve may resume that greedy from
+  /// it.  0 for SORP victims, for every file on a topology with stream
+  /// caps, and for plans carried over from a previous solution that had
+  /// no groups.  A SolveOutput whose groups or flags do not match its
+  /// schedule (a restored service's) makes the next solve regroup every
+  /// request and replay every touched title from its first request.
+  std::vector<char> resumable;
   /// Psi of the integrated phase-1 schedule (may be infeasible).
   util::Money phase1_cost{0.0};
   /// Psi of the final overflow-free schedule.
@@ -105,7 +120,12 @@ class VorScheduler {
 /// re-planned; every other title's plan in `previous` carries over
 /// verbatim, and phase 2 re-resolves storage overflows on the merged
 /// schedule (overflow interactions are global, so no shortcut is sound
-/// there).
+/// there).  Phase 1 costs O(new requests) on an append-only horizon:
+/// only the late requests are grouped, and a touched title whose plan is
+/// still phase 1's (SolveOutput::resumable) resumes its greedy from that
+/// plan, cut back to the requests before its first late one, instead of
+/// replaying from its first request — the same bytes, because the
+/// greedy's plan after k requests depends only on those k.
 ///
 /// `previous` must be the output of VorScheduler::Solve (or a prior
 /// IncrementalSolve) over `original_requests` with the same scheduler.
@@ -113,8 +133,9 @@ class VorScheduler {
 /// (original order preserved; late requests appended — request indices in
 /// the result refer to that concatenation, which is also returned via
 /// `merged_requests`).  A non-null `SchedulerOptions::metrics` receives
-/// the "incremental.files_rescheduled" and "incremental.files_carried_over"
-/// counts.
+/// the "incremental.files_rescheduled", "incremental.files_resumed" (the
+/// rescheduled titles whose greedy resumed from a kept prefix) and
+/// "incremental.files_carried_over" counts.
 ///
 /// Two properties follow:
 ///   * when the previous run was overflow free, carried-over plans equal

@@ -163,6 +163,7 @@ SorpStats RunSorpLoop(Schedule& schedule,
     const std::size_t victim = candidates[best].file_index;
     schedule.files[victim] = std::move(evals[best].schedule);
     ++stats.victims_rescheduled;
+    stats.victim_files.push_back(victim);
 
     // O(victim pieces) diff: swap the victim's old pieces for its new ones.
     load->ApplyCommit(victim, schedule.files[victim]);
@@ -409,6 +410,9 @@ SorpStats RegionShardedSolve(Schedule& schedule,
     const SorpStats& shard = shard_stats[s];
     stats.initial_overflow_windows += shard.initial_overflow_windows;
     stats.victims_rescheduled += shard.victims_rescheduled;
+    stats.victim_files.insert(stats.victim_files.end(),
+                              shard.victim_files.begin(),
+                              shard.victim_files.end());
     stats.evaluations += shard.evaluations;
     stats.usage_rebuilds += shard.usage_rebuilds;
     stats.initial_excess += shard.initial_excess;
@@ -429,6 +433,9 @@ SorpStats RegionShardedSolve(Schedule& schedule,
         RunSorpLoop(schedule, requests, cost_model, options, pool, metrics,
                     /*shard_files=*/nullptr, /*round_spans=*/true);
     stats.victims_rescheduled += residual.victims_rescheduled;
+    stats.victim_files.insert(stats.victim_files.end(),
+                              residual.victim_files.begin(),
+                              residual.victim_files.end());
     stats.evaluations += residual.evaluations;
     stats.usage_rebuilds += residual.usage_rebuilds;
     stats.final_excess = residual.final_excess;
@@ -488,6 +495,10 @@ SorpStats SorpSolve(Schedule& schedule,
           : RunSorpLoop(schedule, requests, cost_model, options, options.pool,
                         metrics, /*shard_files=*/nullptr,
                         /*round_spans=*/true);
+  std::sort(stats.victim_files.begin(), stats.victim_files.end());
+  stats.victim_files.erase(
+      std::unique(stats.victim_files.begin(), stats.victim_files.end()),
+      stats.victim_files.end());
   stats.cost_before = cost_before;
   stats.cost_after = cost_model.TotalCost(schedule);
   if (metrics != nullptr && !stats.Resolved()) {

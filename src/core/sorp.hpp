@@ -123,6 +123,9 @@ struct SorpStats {
   std::size_t initial_overflow_windows = 0;
   /// Victims rescheduled (committed, not tentative evaluations).
   std::size_t victims_rescheduled = 0;
+  /// The files those commits replaced, ascending, each once: their plans
+  /// are now the rejective greedy's, no longer phase 1's.
+  std::vector<std::size_t> victim_files;
   /// Tentative rejective-greedy dry runs (one per candidate per round).
   std::size_t evaluations = 0;
   /// Full-aggregate builds (storage::Load constructions): one per

@@ -1,5 +1,6 @@
 #include "rpc/load.hpp"
 
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -61,6 +62,7 @@ util::Result<LoadReport> RunLoad(workload::TraceStream& trace,
   // closes the cycle over connection 0 — the wire twin of the in-process
   // replay's producers + CloseCycle().
   auto close_window = [&]() -> util::Status {
+    if (window.empty()) return util::Status::Ok();
     std::vector<WorkerTally> tallies(config.connections);
     std::vector<std::thread> workers;
     workers.reserve(config.connections);
@@ -124,20 +126,22 @@ util::Result<LoadReport> RunLoad(workload::TraceStream& trace,
   };
 
   // Virtual-time windowing, identical to the in-process trace replay:
-  // anchored at the earliest request, one close per crossed boundary.
+  // anchored at the earliest request, window floor((start - t0) / cycle),
+  // one close per non-empty window.
   double t0 = 0.0;
   std::size_t total = 0;
-  std::size_t w = 0;
+  double w = 0.0;
   workload::Request r;
   while (true) {
     auto more = trace.Next(r);
     if (!more.ok()) return more.error();
     if (!*more) break;
     if (total == 0) t0 = r.start_time.value();
-    while (r.start_time.value() >=
-           t0 + static_cast<double>(w + 1) * config.cycle_seconds) {
+    if (const double next =
+            std::floor((r.start_time.value() - t0) / config.cycle_seconds);
+        next != w) {
       if (auto status = close_window(); !status.ok()) return status.error();
-      ++w;
+      w = next;
     }
     window.push_back(r);
     ++total;

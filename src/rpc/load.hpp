@@ -10,8 +10,8 @@
 //   * each window is submitted round-robin across the N connections
 //     (connection p takes indices p, p+N, ... — the same partition the
 //     in-process replay's --producers threads use);
-//   * after every window, one connection sends kCycleClose, which is the
-//     wire twin of the replay's CloseCycle() call;
+//   * after every non-empty window, one connection sends kCycleClose,
+//     which is the wire twin of the replay's CloseCycle() call;
 //   * after the last window the deferred backlog is drained with up to
 //     16 extra closes, stopping early when it empties or stops
 //     shrinking.

@@ -429,6 +429,10 @@ util::Status ReservationService::Restore(const ServiceSnapshot& snapshot) {
   std::lock_guard cycle_lock(cycle_mutex_);
   cycle_index_ = snapshot.cycle_index;
   committed_ = snapshot.committed;
+  // A snapshot carries no phase-1 groups or resumable flags (the
+  // "vor-svc/1" shape stays as it is), and nothing says which committed
+  // plans were SORP victims: the first close after a restore regroups
+  // the horizon and replays every touched title from its first request.
   previous_ = core::SolveOutput{};
   previous_.schedule = snapshot.schedule;
   previous_.final_cost = scheduler_.cost_model().TotalCost(snapshot.schedule);

@@ -69,18 +69,16 @@ std::vector<Request> GenerateRequests(const net::Topology& topology,
   return GenerateRequestsRanked(topology, catalog, params, identity);
 }
 
-std::vector<std::pair<media::VideoId, std::vector<std::size_t>>> GroupByVideo(
-    const std::vector<Request>& requests) {
+VideoGroups GroupByVideo(const std::vector<Request>& requests,
+                         std::size_t first) {
   std::map<media::VideoId, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  for (std::size_t i = first; i < requests.size(); ++i) {
     groups[requests[i].video].push_back(i);
   }
-  std::vector<std::pair<media::VideoId, std::vector<std::size_t>>> out;
+  VideoGroups out;
   out.reserve(groups.size());
   for (auto& [video, indices] : groups) {
-    std::sort(indices.begin(), indices.end(), [&](std::size_t a, std::size_t b) {
-      return requests[a].start_time < requests[b].start_time;
-    });
+    std::sort(indices.begin(), indices.end(), ChronologicalOrder{&requests});
     out.emplace_back(video, std::move(indices));
   }
   return out;

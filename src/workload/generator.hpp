@@ -46,10 +46,30 @@ struct WorkloadParams {
     const WorkloadParams& params,
     const std::vector<media::VideoId>& rank_to_video);
 
-/// Groups request indices by requested video (the scheduler's R_i sets),
-/// each group sorted chronologically.  Result maps video id -> indices
-/// into `requests`; videos with no request get no entry.
-[[nodiscard]] std::vector<std::pair<media::VideoId, std::vector<std::size_t>>>
-GroupByVideo(const std::vector<Request>& requests);
+/// The one chronological order of a title's requests: start time, then
+/// request index.  Phase 1 serves a title's requests in this order and a
+/// SORP victim re-plan replays them in it; it is total on distinct
+/// indices, so every grouping of the same requests agrees.
+struct ChronologicalOrder {
+  const std::vector<Request>* requests;
+
+  [[nodiscard]] bool operator()(std::size_t a, std::size_t b) const {
+    const util::Seconds ta = (*requests)[a].start_time;
+    const util::Seconds tb = (*requests)[b].start_time;
+    if (ta != tb) return ta < tb;
+    return a < b;
+  }
+};
+
+/// Request indices grouped by requested video (the scheduler's R_i sets):
+/// one entry per requested title, ordered by video id, each group in
+/// ChronologicalOrder.
+using VideoGroups =
+    std::vector<std::pair<media::VideoId, std::vector<std::size_t>>>;
+
+/// Groups `requests[first..]` by video; indices refer to `requests`.
+/// Videos with no request there get no entry.
+[[nodiscard]] VideoGroups GroupByVideo(const std::vector<Request>& requests,
+                                       std::size_t first = 0);
 
 }  // namespace vor::workload

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <set>
 
 #include "core/overflow.hpp"
+#include "io/binary.hpp"
 #include "obs/metrics.hpp"
 #include "sim/validator.hpp"
 #include "storage/load.hpp"
@@ -198,6 +201,159 @@ TEST(IncrementalTest, RejectsBadLateRequests) {
     ASSERT_FALSE(result.ok()) << "start " << start;
     EXPECT_EQ(result.error().code, util::Error::Code::kInvalidArgument);
   }
+}
+
+/// What a replay exercised, summed over its closes.
+struct ReplayTally {
+  std::size_t new_requests = 0;
+  /// ivsp.requests: the requests phase 1 served.
+  std::uint64_t served = 0;
+  /// incremental.files_resumed.
+  std::uint64_t resumed = 0;
+  /// Resumable flags set, over every path's outputs.
+  std::size_t resumable_flags = 0;
+  /// SORP victims, and the later requests for a title that was one.
+  std::size_t victims = 0;
+  std::size_t victim_titles_touched_later = 0;
+};
+
+/// Replays `batches` as successive IncrementalSolves, each from the
+/// previous close's full output, and checks every close against a restore
+/// just before it (the same previous output without its groups and flags,
+/// which regroups the horizon and replays every touched title from its
+/// first request) and against the close after a restore (from the
+/// previous close's restored output, with the groups and flags that
+/// regrouping left).  All three must give the same bytes and groups.
+void ReplayAgainstRestored(
+    const workload::Scenario& scenario,
+    const std::vector<std::vector<workload::Request>>& batches,
+    ReplayTally* tally) {
+  obs::MetricsRegistry metrics;
+  SchedulerOptions options = WithMetrics(metrics);
+  options.parallel.threads = 2;  // resumes read previous plans on workers
+  const VorScheduler scheduler(scenario.topology, scenario.catalog, options);
+  const VorScheduler unmetered(scenario.topology, scenario.catalog);
+  SolveOutput previous;
+  SolveOutput previous_restored;
+  std::vector<workload::Request> committed;
+  std::set<media::VideoId> victim_titles;
+  for (std::size_t close = 0; close < batches.size(); ++close) {
+    const std::vector<workload::Request>& batch = batches[close];
+    for (const workload::Request& r : batch) {
+      tally->victim_titles_touched_later += victim_titles.count(r.video);
+    }
+    std::vector<workload::Request> merged;
+    auto full = IncrementalSolve(scheduler, previous, committed, batch,
+                                 &merged);
+    ASSERT_TRUE(full.ok()) << full.error().message;
+    SolveOutput stripped = previous;
+    stripped.groups.clear();
+    stripped.resumable.clear();
+    std::vector<workload::Request> ignored;
+    auto restored =
+        IncrementalSolve(unmetered, stripped, committed, batch, &ignored);
+    ASSERT_TRUE(restored.ok()) << restored.error().message;
+    auto after_restore = IncrementalSolve(unmetered, previous_restored,
+                                          committed, batch, &ignored);
+    ASSERT_TRUE(after_restore.ok()) << after_restore.error().message;
+    for (const SolveOutput* other : {&*restored, &*after_restore}) {
+      EXPECT_EQ(io::ScheduleToBinary(full->schedule),
+                io::ScheduleToBinary(other->schedule))
+          << "close " << close;
+      EXPECT_EQ(full->groups, other->groups) << "close " << close;
+    }
+    for (const SolveOutput* out : {&*full, &*restored, &*after_restore}) {
+      ASSERT_EQ(out->resumable.size(), out->schedule.files.size());
+      tally->resumable_flags += static_cast<std::size_t>(
+          std::count(out->resumable.begin(), out->resumable.end(), 1));
+    }
+    for (const std::size_t v : full->sorp.victim_files) {
+      EXPECT_EQ(full->resumable[v], 0) << "close " << close;
+      victim_titles.insert(full->schedule.files[v].video);
+    }
+    tally->victims += full->sorp.victim_files.size();
+    tally->new_requests += batch.size();
+    previous = std::move(*full);
+    previous_restored = std::move(*restored);
+    committed = std::move(merged);
+  }
+  tally->served = metrics.GetCounter("ivsp.requests").value();
+  tally->resumed = metrics.GetCounter("incremental.files_resumed").value();
+}
+
+/// `count` consecutive runs of the start-ordered requests: every batch
+/// starts at or after the last one, so each touched title's split falls
+/// at its plan's end.
+std::vector<std::vector<workload::Request>> Chronological(
+    const std::vector<workload::Request>& requests, std::size_t count) {
+  std::vector<std::vector<workload::Request>> batches(count);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    batches[i * count / requests.size()].push_back(requests[i]);
+  }
+  return batches;
+}
+
+/// Request i goes to batch i % count: every batch spans the whole day,
+/// so late requests start before committed ones and splits fall mid-plan.
+std::vector<std::vector<workload::Request>> Interleaved(
+    const std::vector<workload::Request>& requests, std::size_t count) {
+  std::vector<std::vector<workload::Request>> batches(count);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    batches[i % count].push_back(requests[i]);
+  }
+  return batches;
+}
+
+workload::ScenarioParams ReplayParams(double capacity_gb) {
+  workload::ScenarioParams params;
+  params.is_capacity = util::GB(capacity_gb);
+  params.nrate_per_gb = 1000;
+  params.srate_per_gb_hour = 3;
+  params.users_per_neighborhood = 24;
+  params.catalog_size = 60;
+  return params;
+}
+
+TEST(IncrementalResumeTest, AppendOnlyReplayServesOnlyNewRequests) {
+  const workload::Scenario scenario = workload::MakeScenario(ReplayParams(100));
+  ReplayTally tally;
+  ASSERT_NO_FATAL_FAILURE(ReplayAgainstRestored(
+      scenario, Chronological(scenario.requests, 6), &tally));
+  EXPECT_EQ(tally.victims, 0u);
+  EXPECT_GT(tally.resumed, 0u);
+  EXPECT_EQ(tally.served, tally.new_requests);
+}
+
+TEST(IncrementalResumeTest, LateRequestsSplitPlansMidway) {
+  const workload::Scenario scenario = workload::MakeScenario(ReplayParams(100));
+  ReplayTally tally;
+  ASSERT_NO_FATAL_FAILURE(ReplayAgainstRestored(
+      scenario, Interleaved(scenario.requests, 5), &tally));
+  EXPECT_GT(tally.resumed, 0u);
+  // A mid-plan split serves the committed requests after it again.
+  EXPECT_GT(tally.served, tally.new_requests);
+}
+
+TEST(IncrementalResumeTest, SorpVictimsReplayFromTheirFirstRequest) {
+  const workload::Scenario scenario = workload::MakeScenario(ReplayParams(5));
+  ReplayTally tally;
+  ASSERT_NO_FATAL_FAILURE(ReplayAgainstRestored(
+      scenario, Chronological(scenario.requests, 6), &tally));
+  EXPECT_GT(tally.victims, 0u);
+  EXPECT_GT(tally.victim_titles_touched_later, 0u);
+  EXPECT_GT(tally.resumed, 0u);
+}
+
+TEST(IncrementalResumeTest, StreamCapsReplayFromTheFirstRequest) {
+  workload::Scenario scenario = workload::MakeScenario(ReplayParams(100));
+  // About two typical streams per link.
+  scenario.topology.SetUniformBandwidthCap(util::BytesPerSecond{1.2e6});
+  ReplayTally tally;
+  ASSERT_NO_FATAL_FAILURE(ReplayAgainstRestored(
+      scenario, Chronological(scenario.requests, 6), &tally));
+  EXPECT_EQ(tally.resumable_flags, 0u);
+  EXPECT_EQ(tally.resumed, 0u);
+  EXPECT_GT(tally.served, tally.new_requests);
 }
 
 }  // namespace

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+#include <vector>
+
 #include "baseline/network_only.hpp"
 #include "core/scheduler.hpp"
+#include "io/binary.hpp"
 #include "sim/validator.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
+#include "workload/generator.hpp"
 #include "workload/scenario.hpp"
 
 namespace vor::core {
@@ -219,6 +226,82 @@ TEST(IvspTest, GreedyIsDeterministic) {
   EXPECT_DOUBLE_EQ(cm.TotalCost(a).value(), cm.TotalCost(b).value());
   EXPECT_EQ(a.TotalDeliveries(), b.TotalDeliveries());
   EXPECT_EQ(a.TotalResidencies(), b.TotalResidencies());
+}
+
+/// A random small uncapped instance: a chain of 3-6 storages with random
+/// link rates and one VW shortcut, random storage rates, one 1 GB / 1 h
+/// title, and 2-14 requests on a quarter-hour grid, so start times tie.
+struct RandomInstance {
+  explicit RandomInstance(util::Rng& rng) {
+    const net::NodeId vw = topo.AddWarehouse("VW");
+    const util::StorageRate srate{rng.Uniform(0.2, 5.0) / 3.6e12};
+    const std::size_t storages = 3 + rng.NextBounded(4);
+    std::vector<net::NodeId> nodes;
+    net::NodeId prev = vw;
+    for (std::size_t i = 0; i < storages; ++i) {
+      const net::NodeId n =
+          topo.AddStorage("IS" + std::to_string(i), util::GB(100), srate);
+      topo.AddLink(prev, n, util::NetworkRate{rng.Uniform(5.0, 20.0) / 1e9});
+      nodes.push_back(n);
+      prev = n;
+    }
+    topo.AddLink(vw, nodes.back(),
+                 util::NetworkRate{rng.Uniform(10.0, 40.0) / 1e9});
+    catalog = OneVideoCatalog();
+    const std::size_t n = 2 + rng.NextBounded(13);
+    for (std::size_t i = 0; i < n; ++i) {
+      requests.push_back(
+          {static_cast<workload::UserId>(i), 0,
+           util::Minutes(15.0 * static_cast<double>(rng.NextBounded(48))),
+           nodes[rng.NextBounded(nodes.size())]});
+    }
+  }
+  net::Topology topo;
+  media::Catalog catalog;
+  std::vector<workload::Request> requests;
+};
+
+std::string Bytes(const FileSchedule& file) {
+  Schedule s;
+  s.files.push_back(file);
+  return io::ScheduleToBinary(s);
+}
+
+TEST(IvspResumeTest, ResumeAtEverySplitEqualsStraightRun) {
+  util::Rng rng(20240611);
+  for (int trial = 0; trial < 60; ++trial) {
+    const RandomInstance inst(rng);
+    const net::Router router(inst.topo);
+    const CostModel cm(inst.topo, router, inst.catalog);
+    IvspOptions options;
+    options.allow_remote_caching = rng.NextBounded(4) != 0;
+    options.allow_remote_cache_service = rng.NextBounded(4) != 0;
+    const std::vector<std::size_t> indices =
+        workload::GroupByVideo(inst.requests).front().second;
+    const std::string straight = Bytes(ScheduleFileGreedy(
+        0, inst.requests, indices, cm, options, nullptr));
+    for (std::size_t kept = 0; kept <= indices.size(); ++kept) {
+      // The committed plan covers the first `kept` requests and a random
+      // subset of the rest, as a title's plan does before a close merges
+      // new requests in between its later ones.
+      std::vector<std::size_t> old(
+          indices.begin(),
+          indices.begin() + static_cast<std::ptrdiff_t>(kept));
+      for (std::size_t i = kept; i < indices.size(); ++i) {
+        if (rng.NextBounded(2) == 0) old.push_back(indices[i]);
+      }
+      const FileSchedule plan =
+          ScheduleFileGreedy(0, inst.requests, old, cm, options, nullptr);
+      GreedyStats stats;
+      const FileSchedule resumed =
+          ScheduleFileGreedy(0, inst.requests, indices, cm, options, nullptr,
+                             &stats, PlanSeed{&plan, kept});
+      EXPECT_EQ(Bytes(resumed), straight)
+          << "trial " << trial << ", kept " << kept << " of "
+          << indices.size();
+      EXPECT_EQ(stats.requests, indices.size() - kept);
+    }
+  }
 }
 
 }  // namespace

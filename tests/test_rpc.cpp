@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -538,6 +539,7 @@ void ReplayFileDirect(const workload::Scenario& scenario,
       workload::TraceStream::FromVector(scenario.requests);
   std::vector<workload::Request> window;
   auto close_window = [&]() {
+    if (window.empty()) return;
     for (const workload::Request& r : window) {
       (void)service.Submit(r, r.start_time);
     }
@@ -547,17 +549,18 @@ void ReplayFileDirect(const workload::Scenario& scenario,
   };
   double t0 = 0.0;
   std::size_t total = 0;
-  std::size_t w = 0;
+  double w = 0.0;
   workload::Request r;
   while (true) {
     const auto more = stream.Next(r);
     ASSERT_TRUE(more.ok());
     if (!*more) break;
     if (total == 0) t0 = r.start_time.value();
-    while (r.start_time.value() >=
-           t0 + static_cast<double>(w + 1) * cycle_seconds) {
+    if (const double next =
+            std::floor((r.start_time.value() - t0) / cycle_seconds);
+        next != w) {
       close_window();
-      ++w;
+      w = next;
     }
     window.push_back(r);
     ++total;

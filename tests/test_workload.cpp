@@ -4,7 +4,11 @@
 
 #include <map>
 
+#include "core/cost_model.hpp"
+#include "core/ivsp.hpp"
+#include "core/rejective_greedy.hpp"
 #include "media/catalog.hpp"
+#include "net/routing.hpp"
 #include "net/topology.hpp"
 
 namespace vor::workload {
@@ -140,6 +144,49 @@ TEST(GroupByVideoTest, GroupsAreChronologicalAndComplete) {
     }
   }
   EXPECT_EQ(total, requests.size());
+}
+
+TEST(GroupByVideoTest, TiedStartsComeOutInIndexOrder) {
+  // 40 requests per title on five start times, later indices starting
+  // earlier: a sort by start time alone may permute each tie once a group
+  // outgrows insertion sort.
+  const net::Topology topo = Topo(4);
+  const media::Catalog catalog = media::MakeSyntheticCatalog({});
+  const std::vector<net::NodeId> storages = topo.StorageNodes();
+  std::vector<Request> requests;
+  for (std::size_t i = 0; i < 120; ++i) {
+    requests.push_back(
+        Request{static_cast<UserId>(i), static_cast<media::VideoId>(i % 3),
+                util::Hours(static_cast<double>(5 - i % 5)),
+                storages[i % storages.size()]});
+  }
+  const VideoGroups groups = GroupByVideo(requests);
+  ASSERT_EQ(groups.size(), 3u);
+  for (const auto& [video, indices] : groups) {
+    ASSERT_EQ(indices.size(), 40u);
+    for (std::size_t i = 1; i < indices.size(); ++i) {
+      const util::Seconds prev = requests[indices[i - 1]].start_time;
+      const util::Seconds next = requests[indices[i]].start_time;
+      EXPECT_TRUE(prev < next || (prev == next && indices[i - 1] < indices[i]))
+          << "video " << video << " position " << i;
+    }
+  }
+
+  // Phase 1 serves each title in its group's order, and a SORP victim
+  // re-plan recovers that same order from the plan.
+  const net::Router router(topo);
+  const core::CostModel cm(topo, router, catalog);
+  const core::Schedule plan =
+      core::IvspSolve(requests, cm, core::IvspOptions{});
+  ASSERT_EQ(plan.files.size(), groups.size());
+  for (std::size_t f = 0; f < groups.size(); ++f) {
+    const std::vector<std::size_t>& indices = groups[f].second;
+    EXPECT_EQ(core::FileRequestIndices(plan.files[f], requests), indices);
+    ASSERT_EQ(plan.files[f].deliveries.size(), indices.size());
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      EXPECT_EQ(plan.files[f].deliveries[i].request_index, indices[i]);
+    }
+  }
 }
 
 }  // namespace

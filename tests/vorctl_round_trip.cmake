@@ -214,6 +214,44 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "restored serve diverged from the original run")
 endif()
+# Only a non-empty window closes a cycle: at --cycle 1 the day-long trace
+# spans ~86,000 windows, but the closes stay within one per request plus
+# the deferred-backlog drain (at most 16), and a restored run still
+# resumes to the same bytes.
+set(served_fine ${WORKDIR}/vorctl_served_cycle1.json)
+set(resumed_fine ${WORKDIR}/vorctl_served_cycle1_resumed.json)
+set(snapshot_fine ${WORKDIR}/vorctl_snapshot_cycle1.json)
+file(REMOVE ${snapshot_fine})
+execute_process(
+  COMMAND ${VORCTL} serve ${scenario} --trace ${trace} --cycle 1
+          --out ${served_fine} --snapshot ${snapshot_fine}
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "serve --cycle 1 failed (${rc}): ${out}")
+endif()
+if(NOT out MATCHES "served ([0-9]+)/([0-9]+) request\\(s\\) over ([0-9]+) cycle")
+  message(FATAL_ERROR "serve --cycle 1 summary missing: ${out}")
+endif()
+set(fine_total ${CMAKE_MATCH_2})
+set(fine_closes ${CMAKE_MATCH_3})
+math(EXPR fine_bound "${fine_total} + 16")
+if(fine_closes GREATER fine_bound)
+  message(FATAL_ERROR
+    "serve --cycle 1 closed ${fine_closes} cycles for ${fine_total} requests")
+endif()
+execute_process(
+  COMMAND ${VORCTL} serve ${scenario} --trace ${trace} --cycle 1
+          --out ${resumed_fine} --snapshot ${snapshot_fine}
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "restored")
+  message(FATAL_ERROR "serve --cycle 1 restore failed (${rc}): ${out}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files ${served_fine} ${resumed_fine}
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "restored serve --cycle 1 diverged from the original")
+endif()
 # --cycle must be a finite positive number of seconds (nan and inf would
 # replay the whole trace as one window).
 foreach(cycle 0 nan inf)

@@ -51,14 +51,15 @@
 //                [--listen HOST:PORT] [--port-file FILE] [--connections N]
 //       Replays the request trace through the online ReservationService:
 //       requests are partitioned into virtual-time windows of --cycle
-//       seconds and each window is submitted by --producers concurrent
-//       threads before the cycle closes.  A vor-bin --trace is streamed
-//       chunk by chunk (memory stays O(window), not O(trace)); CSV is
-//       materialized and sorted first.  Either format commits a
-//       byte-identical schedule.  The committed schedule is
-//       byte-identical at any producer count.  --snapshot names a
-//       "vor-svc/1" state file: restored at startup when it exists (the
-//       replay resumes at the snapshot's cycle) and rewritten at exit.
+//       seconds and each non-empty window is submitted by --producers
+//       concurrent threads before the cycle closes (an empty window
+//       closes nothing).  A vor-bin --trace is streamed chunk by chunk
+//       (memory stays O(window), not O(trace)); CSV is materialized and
+//       sorted first.  Either format commits a byte-identical schedule.
+//       The committed schedule is byte-identical at any producer count.
+//       --snapshot names a "vor-svc/1" state file: restored at startup
+//       when it exists (the replay resumes at the snapshot's cycle) and
+//       rewritten at exit.
 //       --clock-ms additionally runs the background wall-clock cycle
 //       timer during the replay (soak mode for race detectors; cycle
 //       boundaries then depend on timing).
@@ -77,7 +78,7 @@
 //       Concurrent load generator: streams the trace to a serving vorctl
 //       over N connections in virtual-time windows of --cycle seconds
 //       (connection p submits indices p, p+N, ...), closing the server's
-//       cycle at each window boundary — the committed schedule on the
+//       cycle after each non-empty window — the committed schedule on the
 //       server is byte-identical to `vorctl serve --trace` of the same
 //       file at any connection count.  Reports submit->ack and
 //       submit->commit latency percentiles; a comma-separated --connect
@@ -673,9 +674,9 @@ int CmdServe(const Args& args) {
   // vor-bin trace file is replayed chunk by chunk without ever holding
   // the full request vector; CSV and scenario requests are materialized
   // and sorted.  Requests are partitioned into virtual-time windows of
-  // --cycle seconds anchored at the first (earliest) request, so a
-  // restored run resumes on exactly the window boundaries the original
-  // run used.
+  // --cycle seconds anchored at the first (earliest) request, and only a
+  // non-empty window closes a cycle, so a restored run resumes on exactly
+  // the window boundaries the original run used.
   const std::string trace_path = args.Str("trace", "");
   auto stream = trace_path.empty()
                     ? util::Result<workload::TraceStream>(
@@ -686,16 +687,23 @@ int CmdServe(const Args& args) {
 
   if (clock_ms > 0) service.Start();
 
-  const std::size_t skip_windows =
-      static_cast<std::size_t>(service.cycle_index());
-  std::size_t w = 0;
+  // Each closed cycle was one non-empty window, so a restored run skips
+  // its first cycle_index() non-empty windows.
+  std::size_t skip_windows = static_cast<std::size_t>(service.cycle_index());
+  // The open window's index, floor((start - t0) / cycle): monotone in the
+  // start time, so windows stay contiguous, and computed directly, so an
+  // empty stretch of the trace costs nothing.
+  double w = 0.0;
   std::vector<workload::Request> window;
 
   // Submits the buffered window with --producers concurrent threads and
-  // closes the cycle.  Windows inside the restored horizon are skipped
-  // (their requests are already part of the service state).
+  // closes the cycle.  An empty window closes nothing; windows inside the
+  // restored horizon are skipped (their requests are already part of the
+  // service state).
   auto close_window = [&]() -> int {
-    if (w < skip_windows) {
+    if (window.empty()) return 0;
+    if (skip_windows > 0) {
+      --skip_windows;
       window.clear();
       return 0;
     }
@@ -737,9 +745,10 @@ int CmdServe(const Args& args) {
       return Fail(s.error().message);
     }
     if (total == 0) t0 = r.start_time.value();
-    while (r.start_time.value() >= t0 + static_cast<double>(w + 1) * cycle) {
+    if (const double next = std::floor((r.start_time.value() - t0) / cycle);
+        next != w) {
       if (const int rc = close_window(); rc != 0) return rc;
-      ++w;
+      w = next;
     }
     window.push_back(r);
     ++total;
