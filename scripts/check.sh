@@ -8,7 +8,9 @@
 # compile_commands.json; otherwise it prints a skip note.
 #
 # The sanitizer gate builds the asan-ubsan and tsan presets and runs
-# ctest under each.  The ASan/UBSan run covers the whole suite; the TSan
+# ctest under each.  The ASan/UBSan run covers the whole suite, with
+# `assert` live (the asan-ubsan preset compiles without NDEBUG, as do the
+# bench-region, codec-diff and rpc-soak gates built from it); the TSan
 # run covers the concurrency-bearing suites (thread pool, scheduler,
 # SORP, IVSP, shootout, incremental, determinism, ranked mutex) — the
 # full suite under TSan is an order of magnitude slower for no extra

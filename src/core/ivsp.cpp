@@ -360,10 +360,7 @@ void PlaceFiles(const workload::VideoGroups& groups,
                 const CostModel& cost_model, const IvspOptions& options,
                 const std::vector<PlanSeed>& seeds, Schedule& schedule,
                 util::ThreadPool* pool, obs::MetricsRegistry* metrics) {
-  const auto carried = [&](std::size_t i) {
-    return seeds[i].plan != nullptr &&
-           seeds[i].kept == groups[i].second.size();
-  };
+  const auto carried = [&](std::size_t i) { return groups[i].second.empty(); };
   // Per-file tallies/timings land in slot-indexed vectors and are folded
   // into the registry serially below, so counter values are identical at
   // any thread count (only the wall-clock observations vary).
@@ -371,6 +368,7 @@ void PlaceFiles(const workload::VideoGroups& groups,
   std::vector<double> file_seconds(file_stats.size(), 0.0);
   const auto place = [&](std::size_t i, const ConstraintSet* constraints) {
     if (carried(i)) {
+      assert(seeds[i].plan != nullptr);
       schedule.files[i] = *seeds[i].plan;
       return;
     }

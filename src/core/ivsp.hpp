@@ -146,13 +146,14 @@ struct PlanSeed {
 
 /// Phase-1 placement, shared by IvspSolve and the two-phase solve behind
 /// VorScheduler::Solve and IncrementalSolve.  Slot i of `schedule.files`
-/// (one per group) receives `*seeds[i].plan` verbatim when the seed keeps
-/// every request of groups[i] (a plan carried over from an earlier
-/// solve), and otherwise the greedy plan of groups[i] started from
-/// seeds[i].  Files are scheduled independently (the definition of phase
-/// 1), so without stream caps the slots fan out over `pool` (null =
-/// serial); each slot is written by one task, so the result is identical
-/// at any thread count.  On a topology with stream caps
+/// (one per group) receives a deep copy of `*seeds[i].plan` when
+/// groups[i] lists no request (an untouched title's plan, carried over
+/// from an earlier solve; the seed's plan must then be non-null), and
+/// otherwise the greedy plan of groups[i] started from seeds[i].  Files
+/// are scheduled independently (the definition of phase 1), so without
+/// stream caps the slots fan out over `pool` (null = serial); each slot
+/// is written by one task, so the result is identical at any thread
+/// count.  On a topology with stream caps
 /// (storage::HasStreamCaps) the carried plans seed one storage::Load of
 /// streams and the other files are placed serially in ascending order,
 /// from their first request, each constrained by that load and committed

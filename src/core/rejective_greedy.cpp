@@ -14,8 +14,12 @@ std::vector<std::size_t> FileRequestIndices(
   for (const Delivery& d : file.deliveries) {
     if (d.request_index != kNoRequest) indices.push_back(d.request_index);
   }
-  std::sort(indices.begin(), indices.end(),
-            workload::ChronologicalOrder{&requests});
+  // A solve's plan delivers in this order already; only a restored
+  // schedule may need the sort.
+  const workload::ChronologicalOrder order{&requests};
+  if (!std::is_sorted(indices.begin(), indices.end(), order)) {
+    std::sort(indices.begin(), indices.end(), order);
+  }
   indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
   return indices;
 }

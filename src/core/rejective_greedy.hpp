@@ -33,7 +33,10 @@ struct RescheduleResult {
 };
 
 /// The request indices a file's delivery records serve, in
-/// workload::ChronologicalOrder (the order phase 1 served them in).
+/// workload::ChronologicalOrder (the order phase 1 served them in): the
+/// title's request list that SORP re-plans a victim over and that a
+/// later solve merges the title's new requests into.  Sorts only when
+/// the deliveries are not already in that order, as a solve writes them.
 [[nodiscard]] std::vector<std::size_t> FileRequestIndices(
     const FileSchedule& file, const std::vector<workload::Request>& requests);
 

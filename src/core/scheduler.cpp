@@ -1,10 +1,10 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <memory>
 
 #include "core/ivsp.hpp"
+#include "core/rejective_greedy.hpp"
 #include "obs/metrics.hpp"
 #include "storage/load.hpp"
 #include "util/thread_pool.hpp"
@@ -14,26 +14,10 @@ namespace vor::core {
 
 namespace {
 
-/// Whether `previous` carries the groups and resumable flags of the solve
-/// that produced it, over exactly the `first_new` requests before the new
-/// ones.  A restored service's previous solution carries none.
-bool HasGroups(const SolveOutput& previous, std::size_t first_new) {
-  const std::vector<FileSchedule>& files = previous.schedule.files;
-  if (previous.groups.size() != files.size() ||
-      previous.resumable.size() != files.size()) {
-    return false;
-  }
-  std::size_t covered = 0;
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    if (previous.groups[i].first != files[i].video) return false;
-    covered += previous.groups[i].second.size();
-  }
-  return covered == first_new;
-}
-
-/// Phase 1's input: every title's chronological group, where its greedy
-/// starts, and whether the plan it ends with is the unconstrained
-/// greedy's own output.
+/// Phase 1's input: per title, its chronological request list, where
+/// its greedy starts, and whether the plan it ends with is the
+/// unconstrained greedy's own output.  An untouched title has no request
+/// list: PlaceFiles carries its seed's plan over.
 struct Phase1Plan {
   workload::VideoGroups groups;
   std::vector<PlanSeed> seeds;
@@ -42,63 +26,64 @@ struct Phase1Plan {
   std::size_t resumed = 0;
 };
 
-/// Groups only the new requests `requests[first_new..]` and merges them
-/// into `previous`'s groups in workload::ChronologicalOrder.  A title with
-/// no new request carries its plan over; a touched title resumes its
-/// greedy from its committed plan, cut back to the requests before its
-/// first new one, when that plan is still the unconstrained greedy's own
-/// output (`resumable`, which is never set on a topology with stream
-/// caps: a capped prefix was placed against an older stream load);
-/// otherwise it replays from its first request.
+/// Groups only the new requests `requests[first_new..]` and merges them,
+/// title by title, with `previous`'s plans (both in ascending title
+/// order).  A title with no new request carries its plan over.  A touched
+/// title's committed list is the one its plan's deliveries serve
+/// (FileRequestIndices), and its new requests merge into it in
+/// workload::ChronologicalOrder.  Its greedy resumes from the plan, cut
+/// back to the requests before its first new one, when that plan is
+/// still the unconstrained greedy's own output (`resumable`, which is
+/// never set on a topology with stream caps: a capped prefix was placed
+/// against an older stream load); otherwise it replays from its first
+/// request.
 Phase1Plan MergeGroups(const SolveOutput& previous,
                        const std::vector<workload::Request>& requests,
                        std::size_t first_new, bool caps) {
   Phase1Plan p;
   workload::VideoGroups fresh = workload::GroupByVideo(requests, first_new);
-  const workload::VideoGroups& old_groups = previous.groups;
+  const std::vector<FileSchedule>& plans = previous.schedule.files;
   const workload::ChronologicalOrder order{&requests};
-  const std::size_t bound = old_groups.size() + fresh.size();
+  const std::size_t bound = plans.size() + fresh.size();
   p.groups.reserve(bound);
   p.seeds.reserve(bound);
   p.resumable.reserve(bound);
   std::size_t o = 0;
   std::size_t f = 0;
-  while (o < old_groups.size() || f < fresh.size()) {
-    if (o == old_groups.size() ||
-        (f < fresh.size() && fresh[f].first < old_groups[o].first)) {
+  while (o < plans.size() || f < fresh.size()) {
+    if (o == plans.size() ||
+        (f < fresh.size() && fresh[f].first < plans[o].video)) {
       p.groups.push_back(std::move(fresh[f++]));
       p.seeds.emplace_back();
       p.resumable.push_back(caps ? 0 : 1);
       continue;
     }
-    const auto& [video, old] = old_groups[o];
-    const FileSchedule* plan = &previous.schedule.files[o];
+    const FileSchedule& plan = plans[o];
     const bool plan_resumable = previous.resumable[o] != 0;
     ++o;
-    if (f == fresh.size() || fresh[f].first != video) {
-      p.groups.emplace_back(video, old);
-      p.seeds.push_back(PlanSeed{plan, old.size()});
+    if (f == fresh.size() || fresh[f].first != plan.video) {
+      p.groups.emplace_back(plan.video, std::vector<std::size_t>{});
+      p.seeds.push_back(PlanSeed{&plan, 0});
       p.resumable.push_back(plan_resumable ? 1 : 0);
       ++p.carried_over;
       continue;
     }
     const std::vector<std::size_t>& added = fresh[f++].second;
+    std::vector<std::size_t> merged = FileRequestIndices(plan, requests);
     // The split: the old requests before the first new one.  New indices
     // follow every old one, so a tie in start time keeps the old request
-    // first.  Only the old requests after the split need comparing.
-    const auto split =
-        std::partition_point(old.begin(), old.end(), [&](std::size_t r) {
-          return order(r, added.front());
-        });
-    const auto kept = static_cast<std::size_t>(split - old.begin());
-    std::vector<std::size_t> merged;
-    merged.reserve(old.size() + added.size());
-    merged.assign(old.begin(), split);
-    std::merge(split, old.end(), added.begin(), added.end(),
-               std::back_inserter(merged), order);
-    p.groups.emplace_back(video, std::move(merged));
+    // first.  Only the old requests after the split need merging.
+    const auto split = std::partition_point(
+        merged.begin(), merged.end(),
+        [&](std::size_t r) { return order(r, added.front()); });
+    const auto kept = static_cast<std::size_t>(split - merged.begin());
+    const auto old_end = static_cast<std::ptrdiff_t>(merged.size());
+    merged.insert(merged.end(), added.begin(), added.end());
+    std::inplace_merge(merged.begin() + static_cast<std::ptrdiff_t>(kept),
+                       merged.begin() + old_end, merged.end(), order);
+    p.groups.emplace_back(plan.video, std::move(merged));
     if (plan_resumable && kept > 0) {
-      p.seeds.push_back(PlanSeed{plan, kept});
+      p.seeds.push_back(PlanSeed{&plan, kept});
       ++p.resumed;
     } else {
       p.seeds.emplace_back();
@@ -108,36 +93,10 @@ Phase1Plan MergeGroups(const SolveOutput& previous,
   return p;
 }
 
-/// Phase 1's input when `previous` carries no groups: the whole horizon
-/// is regrouped, touched titles replay from their first request, and no
-/// carried plan is known to be phase 1's own.
-Phase1Plan Regroup(const Schedule& previous,
-                   const std::vector<workload::Request>& requests,
-                   std::size_t first_new, bool caps) {
-  Phase1Plan p;
-  p.groups = workload::GroupByVideo(requests);
-  p.seeds.resize(p.groups.size());
-  p.resumable.assign(p.groups.size(), caps ? 0 : 1);
-  for (std::size_t i = 0; i < p.groups.size(); ++i) {
-    const std::vector<std::size_t>& indices = p.groups[i].second;
-    if (std::any_of(indices.begin(), indices.end(),
-                    [&](std::size_t r) { return r >= first_new; })) {
-      continue;
-    }
-    const std::size_t from = previous.FindFile(p.groups[i].first);
-    if (from == static_cast<std::size_t>(-1)) continue;
-    p.seeds[i] = PlanSeed{&previous.files[from], indices.size()};
-    p.resumable[i] = 0;
-    ++p.carried_over;
-  }
-  return p;
-}
-
 /// The two-phase solve behind Solve and IncrementalSolve.
 /// `requests[first_new..]` are the new requests: they are checked, and
-/// their titles, like every title `previous` has no plan for, are placed
-/// afresh or resumed (MergeGroups); every other title's plan carries over
-/// from `previous`.
+/// their titles are placed afresh or resumed (MergeGroups); every other
+/// title's plan carries over from `previous`.
 util::Result<SolveOutput> SolveTwoPhase(
     const VorScheduler& scheduler, const char* span_name,
     const SolveOutput& previous,
@@ -171,10 +130,7 @@ util::Result<SolveOutput> SolveTwoPhase(
   const obs::ScopedSpan span(metrics, span_name);
   obs::Add(metrics, "solve.requests", requests.size());
   const bool caps = storage::HasStreamCaps(cm.topology());
-  Phase1Plan phase1 =
-      HasGroups(previous, first_new)
-          ? MergeGroups(previous, requests, first_new, caps)
-          : Regroup(previous.schedule, requests, first_new, caps);
+  Phase1Plan phase1 = MergeGroups(previous, requests, first_new, caps);
   // One pool serves both phases: phase 1's per-file greedies and SORP's
   // shards and tentative victim evaluations.
   std::unique_ptr<util::ThreadPool> pool;
@@ -194,7 +150,6 @@ util::Result<SolveOutput> SolveTwoPhase(
     PlaceFiles(phase1.groups, requests, cm, options.ivsp, phase1.seeds,
                out.schedule, pool.get(), metrics);
   }
-  out.phase1_cost = cm.TotalCost(out.schedule);
 
   SorpOptions sorp_options;
   sorp_options.heat = options.heat;
@@ -204,12 +159,12 @@ util::Result<SolveOutput> SolveTwoPhase(
   sorp_options.pool = pool.get();
   sorp_options.metrics = metrics;
   out.sorp = SorpSolve(out.schedule, requests, cm, sorp_options);
+  out.phase1_cost = out.sorp.cost_before;
   out.final_cost = out.sorp.cost_after;
   if (pool != nullptr) obs::ExportPoolTelemetry(metrics, *pool);
   for (const std::size_t victim : out.sorp.victim_files) {
     phase1.resumable[victim] = 0;
   }
-  out.groups = std::move(phase1.groups);
   out.resumable = std::move(phase1.resumable);
   return out;
 }
@@ -230,17 +185,16 @@ util::Result<SolveOutput> VorScheduler::Solve(
 
 util::Result<SolveOutput> IncrementalSolve(
     const VorScheduler& scheduler, const SolveOutput& previous,
-    const std::vector<workload::Request>& original_requests,
-    const std::vector<workload::Request>& late_requests,
-    std::vector<workload::Request>* merged_requests) {
-  if (merged_requests == nullptr) {
-    return util::InvalidArgument("merged_requests must not be null");
+    const std::vector<workload::Request>& requests, std::size_t first_new) {
+  if (first_new > requests.size()) {
+    return util::InvalidArgument("first_new is past the end of the requests");
   }
-  *merged_requests = original_requests;
-  merged_requests->insert(merged_requests->end(), late_requests.begin(),
-                          late_requests.end());
-  return SolveTwoPhase(scheduler, "incremental_solve", previous,
-                       *merged_requests, original_requests.size());
+  if (previous.resumable.size() != previous.schedule.files.size()) {
+    return util::InvalidArgument(
+        "previous solution has not one resumable flag per file");
+  }
+  return SolveTwoPhase(scheduler, "incremental_solve", previous, requests,
+                       first_new);
 }
 
 }  // namespace vor::core

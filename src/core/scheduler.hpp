@@ -10,12 +10,12 @@
 // One routine runs both phases, behind two entry points.  Solve plans a
 // whole cycle; IncrementalSolve extends a previous solution with late
 // reservations.  The routine checks the new requests, groups only them
-// and merges them into the previous solution's per-title groups, places
-// every title that has a new request or no previous plan (PlaceFiles:
-// resumed from its committed plan where that plan is still phase 1's),
-// carries every other title's previous plan over, builds the one thread
-// pool both phases share, and runs SORP on the merged schedule.  Solve(r)
-// is IncrementalSolve from an empty previous solution.
+// and merges them into the request lists of the previous plans, places
+// every title that has a new request (PlaceFiles: resumed from its
+// committed plan where that plan is still phase 1's), carries every
+// other title's previous plan over, builds the one thread pool both
+// phases share, and runs SORP on the merged schedule.  Solve(r) is
+// IncrementalSolve from an empty previous solution.
 #pragma once
 
 #include <vector>
@@ -28,7 +28,6 @@
 #include "net/topology.hpp"
 #include "util/result.hpp"
 #include "util/thread_pool.hpp"
-#include "workload/generator.hpp"
 #include "workload/request.hpp"
 
 namespace vor::obs {
@@ -70,18 +69,14 @@ struct SchedulerOptions {
 };
 
 struct SolveOutput {
+  /// One file per title, in ascending title order; a file's deliveries
+  /// are its title's requests in workload::ChronologicalOrder, the list
+  /// a later IncrementalSolve merges the title's new requests into.
   Schedule schedule;
-  /// Per file of `schedule` (same order), the title and the request
-  /// indices it serves in workload::ChronologicalOrder — the phase-1
-  /// groups a later IncrementalSolve merges its new requests into.
-  workload::VideoGroups groups;
   /// Per file, 1 when its plan is the unconstrained phase-1 greedy's own
-  /// output over groups[i], so a later solve may resume that greedy from
-  /// it.  0 for SORP victims, for every file on a topology with stream
-  /// caps, and for plans carried over from a previous solution that had
-  /// no groups.  A SolveOutput whose groups or flags do not match its
-  /// schedule (a restored service's) makes the next solve regroup every
-  /// request and replay every touched title from its first request.
+  /// output, so a later solve may resume that greedy from it.  0 for
+  /// SORP victims, for every file on a topology with stream caps, and
+  /// for every plan a restored service holds.
   std::vector<char> resumable;
   /// Psi of the integrated phase-1 schedule (may be infeasible).
   util::Money phase1_cost{0.0};
@@ -114,11 +109,11 @@ class VorScheduler {
   CostModel cost_model_;
 };
 
-/// Extends a previous solution with `late_requests`, for reservations that
-/// arrive before the cycle's cutoff.  In phase 1 files are scheduled
-/// independently, so only the titles the late requests touch are
-/// re-planned; every other title's plan in `previous` carries over
-/// verbatim, and phase 2 re-resolves storage overflows on the merged
+/// Extends a previous solution with `requests[first_new..]`, late
+/// reservations that arrive before the cycle's cutoff.  In phase 1 files
+/// are scheduled independently, so only the titles the late requests
+/// touch are re-planned; every other title's plan in `previous` carries
+/// over verbatim, and phase 2 re-resolves storage overflows on the merged
 /// schedule (overflow interactions are global, so no shortcut is sound
 /// there).  Phase 1 costs O(new requests) on an append-only horizon:
 /// only the late requests are grouped, and a touched title whose plan is
@@ -128,12 +123,13 @@ class VorScheduler {
 /// greedy's plan after k requests depends only on those k.
 ///
 /// `previous` must be the output of VorScheduler::Solve (or a prior
-/// IncrementalSolve) over `original_requests` with the same scheduler.
-/// Returns a fresh SolveOutput over the concatenated request list
-/// (original order preserved; late requests appended — request indices in
-/// the result refer to that concatenation, which is also returned via
-/// `merged_requests`).  A non-null `SchedulerOptions::metrics` receives
-/// the "incremental.files_rescheduled", "incremental.files_resumed" (the
+/// IncrementalSolve) over `requests[0..first_new)` with the same
+/// scheduler, or such a schedule with every flag 0.  `requests` is the
+/// caller's log with the late requests appended; request indices in the
+/// result refer to it.  A `first_new` past its end, or flags that do not
+/// match `previous`'s files, are an InvalidArgument.  A non-null
+/// `SchedulerOptions::metrics` receives the
+/// "incremental.files_rescheduled", "incremental.files_resumed" (the
 /// rescheduled titles whose greedy resumed from a kept prefix) and
 /// "incremental.files_carried_over" counts.
 ///
@@ -153,8 +149,6 @@ class VorScheduler {
 /// solution the result still equals VorScheduler::Solve.
 [[nodiscard]] util::Result<SolveOutput> IncrementalSolve(
     const VorScheduler& scheduler, const SolveOutput& previous,
-    const std::vector<workload::Request>& original_requests,
-    const std::vector<workload::Request>& late_requests,
-    std::vector<workload::Request>* merged_requests);
+    const std::vector<workload::Request>& requests, std::size_t first_new);
 
 }  // namespace vor::core

@@ -143,6 +143,8 @@ struct PaperTopologyParams {
 /// preserves what the experiments depend on: multi-hop routes whose cost
 /// grows with distance from the warehouse, and neighborhoods that can
 /// exchange cached content more cheaply than re-fetching from the VW.
+/// A negative capacity or rate in `params` yields a topology that fails
+/// Validate(); a caller taking them from outside checks that.
 [[nodiscard]] Topology MakePaperTopology(const PaperTopologyParams& params);
 
 // ---- regions ------------------------------------------------------------

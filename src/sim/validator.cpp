@@ -53,7 +53,9 @@ class Validator {
       CheckDeliveries(file);
       CheckResidencies(file);
     }
-    if (options_.check_capacity) CheckCapacity();
+    // A storage::Load prices every residency, so it needs well-formed
+    // ones; the report already fails when one is not.
+    if (options_.check_capacity && residencies_loadable_) CheckCapacity();
     return std::move(report_);
   }
 
@@ -150,11 +152,13 @@ class Validator {
       if (c.t_last < c.t_start) {
         Report(Violation::Kind::kInconsistentResidency,
                "residency with t_last < t_start");
+        residencies_loadable_ = false;
         continue;
       }
       if (!cm_.topology().IsStorage(c.location)) {
         Report(Violation::Kind::kInconsistentResidency,
                "residency located at a non-storage node");
+        residencies_loadable_ = false;
         continue;
       }
       // Anchoring: some stream of this video must pass the cache site
@@ -193,7 +197,7 @@ class Validator {
         }
         prev = t;
       }
-      if (!c.services.empty()) {
+      if (!c.services.empty() && c.services.back() < requests_.size()) {
         const util::Seconds last = requests_[c.services.back()].start_time;
         if (last != c.t_last) {
           Report(Violation::Kind::kInconsistentResidency,
@@ -223,6 +227,8 @@ class Validator {
   const core::CostModel& cm_;
   ValidationOptions options_;
   std::unordered_set<std::uint64_t> adjacent_;
+  /// False once a residency is inverted or off storage: no Load takes it.
+  bool residencies_loadable_ = true;
   ValidationReport report_;
 };
 

@@ -56,6 +56,26 @@ AdmissionSplit ApplyFairnessCap(std::size_t user_cycle_cap,
   return split;
 }
 
+/// The shape a solve writes and the next close's merge walks, which the
+/// validator does not check: files in strictly ascending title order,
+/// every delivery under its own file's title.
+util::Status CheckSolvedShape(const core::Schedule& schedule) {
+  const std::vector<core::FileSchedule>& files = schedule.files;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    if (i > 0 && files[i].video <= files[i - 1].video) {
+      return util::InvalidArgument(
+          "snapshot schedule files are out of ascending title order");
+    }
+    for (const core::Delivery& d : files[i].deliveries) {
+      if (d.video != files[i].video) {
+        return util::InvalidArgument(
+            "snapshot schedule files a delivery under another title");
+      }
+    }
+  }
+  return util::Status::Ok();
+}
+
 }  // namespace
 
 bool DrainOrderLess(const StampedRequest& a, const StampedRequest& b) {
@@ -213,9 +233,11 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
   // terminates because the admitted set strictly shrinks (and the empty
   // set keeps the previous committed schedule, which was itself
   // validated when committed).
+  // Each attempt appends its admitted batch to the committed log, which
+  // is cut back to `first_new` unless the attempt commits.
   const obs::Stopwatch solve_watch;
+  const std::size_t first_new = committed_.size();
   core::SolveOutput next;
-  std::vector<workload::Request> merged;
   bool committed_new = false;
   while (!admitted.empty()) {
     if (stats.solve_attempts >= kMaxAdmissionRetries) {
@@ -226,16 +248,14 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
       break;
     }
     ++stats.solve_attempts;
-    std::vector<workload::Request> plain;
-    plain.reserve(admitted.size());
-    for (const StampedRequest& s : admitted) plain.push_back(s.request);
-    std::vector<workload::Request> attempt_merged;
-    util::Result<core::SolveOutput> out = core::IncrementalSolve(
-        scheduler_, previous_, committed_, plain, &attempt_merged);
+    for (const StampedRequest& s : admitted) committed_.push_back(s.request);
+    util::Result<core::SolveOutput> out =
+        core::IncrementalSolve(scheduler_, previous_, committed_, first_new);
     if (!out.ok()) {
       // Solver errors are environment-level (validated requests should
       // never trigger them); re-defer the batch so nothing is lost and
       // surface the error.
+      committed_.resize(first_new);
       for (StampedRequest& s : admitted) {
         deferred_.push_back(std::move(s));
       }
@@ -248,14 +268,14 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
       return out.error();
     }
     if (out->sorp.Resolved() &&
-        sim::ValidateSchedule(out->schedule, attempt_merged,
+        sim::ValidateSchedule(out->schedule, committed_,
                               scheduler_.cost_model())
             .ok()) {
       next = std::move(*out);
-      merged = std::move(attempt_merged);
       committed_new = true;
       break;
     }
+    committed_.resize(first_new);
     // Defer the newer half (drain order puts the oldest first).
     const std::size_t keep = admitted.size() / 2;
     for (std::size_t i = admitted.size(); i > keep; --i) {
@@ -268,7 +288,6 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
 
   if (committed_new) {
     stats.admitted = admitted.size();
-    committed_ = std::move(merged);
     previous_ = std::move(next);
     obs::Add(config_.metrics, "svc.admit.committed", stats.admitted);
   }
@@ -414,6 +433,9 @@ util::Status ReservationService::Restore(const ServiceSnapshot& snapshot) {
       }
     }
   }
+  if (const util::Status s = CheckSolvedShape(snapshot.schedule); !s.ok()) {
+    return s.error();
+  }
   // The committed schedule must itself be a legal plan for the committed
   // requests — a snapshot from a different scenario (or a corrupted one)
   // fails here instead of poisoning future cycles.
@@ -429,12 +451,13 @@ util::Status ReservationService::Restore(const ServiceSnapshot& snapshot) {
   std::lock_guard cycle_lock(cycle_mutex_);
   cycle_index_ = snapshot.cycle_index;
   committed_ = snapshot.committed;
-  // A snapshot carries no phase-1 groups or resumable flags (the
-  // "vor-svc/1" shape stays as it is), and nothing says which committed
-  // plans were SORP victims: the first close after a restore regroups
-  // the horizon and replays every touched title from its first request.
+  // A snapshot carries no resumable flags (the "vor-svc/1" shape stays
+  // as it is), and nothing says which committed plans were SORP victims:
+  // with every flag 0 the next close replays each touched title from its
+  // first request.
   previous_ = core::SolveOutput{};
   previous_.schedule = snapshot.schedule;
+  previous_.resumable.assign(snapshot.schedule.files.size(), 0);
   previous_.final_cost = scheduler_.cost_model().TotalCost(snapshot.schedule);
   deferred_ = snapshot.deferred;
   std::stable_sort(deferred_.begin(), deferred_.end(), DrainOrderLess);

@@ -192,8 +192,10 @@ class ReservationService {
 
   /// Replaces the service state with a snapshot's (typically straight
   /// after construction).  Validates every request against the
-  /// environment and re-validates the committed schedule; on error the
-  /// service is left unchanged.
+  /// environment, refuses a committed schedule not in the shape a solve
+  /// writes (files in strictly ascending title order, each delivery under
+  /// its own title) and re-validates it; on error the service is left
+  /// unchanged.  No restored plan is resumable.
   [[nodiscard]] util::Status Restore(const ServiceSnapshot& snapshot);
 
  private:

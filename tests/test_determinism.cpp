@@ -27,11 +27,10 @@ std::string SolveToBytes(const workload::Scenario& scenario,
   SchedulerOptions options;
   options.parallel.threads = threads;
   const VorScheduler scheduler(scenario.topology, scenario.catalog, options);
-  std::vector<workload::Request> merged;
   const auto result =
-      incremental ? IncrementalSolve(scheduler, SolveOutput{}, {},
-                                     scenario.requests, &merged)
-                  : scheduler.Solve(scenario.requests);
+      incremental
+          ? IncrementalSolve(scheduler, SolveOutput{}, scenario.requests, 0)
+          : scheduler.Solve(scenario.requests);
   EXPECT_TRUE(result.ok());
   return io::ToJson(result->schedule).Dump(2);
 }
@@ -125,9 +124,10 @@ TEST(DeterminismTest, IncrementalSolveBytesIdenticalAcrossThreadCounts) {
     const VorScheduler scheduler(scenario.topology, scenario.catalog, options);
     const auto base = scheduler.Solve(original);
     ASSERT_TRUE(base.ok());
-    std::vector<workload::Request> merged;
+    std::vector<workload::Request> merged = original;
+    merged.insert(merged.end(), late.begin(), late.end());
     const auto result =
-        IncrementalSolve(scheduler, *base, original, late, &merged);
+        IncrementalSolve(scheduler, *base, merged, original.size());
     ASSERT_TRUE(result.ok());
     const std::string bytes = io::ToJson(result->schedule).Dump(2);
     if (reference.empty()) {

@@ -27,6 +27,15 @@ void SplitRequests(const std::vector<workload::Request>& all, std::size_t k,
   }
 }
 
+/// The request log an IncrementalSolve takes: `early`, then `late`.
+std::vector<workload::Request> Concat(
+    const std::vector<workload::Request>& early,
+    const std::vector<workload::Request>& late) {
+  std::vector<workload::Request> merged = early;
+  merged.insert(merged.end(), late.begin(), late.end());
+  return merged;
+}
+
 /// Options that record into `metrics`: every solve adds the titles it
 /// re-planned and carried over to the incremental.* counters (a Solve
 /// carries nothing over), so a test reads one IncrementalSolve's split as
@@ -52,12 +61,12 @@ TEST(IncrementalTest, MatchesScratchSolveWhenNoOverflow) {
   ASSERT_TRUE(first.ok());
   ASSERT_FALSE(first->sorp.HadOverflow());
 
-  std::vector<workload::Request> merged;
+  const std::vector<workload::Request> merged = Concat(early, late);
   const obs::Counter& rescheduled =
       metrics.GetCounter("incremental.files_rescheduled");
   const std::uint64_t rescheduled_before = rescheduled.value();
   const auto incremental =
-      IncrementalSolve(scheduler, *first, early, late, &merged);
+      IncrementalSolve(scheduler, *first, merged, early.size());
   ASSERT_TRUE(incremental.ok());
   EXPECT_GT(metrics.GetCounter("incremental.files_carried_over").value(), 0u);
   EXPECT_GT(rescheduled.value(), rescheduled_before);
@@ -86,9 +95,9 @@ TEST(IncrementalTest, TightCapacityStaysFeasibleAndServed) {
   const auto first = scheduler.Solve(early);
   ASSERT_TRUE(first.ok());
 
-  std::vector<workload::Request> merged;
+  const std::vector<workload::Request> merged = Concat(early, late);
   const auto incremental =
-      IncrementalSolve(scheduler, *first, early, late, &merged);
+      IncrementalSolve(scheduler, *first, merged, early.size());
   ASSERT_TRUE(incremental.ok());
   EXPECT_TRUE(incremental->sorp.Resolved());
   EXPECT_TRUE(
@@ -113,12 +122,12 @@ TEST(IncrementalTest, EmptyLateBatchKeepsEverything) {
                                WithMetrics(metrics));
   const auto first = scheduler.Solve(scenario.requests);
   ASSERT_TRUE(first.ok());
-  std::vector<workload::Request> merged;
+  const std::vector<workload::Request> merged = Concat(scenario.requests, {});
   const obs::Counter& rescheduled =
       metrics.GetCounter("incremental.files_rescheduled");
   const std::uint64_t rescheduled_before = rescheduled.value();
-  const auto incremental =
-      IncrementalSolve(scheduler, *first, scenario.requests, {}, &merged);
+  const auto incremental = IncrementalSolve(scheduler, *first, merged,
+                                            scenario.requests.size());
   ASSERT_TRUE(incremental.ok());
   EXPECT_EQ(rescheduled.value(), rescheduled_before);
   EXPECT_EQ(merged.size(), scenario.requests.size());
@@ -158,9 +167,9 @@ TEST(IncrementalTest, CarriedOverStreamsConstrainRescheduledFiles) {
   const VorScheduler scheduler(topo, catalog, WithMetrics(metrics));
   const auto first = scheduler.Solve(early);
   ASSERT_TRUE(first.ok());
-  std::vector<workload::Request> merged;
+  const std::vector<workload::Request> merged = Concat(early, late);
   const auto incremental =
-      IncrementalSolve(scheduler, *first, early, late, &merged);
+      IncrementalSolve(scheduler, *first, merged, early.size());
   ASSERT_TRUE(incremental.ok());
   EXPECT_EQ(metrics.GetCounter("incremental.files_carried_over").value(), 1u);
   const storage::StreamReport streams =
@@ -181,26 +190,55 @@ TEST(IncrementalTest, RejectsBadLateRequests) {
   const VorScheduler scheduler(scenario.topology, scenario.catalog);
   const auto first = scheduler.Solve(scenario.requests);
   ASSERT_TRUE(first.ok());
-  std::vector<workload::Request> merged;
+  const std::size_t first_new = scenario.requests.size();
 
   workload::Request bad = scenario.requests[0];
   bad.video = 999999;
-  EXPECT_FALSE(IncrementalSolve(scheduler, *first, scenario.requests, {bad},
-                                &merged)
+  EXPECT_FALSE(IncrementalSolve(scheduler, *first,
+                                Concat(scenario.requests, {bad}), first_new)
                    .ok());
   bad = scenario.requests[0];
   bad.neighborhood = scenario.topology.warehouse();
-  EXPECT_FALSE(IncrementalSolve(scheduler, *first, scenario.requests, {bad},
-                                &merged)
+  EXPECT_FALSE(IncrementalSolve(scheduler, *first,
+                                Concat(scenario.requests, {bad}), first_new)
                    .ok());
   for (const double start : {-3600.0, std::nan("")}) {
     bad = scenario.requests[0];
     bad.start_time = util::Seconds{start};
-    const auto result = IncrementalSolve(scheduler, *first,
-                                         scenario.requests, {bad}, &merged);
+    const auto result = IncrementalSolve(
+        scheduler, *first, Concat(scenario.requests, {bad}), first_new);
     ASSERT_FALSE(result.ok()) << "start " << start;
     EXPECT_EQ(result.error().code, util::Error::Code::kInvalidArgument);
   }
+}
+
+TEST(IncrementalTest, RejectsPreviousWithMismatchedFlags) {
+  const workload::Scenario scenario = workload::MakeScenario({});
+  const VorScheduler scheduler(scenario.topology, scenario.catalog);
+  const auto first = scheduler.Solve(scenario.requests);
+  ASSERT_TRUE(first.ok());
+  ASSERT_GT(first->schedule.files.size(), 1u);
+  const std::vector<workload::Request> merged =
+      Concat(scenario.requests, {scenario.requests[0]});
+  const std::size_t first_new = scenario.requests.size();
+  ASSERT_TRUE(IncrementalSolve(scheduler, *first, merged, first_new).ok());
+
+  // One flag short, one too many, and none at all: each is refused
+  // instead of read past the files.
+  for (const std::size_t flags :
+       {first->schedule.files.size() - 1, first->schedule.files.size() + 1,
+        std::size_t{0}}) {
+    SolveOutput previous = *first;
+    previous.resumable.assign(flags, 1);
+    const auto result =
+        IncrementalSolve(scheduler, previous, merged, first_new);
+    ASSERT_FALSE(result.ok()) << flags << " flags";
+    EXPECT_EQ(result.error().code, util::Error::Code::kInvalidArgument);
+  }
+  const auto past_end =
+      IncrementalSolve(scheduler, *first, merged, merged.size() + 1);
+  ASSERT_FALSE(past_end.ok());
+  EXPECT_EQ(past_end.error().code, util::Error::Code::kInvalidArgument);
 }
 
 /// What a replay exercised, summed over its closes.
@@ -219,11 +257,11 @@ struct ReplayTally {
 
 /// Replays `batches` as successive IncrementalSolves, each from the
 /// previous close's full output, and checks every close against a restore
-/// just before it (the same previous output without its groups and flags,
-/// which regroups the horizon and replays every touched title from its
-/// first request) and against the close after a restore (from the
-/// previous close's restored output, with the groups and flags that
-/// regrouping left).  All three must give the same bytes and groups.
+/// just before it (the state ReservationService::Restore builds: the same
+/// previous output with every resumable flag 0, so every touched title
+/// replays from its first request) and against the close after a restore
+/// (from the previous close's restored output, with the flags that close
+/// left).  All three must give the same bytes.
 void ReplayAgainstRestored(
     const workload::Scenario& scenario,
     const std::vector<std::vector<workload::Request>>& batches,
@@ -242,25 +280,22 @@ void ReplayAgainstRestored(
     for (const workload::Request& r : batch) {
       tally->victim_titles_touched_later += victim_titles.count(r.video);
     }
-    std::vector<workload::Request> merged;
-    auto full = IncrementalSolve(scheduler, previous, committed, batch,
-                                 &merged);
+    const std::size_t first_new = committed.size();
+    committed.insert(committed.end(), batch.begin(), batch.end());
+    auto full = IncrementalSolve(scheduler, previous, committed, first_new);
     ASSERT_TRUE(full.ok()) << full.error().message;
     SolveOutput stripped = previous;
-    stripped.groups.clear();
-    stripped.resumable.clear();
-    std::vector<workload::Request> ignored;
+    stripped.resumable.assign(stripped.schedule.files.size(), 0);
     auto restored =
-        IncrementalSolve(unmetered, stripped, committed, batch, &ignored);
+        IncrementalSolve(unmetered, stripped, committed, first_new);
     ASSERT_TRUE(restored.ok()) << restored.error().message;
-    auto after_restore = IncrementalSolve(unmetered, previous_restored,
-                                          committed, batch, &ignored);
+    auto after_restore =
+        IncrementalSolve(unmetered, previous_restored, committed, first_new);
     ASSERT_TRUE(after_restore.ok()) << after_restore.error().message;
     for (const SolveOutput* other : {&*restored, &*after_restore}) {
       EXPECT_EQ(io::ScheduleToBinary(full->schedule),
                 io::ScheduleToBinary(other->schedule))
           << "close " << close;
-      EXPECT_EQ(full->groups, other->groups) << "close " << close;
     }
     for (const SolveOutput* out : {&*full, &*restored, &*after_restore}) {
       ASSERT_EQ(out->resumable.size(), out->schedule.files.size());
@@ -275,7 +310,6 @@ void ReplayAgainstRestored(
     tally->new_requests += batch.size();
     previous = std::move(*full);
     previous_restored = std::move(*restored);
-    committed = std::move(merged);
   }
   tally->served = metrics.GetCounter("ivsp.requests").value();
   tally->resumed = metrics.GetCounter("incremental.files_resumed").value();

@@ -3,6 +3,7 @@
 // backpressure / fairness / clock plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -402,6 +403,67 @@ TEST(ServiceSnapshot, RejectsForeignOrCorruptSnapshots) {
   svc::ServiceSnapshot nan_pending = good;
   nan_pending.pending[0].arrival = util::Seconds{nan};
   EXPECT_FALSE(service.Restore(nan_pending).ok());
+
+  // An inverted residency is reported by the validator, whose capacity
+  // check must not price it.
+  svc::ServiceSnapshot inverted = good;
+  ASSERT_FALSE(inverted.schedule.files.empty());
+  core::Residency backwards;
+  backwards.video = inverted.schedule.files[0].video;
+  backwards.location = inverted.committed[0].neighborhood;
+  backwards.source = scenario.topology.warehouse();
+  backwards.t_start = util::Hours(2.0);
+  backwards.t_last = util::Hours(1.0);
+  inverted.schedule.files[0].residencies.push_back(backwards);
+  EXPECT_FALSE(service.Restore(inverted).ok());
+
+  // Schedules the validator accepts but no solve writes: the next close
+  // walks the files by title and reads each title's requests from its
+  // own file's deliveries.
+  const core::VorScheduler scheduler(scenario.topology, scenario.catalog);
+  std::vector<svc::ServiceSnapshot> misshapen(3, good);
+  std::vector<core::FileSchedule>& swapped = misshapen[0].schedule.files;
+  ASSERT_GE(swapped.size(), 2u);
+  std::swap(swapped[0], swapped[1]);
+  std::vector<core::FileSchedule>& twinned = misshapen[1].schedule.files;
+  core::FileSchedule twin;
+  twin.video = twinned[0].video;
+  twinned.insert(twinned.begin() + 1, twin);
+  // A direct delivery that anchors no residency of its own file moves
+  // under the next title.
+  std::vector<core::FileSchedule>& refiled = misshapen[2].schedule.files;
+  const auto anchors_nothing = [&](const core::FileSchedule& file,
+                                   const core::Delivery& d) {
+    return d.origin() == scenario.topology.warehouse() &&
+           std::none_of(file.residencies.begin(), file.residencies.end(),
+                        [&](const core::Residency& c) {
+                          return c.t_start == d.start;
+                        });
+  };
+  std::size_t from = 0;
+  std::size_t which = 0;
+  for (; from < refiled.size(); ++from) {
+    const auto& deliveries = refiled[from].deliveries;
+    for (which = 0; which < deliveries.size(); ++which) {
+      if (anchors_nothing(refiled[from], deliveries[which])) break;
+    }
+    if (which < deliveries.size()) break;
+  }
+  ASSERT_LT(from, refiled.size());
+  core::FileSchedule& to = refiled[(from + 1) % refiled.size()];
+  to.deliveries.push_back(refiled[from].deliveries[which]);
+  refiled[from].deliveries.erase(refiled[from].deliveries.begin() +
+                                 static_cast<std::ptrdiff_t>(which));
+  for (std::size_t i = 0; i < misshapen.size(); ++i) {
+    EXPECT_TRUE(sim::ValidateSchedule(misshapen[i].schedule,
+                                      misshapen[i].committed,
+                                      scheduler.cost_model())
+                    .ok())
+        << "misshapen snapshot " << i;
+    const util::Status restored = service.Restore(misshapen[i]);
+    ASSERT_FALSE(restored.ok()) << "misshapen snapshot " << i;
+    EXPECT_EQ(restored.error().code, util::Error::Code::kInvalidArgument);
+  }
 
   EXPECT_EQ(service.cycle_index(), good.cycle_index);
   EXPECT_EQ(io::ToJson(service.CommittedSchedule()).Dump(), schedule_before);

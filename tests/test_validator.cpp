@@ -116,6 +116,15 @@ TEST_F(ValidatorTest, DetectsInvertedResidency) {
   }
 }
 
+TEST_F(ValidatorTest, DetectsOutOfRangeLastService) {
+  // The last service is compared with t_last; an index far past the
+  // request vector must be reported, not read.
+  Schedule s = schedule_;
+  ASSERT_FALSE(s.files[0].residencies.empty());
+  s.files[0].residencies[0].services.push_back(std::size_t{1} << 52);
+  EXPECT_TRUE(HasViolation(s, Violation::Kind::kInconsistentResidency));
+}
+
 TEST_F(ValidatorTest, DetectsServiceOutsideWindow) {
   Schedule s = schedule_;
   ASSERT_FALSE(s.files[0].residencies.empty());
