@@ -21,6 +21,7 @@
 #endif
 
 #include "core/ivsp.hpp"
+#include "core/overflow.hpp"
 #include "core/sorp.hpp"
 #include "io/binary.hpp"
 #include "media/catalog.hpp"
@@ -312,6 +313,27 @@ int RunRegionSmoke() {
       checks.Require(run.stats.Resolved(), "region run resolves");
     }
   }
+
+  // The short-circuit: with capacity raised until phase 1 overflows
+  // nowhere, SORP stops at its opening detection.
+  workload::Scenario loose = scenario;
+  const net::Router loose_router(loose.topology);
+  const core::CostModel loose_cm(loose.topology, loose_router, loose.catalog);
+  util::Bytes capacity = util::GB(400);
+  do {
+    capacity = capacity * 2.0;
+    loose.topology.SetUniformStorageCapacity(capacity);
+  } while (!core::DetectOverflows(phase1, loose_cm).empty());
+  const RegionRun idle =
+      RunRegionSorp(loose, loose_cm, phase1, /*regions=*/0, /*threads=*/2);
+  checks.Require(idle.stats.usage_rebuilds == 1,
+                 "no overflow: one aggregate build (" +
+                     std::to_string(idle.stats.usage_rebuilds) + ")");
+  checks.Require(idle.stats.region_shards == 0, "no overflow: no shards");
+  checks.Require(idle.stats.victims_rescheduled == 0,
+                 "no overflow: no victims");
+  checks.Require(idle.bytes == io::ScheduleToBinary(phase1),
+                 "no overflow: phase-1 bytes unchanged");
   std::cout << scenario.requests.size() << " requests\n";
   return checks.Finish("--region-smoke");
 }

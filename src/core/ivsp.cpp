@@ -1,10 +1,11 @@
 #include "core/ivsp.hpp"
 
 #include <algorithm>
-#include <map>
 #include <cassert>
 #include <cstddef>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <optional>
 
 #include "obs/metrics.hpp"
@@ -67,67 +68,36 @@ class GreedyRun {
     }
   }
 
-  FileSchedule Run(const std::vector<std::size_t>& indices,
-                   const PlanSeed& seed) {
-    // Every request gets one delivery: reserving the final count up front
-    // keeps a resumed plan's copy from growing (and over-allocating) as
-    // the rest is served.
-    deliveries_.reserve(indices.size());
-    if (seed.kept > 0) Resume(*seed.plan, seed.kept);
-    assert(std::equal(deliveries_.begin(), deliveries_.end(), indices.begin(),
-                      [](const Delivery& d, std::size_t r) {
-                        return d.request_index == r;
-                      }));
-    for (std::size_t i = deliveries_.size(); i < indices.size(); ++i) {
-      const std::size_t idx = indices[i];
+  /// Takes `plan` over, serves `indices` after its deliveries, and hands
+  /// the extended plan back.  The state a run keeps beside its plan (the
+  /// anchors and cached nodes) is rebuilt from the plan's deliveries and
+  /// caches.
+  void Extend(FileSchedule& plan, const std::vector<std::size_t>& indices) {
+    assert(plan.video == video_);
+    assert(constraints_ == nullptr || plan.deliveries.empty());
+    deliveries_ = std::move(plan.deliveries);
+    caches_ = std::move(plan.residencies);
+    // A fresh plan gets one delivery per request, allocated once.  A plan
+    // extended in place grows geometrically instead: reserving its exact
+    // count would reallocate it on every extension.
+    if (deliveries_.empty()) deliveries_.reserve(indices.size());
+    for (const Delivery& d : deliveries_) AnchorAlong(d);
+    for (const Residency& cache : caches_) cached_nodes_[cache.location] = 1;
+    for (const std::size_t idx : indices) {
       const workload::Request& req = requests_[idx];
       assert(req.video == video_);
+      assert(deliveries_.empty() ||
+             workload::ChronologicalOrder{&requests_}(
+                 deliveries_.back().request_index, idx));
       ServeRequest(idx, req);
     }
-    FileSchedule out;
-    out.video = video_;
-    out.deliveries = std::move(deliveries_);
-    out.residencies = std::move(caches_);
-    return out;
+    plan.deliveries = std::move(deliveries_);
+    plan.residencies = std::move(caches_);
   }
 
   [[nodiscard]] const GreedyStats& stats() const { return stats_; }
 
  private:
-  /// Takes the state a run reaches after serving the first `kept`
-  /// requests of `plan`: their deliveries, the caches they opened with
-  /// the services among them (t_last back at the last kept service), and
-  /// the anchors and cached nodes those imply.  The greedy serves in
-  /// chronological order, so the kept requests are those before the
-  /// plan's (kept+1)-th delivery in that order.
-  void Resume(const FileSchedule& plan, std::size_t kept) {
-    assert(constraints_ == nullptr);
-    assert(kept <= plan.deliveries.size());
-    deliveries_.assign(
-        plan.deliveries.begin(),
-        plan.deliveries.begin() + static_cast<std::ptrdiff_t>(kept));
-    for (const Delivery& d : deliveries_) AnchorAlong(d);
-    const auto is_kept = [&](std::size_t r) {
-      return kept == plan.deliveries.size() ||
-             workload::ChronologicalOrder{&requests_}(
-                 r, plan.deliveries[kept].request_index);
-    };
-    for (const Residency& cache : plan.residencies) {
-      const auto end = std::partition_point(cache.services.begin(),
-                                            cache.services.end(), is_kept);
-      // A cache opened by a later request is not open yet.
-      if (end == cache.services.begin()) continue;
-      Residency& open = caches_.emplace_back();
-      open.video = cache.video;
-      open.location = cache.location;
-      open.source = cache.source;
-      open.t_start = cache.t_start;
-      open.services.assign(cache.services.begin(), end);
-      open.t_last = requests_[open.services.back()].start_time;
-      cached_nodes_[open.location] = 1;
-    }
-  }
-
   /// Checks a hypothetical residency [t_start, t_last] at `node` against
   /// forbidden windows and capacity.  `replacing` points at the current
   /// residency being extended (so its own reservation is not double
@@ -336,86 +306,162 @@ FileSchedule ScheduleFileGreedy(media::VideoId video,
                                 const CostModel& cost_model,
                                 const IvspOptions& options,
                                 const ConstraintSet* constraints,
-                                GreedyStats* stats, const PlanSeed& seed) {
-  GreedyRun run(video, requests, cost_model, options, constraints);
-  FileSchedule out = run.Run(indices, seed);
+                                GreedyStats* stats) {
+  FileSchedule plan;
+  plan.video = video;
+  ExtendFileGreedy(plan, requests, indices, cost_model, options, constraints,
+                   stats);
+  return plan;
+}
+
+void ExtendFileGreedy(FileSchedule& plan,
+                      const std::vector<workload::Request>& requests,
+                      const std::vector<std::size_t>& indices,
+                      const CostModel& cost_model, const IvspOptions& options,
+                      const ConstraintSet* constraints, GreedyStats* stats) {
+  GreedyRun run(plan.video, requests, cost_model, options, constraints);
+  run.Extend(plan, indices);
   if (stats != nullptr) *stats = run.stats();
-  return out;
+}
+
+PlanCut CutPlan(FileSchedule& plan, std::size_t kept,
+                const std::vector<workload::Request>& requests) {
+  assert(kept <= plan.deliveries.size());
+  PlanCut cut;
+  cut.kept_deliveries_ = kept;
+  const auto split =
+      plan.deliveries.begin() + static_cast<std::ptrdiff_t>(kept);
+  cut.deliveries_.assign(std::make_move_iterator(split),
+                         std::make_move_iterator(plan.deliveries.end()));
+  plan.deliveries.erase(split, plan.deliveries.end());
+  // The kept requests are those before the first cut delivery's.
+  const workload::ChronologicalOrder order{&requests};
+  const auto is_kept = [&](std::size_t r) {
+    return cut.deliveries_.empty() ||
+           order(r, cut.deliveries_.front().request_index);
+  };
+  for (Residency& cache : plan.residencies) {
+    const auto end = std::partition_point(cache.services.begin(),
+                                          cache.services.end(), is_kept);
+    // A cache opened after the split is not open yet, nor is any cache
+    // after it: caches are opened in service order.
+    if (end == cache.services.begin()) break;
+    PlanCut::KeptCache& kept_cache = cut.kept_.emplace_back();
+    kept_cache.services =
+        static_cast<std::size_t>(end - cache.services.begin());
+    kept_cache.t_last = cache.t_last;
+    if (end == cache.services.end()) continue;
+    kept_cache.cut.assign(end, cache.services.end());
+    cache.services.erase(end, cache.services.end());
+    cache.t_last = requests[cache.services.back()].start_time;
+  }
+  const auto opened =
+      plan.residencies.begin() + static_cast<std::ptrdiff_t>(cut.kept_.size());
+  assert(std::none_of(opened, plan.residencies.end(),
+                      [&](const Residency& cache) {
+                        return !cache.services.empty() &&
+                               is_kept(cache.services.front());
+                      }));
+  cut.opened_.assign(std::make_move_iterator(opened),
+                     std::make_move_iterator(plan.residencies.end()));
+  plan.residencies.erase(opened, plan.residencies.end());
+  return cut;
+}
+
+void PlanCut::Revert(FileSchedule& plan) && {
+  plan.deliveries.erase(
+      plan.deliveries.begin() + static_cast<std::ptrdiff_t>(kept_deliveries_),
+      plan.deliveries.end());
+  plan.deliveries.insert(plan.deliveries.end(),
+                         std::make_move_iterator(deliveries_.begin()),
+                         std::make_move_iterator(deliveries_.end()));
+  plan.residencies.erase(
+      plan.residencies.begin() + static_cast<std::ptrdiff_t>(kept_.size()),
+      plan.residencies.end());
+  for (std::size_t i = 0; i < kept_.size(); ++i) {
+    Residency& cache = plan.residencies[i];
+    cache.services.erase(cache.services.begin() + static_cast<std::ptrdiff_t>(
+                                                      kept_[i].services),
+                         cache.services.end());
+    cache.services.insert(cache.services.end(), kept_[i].cut.begin(),
+                          kept_[i].cut.end());
+    cache.t_last = kept_[i].t_last;
+  }
+  plan.residencies.insert(plan.residencies.end(),
+                          std::make_move_iterator(opened_.begin()),
+                          std::make_move_iterator(opened_.end()));
 }
 
 Schedule IvspSolve(const std::vector<workload::Request>& requests,
                    const CostModel& cost_model, const IvspOptions& options,
                    util::ThreadPool* pool, obs::MetricsRegistry* metrics) {
   const obs::ScopedSpan span(metrics, "ivsp");
-  const workload::VideoGroups groups = workload::GroupByVideo(requests);
+  workload::VideoGroups groups = workload::GroupByVideo(requests);
   Schedule schedule;
   schedule.files.resize(groups.size());
-  PlaceFiles(groups, requests, cost_model, options,
-             std::vector<PlanSeed>(groups.size()), schedule, pool, metrics);
+  std::vector<FileWork> work(groups.size());
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    schedule.files[i].video = groups[i].first;
+    work[i] = FileWork{i, std::move(groups[i].second)};
+  }
+  PlaceFiles(work, requests, cost_model, options, schedule, pool, metrics);
   return schedule;
 }
 
-void PlaceFiles(const workload::VideoGroups& groups,
+void PlaceFiles(const std::vector<FileWork>& work,
                 const std::vector<workload::Request>& requests,
                 const CostModel& cost_model, const IvspOptions& options,
-                const std::vector<PlanSeed>& seeds, Schedule& schedule,
-                util::ThreadPool* pool, obs::MetricsRegistry* metrics) {
-  const auto carried = [&](std::size_t i) { return groups[i].second.empty(); };
-  // Per-file tallies/timings land in slot-indexed vectors and are folded
+                Schedule& schedule, util::ThreadPool* pool,
+                obs::MetricsRegistry* metrics) {
+  // Per-file tallies/timings land in entry-indexed vectors and are folded
   // into the registry serially below, so counter values are identical at
   // any thread count (only the wall-clock observations vary).
-  std::vector<GreedyStats> file_stats(metrics != nullptr ? groups.size() : 0);
+  std::vector<GreedyStats> file_stats(metrics != nullptr ? work.size() : 0);
   std::vector<double> file_seconds(file_stats.size(), 0.0);
-  const auto place = [&](std::size_t i, const ConstraintSet* constraints) {
-    if (carried(i)) {
-      assert(seeds[i].plan != nullptr);
-      schedule.files[i] = *seeds[i].plan;
-      return;
-    }
+  const auto place = [&](std::size_t w, const ConstraintSet* constraints) {
     const obs::Stopwatch watch;
-    schedule.files[i] = ScheduleFileGreedy(
-        groups[i].first, requests, groups[i].second, cost_model, options,
-        constraints, metrics != nullptr ? &file_stats[i] : nullptr, seeds[i]);
-    if (metrics != nullptr) file_seconds[i] = watch.Seconds();
+    ExtendFileGreedy(schedule.files[work[w].file], requests, work[w].indices,
+                     cost_model, options, constraints,
+                     metrics != nullptr ? &file_stats[w] : nullptr);
+    if (metrics != nullptr) file_seconds[w] = watch.Seconds();
   };
   if (storage::HasStreamCaps(cost_model.topology())) {
     // The carried plans' streams load the topology before any file is
     // placed.
     std::vector<std::size_t> carried_files;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      assert(carried(i) || seeds[i].kept == 0);
-      if (!carried(i)) continue;
-      place(i, nullptr);
-      carried_files.push_back(i);
+    carried_files.reserve(schedule.files.size() - work.size());
+    for (std::size_t f = 0, w = 0; f < schedule.files.size(); ++f) {
+      if (w < work.size() && work[w].file == f) {
+        ++w;
+      } else {
+        carried_files.push_back(f);
+      }
     }
     storage::Load streams(schedule, cost_model, carried_files,
                           storage::Resources::kStreams);
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (carried(i)) continue;
-      const storage::LoadView others = streams.Excluding(i);
+    for (std::size_t w = 0; w < work.size(); ++w) {
+      const std::size_t f = work[w].file;
+      const storage::LoadView others = streams.Excluding(f);
       ConstraintSet constraints;
       constraints.load = &others;
-      place(i, &constraints);
-      streams.ApplyCommit(i, schedule.files[i]);
+      place(w, &constraints);
+      streams.ApplyCommit(f, schedule.files[f]);
     }
-  } else if (pool != nullptr && groups.size() > 1) {
-    // Shared-nothing fan-out: each shard writes only its own slot, reads
+  } else if (pool != nullptr && work.size() > 1) {
+    // Shared-nothing fan-out: each task writes only its own slot, reads
     // only const state (CP.1/CP.9 compliant by construction).
-    pool->ParallelFor(groups.size(), [&](std::size_t i) { place(i, nullptr); });
+    pool->ParallelFor(work.size(), [&](std::size_t w) { place(w, nullptr); });
   } else {
-    for (std::size_t i = 0; i < groups.size(); ++i) place(i, nullptr);
+    for (std::size_t w = 0; w < work.size(); ++w) place(w, nullptr);
   }
   if (metrics != nullptr) {
     GreedyStats total;
-    std::size_t placed = 0;
     obs::Timer& greedy_timer = metrics->GetTimer("ivsp.file_greedy");
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (carried(i)) continue;
-      ++placed;
-      total += file_stats[i];
-      greedy_timer.Observe(file_seconds[i]);
+    for (std::size_t w = 0; w < work.size(); ++w) {
+      total += file_stats[w];
+      greedy_timer.Observe(file_seconds[w]);
     }
-    obs::Add(metrics, "ivsp.files", placed);
+    obs::Add(metrics, "ivsp.files", work.size());
     obs::Add(metrics, "ivsp.requests", total.requests);
     obs::Add(metrics, "ivsp.decision.direct", total.direct);
     obs::Add(metrics, "ivsp.decision.extend", total.extend);

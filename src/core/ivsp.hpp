@@ -101,34 +101,75 @@ struct ConstraintSet {
                                       util::Interval support) const;
 };
 
-/// Where a file's greedy starts: from an empty plan, or resumed from a
-/// committed plan of the same title.  The greedy serves a title's
-/// requests in chronological order and its plan after k requests depends
-/// only on those k, so the committed plan, cut back to its first `kept`
-/// requests, is the state a straight run reaches after indices[0..kept).
-struct PlanSeed {
-  /// The unconstrained greedy's own output (constraints null) over a
-  /// chronological request list whose first `kept` entries are the first
-  /// `kept` of the run's `indices`; null starts from an empty plan.
-  const FileSchedule* plan = nullptr;
-  /// Requests whose deliveries and caches are kept from `plan` (which
-  /// must then be non-null); the greedy serves indices[kept..].  0 replays
-  /// from the first request.
-  std::size_t kept = 0;
-};
-
 /// Computes S_i for one file.  `indices` are positions into `requests`,
 /// in workload::ChronologicalOrder; all must reference `video`.
 /// `constraints` may be nullptr (pure phase-1 behaviour: capacity ignored).
-/// A non-null `stats` receives this run's decision/rejection tallies,
-/// which count only the requests served after `seed.kept`.  A seed with
-/// a plan requires null `constraints`; the result is byte-identical to
-/// the run from an empty plan.
+/// A non-null `stats` receives this run's decision/rejection tallies.
 [[nodiscard]] FileSchedule ScheduleFileGreedy(
     media::VideoId video, const std::vector<workload::Request>& requests,
     const std::vector<std::size_t>& indices, const CostModel& cost_model,
     const IvspOptions& options, const ConstraintSet* constraints,
-    GreedyStats* stats = nullptr, const PlanSeed& seed = {});
+    GreedyStats* stats = nullptr);
+
+/// Continues the greedy from `plan`, in place: serves `indices` (in
+/// workload::ChronologicalOrder, each after every request `plan` already
+/// delivers) and appends their deliveries and caches to `plan`.  The
+/// greedy serves a title's requests in chronological order and its plan
+/// after k requests depends only on those k, so extending the
+/// unconstrained greedy's plan over a list's first k requests (or one
+/// CutPlan cut back to them) by the rest of the list gives the bytes of
+/// a run over the whole list.  A non-empty `plan` requires null
+/// `constraints`.  A non-null `stats` receives the tallies of the
+/// requests served here.
+void ExtendFileGreedy(FileSchedule& plan,
+                      const std::vector<workload::Request>& requests,
+                      const std::vector<std::size_t>& indices,
+                      const CostModel& cost_model, const IvspOptions& options,
+                      const ConstraintSet* constraints,
+                      GreedyStats* stats = nullptr);
+
+/// What CutPlan took out of a plan, so that Revert can put it back.
+class PlanCut {
+ public:
+  /// The deliveries after the split, in the plan's order: the committed
+  /// requests a resumed greedy serves again.
+  [[nodiscard]] const std::vector<Delivery>& deliveries() const {
+    return deliveries_;
+  }
+
+  /// Restores the plan CutPlan cut, byte for byte.  `plan` must be that
+  /// plan, unchanged since the cut or extended by ExtendFileGreedy.
+  void Revert(FileSchedule& plan) &&;
+
+ private:
+  friend PlanCut CutPlan(FileSchedule& plan, std::size_t kept,
+                         const std::vector<workload::Request>& requests);
+
+  /// A cache open at the split: its service count and t_last there, and
+  /// the services the cut took.
+  struct KeptCache {
+    std::size_t services = 0;
+    util::Seconds t_last{0.0};
+    std::vector<std::size_t> cut;
+  };
+
+  std::size_t kept_deliveries_ = 0;
+  std::vector<Delivery> deliveries_;
+  /// One entry per cache open at the split, in the plan's order; the
+  /// caches opened after it follow in `opened_`.
+  std::vector<KeptCache> kept_;
+  std::vector<Residency> opened_;
+};
+
+/// Cuts `plan`, the unconstrained greedy's own output over a
+/// chronological request list, back in place to the state a run reaches
+/// after the list's first `kept` requests: the first `kept` deliveries,
+/// the caches they opened with the services among them (t_last back at
+/// the last kept service), and nothing else.  The plan delivers in
+/// chronological order and opens caches in that order, so the cut takes
+/// a suffix of each vector.  Returns what it took.
+[[nodiscard]] PlanCut CutPlan(FileSchedule& plan, std::size_t kept,
+                              const std::vector<workload::Request>& requests);
 
 /// Phase 1, IVSP-solve (Table 2 of the paper): independent greedy per file,
 /// capacity ignored.  Returns one FileSchedule per distinct requested video,
@@ -144,31 +185,37 @@ struct PlanSeed {
                                  util::ThreadPool* pool = nullptr,
                                  obs::MetricsRegistry* metrics = nullptr);
 
+/// One file phase 1 places: its slot in the schedule, and the requests
+/// its greedy serves there, in workload::ChronologicalOrder, after those
+/// the slot's plan already delivers.
+struct FileWork {
+  std::size_t file = 0;
+  std::vector<std::size_t> indices;
+};
+
 /// Phase-1 placement, shared by IvspSolve and the two-phase solve behind
-/// VorScheduler::Solve and IncrementalSolve.  Slot i of `schedule.files`
-/// (one per group) receives a deep copy of `*seeds[i].plan` when
-/// groups[i] lists no request (an untouched title's plan, carried over
-/// from an earlier solve; the seed's plan must then be non-null), and
-/// otherwise the greedy plan of groups[i] started from seeds[i].  Files
+/// VorScheduler::Solve and IncrementalSolve.  Each entry of `work`
+/// (ascending by file, non-empty lists) extends its slot's plan in place
+/// with ExtendFileGreedy; every other slot of `schedule.files` holds a
+/// plan carried over from an earlier solve and is not touched.  Files
 /// are scheduled independently (the definition of phase 1), so without
-/// stream caps the slots fan out over `pool` (null = serial); each slot
-/// is written by one task, so the result is identical at any thread
-/// count.  On a topology with stream caps
+/// stream caps the entries fan out over `pool` (null = serial); each
+/// entry is written by one task, so the result is identical at any
+/// thread count.  On a topology with stream caps
 /// (storage::HasStreamCaps) the carried plans seed one storage::Load of
-/// streams and the other files are placed serially in ascending order,
-/// from their first request, each constrained by that load and committed
-/// to it: a file's streams constrain every later file.  A capped
-/// topology therefore takes no resumed seeds.
+/// streams and the entries are placed serially in ascending order, each
+/// from an empty plan, constrained by that load and committed to it: a
+/// file's streams constrain every later file.
 ///
 /// A non-null `metrics` receives the placed files' greedy timings
 /// ("ivsp.file_greedy") and aggregated decision counters (ivsp.*), which
 /// count the requests served, not the plans' sizes.  Per-file tallies are
-/// collected slot-indexed and folded in serially, so counter values are
+/// collected entry-indexed and folded in serially, so counter values are
 /// identical at any thread count.
-void PlaceFiles(const workload::VideoGroups& groups,
+void PlaceFiles(const std::vector<FileWork>& work,
                 const std::vector<workload::Request>& requests,
                 const CostModel& cost_model, const IvspOptions& options,
-                const std::vector<PlanSeed>& seeds, Schedule& schedule,
-                util::ThreadPool* pool, obs::MetricsRegistry* metrics);
+                Schedule& schedule, util::ThreadPool* pool,
+                obs::MetricsRegistry* metrics);
 
 }  // namespace vor::core

@@ -1,7 +1,9 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
+#include <utility>
 
 #include "core/ivsp.hpp"
 #include "core/rejective_greedy.hpp"
@@ -14,95 +16,17 @@ namespace vor::core {
 
 namespace {
 
-/// Phase 1's input: per title, its chronological request list, where
-/// its greedy starts, and whether the plan it ends with is the
-/// unconstrained greedy's own output.  An untouched title has no request
-/// list: PlaceFiles carries its seed's plan over.
-struct Phase1Plan {
-  workload::VideoGroups groups;
-  std::vector<PlanSeed> seeds;
-  std::vector<char> resumable;
-  std::size_t carried_over = 0;
-  std::size_t resumed = 0;
-};
-
-/// Groups only the new requests `requests[first_new..]` and merges them,
-/// title by title, with `previous`'s plans (both in ascending title
-/// order).  A title with no new request carries its plan over.  A touched
-/// title's committed list is the one its plan's deliveries serve
-/// (FileRequestIndices), and its new requests merge into it in
-/// workload::ChronologicalOrder.  Its greedy resumes from the plan, cut
-/// back to the requests before its first new one, when that plan is
-/// still the unconstrained greedy's own output (`resumable`, which is
-/// never set on a topology with stream caps: a capped prefix was placed
-/// against an older stream load); otherwise it replays from its first
-/// request.
-Phase1Plan MergeGroups(const SolveOutput& previous,
-                       const std::vector<workload::Request>& requests,
-                       std::size_t first_new, bool caps) {
-  Phase1Plan p;
-  workload::VideoGroups fresh = workload::GroupByVideo(requests, first_new);
-  const std::vector<FileSchedule>& plans = previous.schedule.files;
-  const workload::ChronologicalOrder order{&requests};
-  const std::size_t bound = plans.size() + fresh.size();
-  p.groups.reserve(bound);
-  p.seeds.reserve(bound);
-  p.resumable.reserve(bound);
-  std::size_t o = 0;
-  std::size_t f = 0;
-  while (o < plans.size() || f < fresh.size()) {
-    if (o == plans.size() ||
-        (f < fresh.size() && fresh[f].first < plans[o].video)) {
-      p.groups.push_back(std::move(fresh[f++]));
-      p.seeds.emplace_back();
-      p.resumable.push_back(caps ? 0 : 1);
-      continue;
-    }
-    const FileSchedule& plan = plans[o];
-    const bool plan_resumable = previous.resumable[o] != 0;
-    ++o;
-    if (f == fresh.size() || fresh[f].first != plan.video) {
-      p.groups.emplace_back(plan.video, std::vector<std::size_t>{});
-      p.seeds.push_back(PlanSeed{&plan, 0});
-      p.resumable.push_back(plan_resumable ? 1 : 0);
-      ++p.carried_over;
-      continue;
-    }
-    const std::vector<std::size_t>& added = fresh[f++].second;
-    std::vector<std::size_t> merged = FileRequestIndices(plan, requests);
-    // The split: the old requests before the first new one.  New indices
-    // follow every old one, so a tie in start time keeps the old request
-    // first.  Only the old requests after the split need merging.
-    const auto split = std::partition_point(
-        merged.begin(), merged.end(),
-        [&](std::size_t r) { return order(r, added.front()); });
-    const auto kept = static_cast<std::size_t>(split - merged.begin());
-    const auto old_end = static_cast<std::ptrdiff_t>(merged.size());
-    merged.insert(merged.end(), added.begin(), added.end());
-    std::inplace_merge(merged.begin() + static_cast<std::ptrdiff_t>(kept),
-                       merged.begin() + old_end, merged.end(), order);
-    p.groups.emplace_back(plan.video, std::move(merged));
-    if (plan_resumable && kept > 0) {
-      p.seeds.push_back(PlanSeed{&plan, kept});
-      ++p.resumed;
-    } else {
-      p.seeds.emplace_back();
-    }
-    p.resumable.push_back(caps ? 0 : 1);
+/// The solve's checks, all made before anything in `state` moves.
+util::Status CheckInputs(const CostModel& cm, const SolveOutput& state,
+                         const std::vector<workload::Request>& requests,
+                         std::size_t first_new) {
+  if (first_new > requests.size()) {
+    return util::InvalidArgument("first_new is past the end of the requests");
   }
-  return p;
-}
-
-/// The two-phase solve behind Solve and IncrementalSolve.
-/// `requests[first_new..]` are the new requests: they are checked, and
-/// their titles are placed afresh or resumed (MergeGroups); every other
-/// title's plan carries over from `previous`.
-util::Result<SolveOutput> SolveTwoPhase(
-    const VorScheduler& scheduler, const char* span_name,
-    const SolveOutput& previous,
-    const std::vector<workload::Request>& requests, std::size_t first_new) {
-  const SchedulerOptions& options = scheduler.options();
-  const CostModel& cm = scheduler.cost_model();
+  if (state.resumable.size() != state.schedule.files.size()) {
+    return util::InvalidArgument(
+        "previous solution has not one resumable flag per file");
+  }
   if (const util::Status s = cm.topology().Validate(); !s.ok()) {
     return s.error();
   }
@@ -124,17 +48,171 @@ util::Result<SolveOutput> SolveTwoPhase(
           "request has a negative or non-finite start time");
     }
   }
+  return util::Status::Ok();
+}
 
-  SolveOutput out;
+/// `indices` (chronological) with `added` (chronological) merged in.
+void MergeChronological(std::vector<std::size_t>& indices,
+                        const std::vector<std::size_t>& added,
+                        const workload::ChronologicalOrder& order) {
+  const auto old_end = static_cast<std::ptrdiff_t>(indices.size());
+  indices.insert(indices.end(), added.begin(), added.end());
+  std::inplace_merge(indices.begin(), indices.begin() + old_end,
+                     indices.end(), order);
+}
+
+}  // namespace
+
+/// The two-phase solve behind Solve and IncrementalSolve, in place on a
+/// solution; it fills the SolveUndo it returns as it goes.
+class TwoPhaseSolve {
+ public:
+  static util::Result<SolveUndo> Run(
+      const VorScheduler& scheduler, const char* span_name,
+      SolveOutput& state, const std::vector<workload::Request>& requests,
+      std::size_t first_new);
+
+ private:
+  /// Phase 1's input, made in place.  Groups only the new requests
+  /// `requests[first_new..]`, inserts an empty plan for each new title
+  /// (ascending title order), and makes each touched title one work
+  /// entry.  A title whose plan is still the unconstrained greedy's own
+  /// output (`resumable`, never set on a topology with stream caps: a
+  /// capped prefix was placed against an older stream load) is cut back
+  /// to its split, the deliveries before its first new request in
+  /// workload::ChronologicalOrder; its list is the cut requests merged
+  /// with its new ones.  New indices follow every old one, so a tie in
+  /// start time keeps the old request first.  Any other touched title,
+  /// or one whose split is 0, replays from its first request: its plan
+  /// moves to the undo, and its list is every request its plan served
+  /// (FileRequestIndices) merged with its new ones.
+  static std::vector<FileWork> Merge(
+      SolveOutput& state, const std::vector<workload::Request>& requests,
+      std::size_t first_new, bool caps, SolveUndo& undo,
+      std::size_t* resumed);
+};
+
+std::vector<FileWork> TwoPhaseSolve::Merge(
+    SolveOutput& state, const std::vector<workload::Request>& requests,
+    std::size_t first_new, bool caps, SolveUndo& undo, std::size_t* resumed) {
+  workload::VideoGroups fresh = workload::GroupByVideo(requests, first_new);
+  std::vector<FileSchedule>& files = state.schedule.files;
+  std::vector<char>& flags = state.resumable;
+
+  // Each group's position among the committed plans, and whether its
+  // title has none yet.
+  std::vector<std::size_t> at(fresh.size());
+  std::vector<char> is_new(fresh.size(), 0);
+  std::size_t added_titles = 0;
+  auto from = files.begin();
+  for (std::size_t g = 0; g < fresh.size(); ++g) {
+    from = std::lower_bound(from, files.end(), fresh[g].first,
+                            [](const FileSchedule& file, media::VideoId v) {
+                              return file.video < v;
+                            });
+    at[g] = static_cast<std::size_t>(from - files.begin());
+    if (from == files.end() || from->video != fresh[g].first) {
+      is_new[g] = 1;
+      ++added_titles;
+    }
+  }
+  // Open a slot for each new title, moving the plans after it back; the
+  // plans before the first new title stay where they are.
+  if (added_titles > 0) {
+    std::size_t old_end = files.size();
+    std::size_t slot = old_end + added_titles;
+    files.resize(slot);
+    flags.resize(slot);
+    undo.inserted_.resize(added_titles);
+    for (std::size_t g = fresh.size(); g-- > 0;) {
+      if (is_new[g] == 0) continue;
+      while (old_end > at[g]) {
+        --old_end;
+        --slot;
+        files[slot] = std::move(files[old_end]);
+        flags[slot] = flags[old_end];
+      }
+      --slot;
+      files[slot] = FileSchedule{};
+      files[slot].video = fresh[g].first;
+      undo.inserted_[--added_titles] = slot;
+    }
+  }
+
+  const workload::ChronologicalOrder order{&requests};
+  std::vector<FileWork> work;
+  work.reserve(fresh.size());
+  std::size_t inserted_before = 0;
+  for (std::size_t g = 0; g < fresh.size(); ++g) {
+    const std::size_t slot = at[g] + inserted_before;
+    std::vector<std::size_t>& added = fresh[g].second;
+    FileSchedule& plan = files[slot];
+    FileWork& entry = work.emplace_back();
+    entry.file = slot;
+    if (is_new[g] != 0) {
+      ++inserted_before;
+      entry.indices = std::move(added);
+    } else {
+      std::size_t kept = 0;
+      if (flags[slot] != 0) {
+        kept = static_cast<std::size_t>(
+            std::partition_point(plan.deliveries.begin(),
+                                 plan.deliveries.end(),
+                                 [&](const Delivery& d) {
+                                   return order(d.request_index,
+                                                added.front());
+                                 }) -
+            plan.deliveries.begin());
+      }
+      if (kept > 0) {
+        PlanCut cut = CutPlan(plan, kept, requests);
+        entry.indices.reserve(cut.deliveries().size() + added.size());
+        for (const Delivery& d : cut.deliveries()) {
+          entry.indices.push_back(d.request_index);
+        }
+        undo.cuts_.emplace_back(slot, std::move(cut));
+        ++*resumed;
+      } else {
+        entry.indices = FileRequestIndices(plan, requests);
+        FileSchedule empty;
+        empty.video = plan.video;
+        undo.replaced_.emplace_back(slot,
+                                    std::exchange(plan, std::move(empty)));
+      }
+      MergeChronological(entry.indices, added, order);
+    }
+    flags[slot] = caps ? 0 : 1;
+  }
+  return work;
+}
+
+util::Result<SolveUndo> TwoPhaseSolve::Run(
+    const VorScheduler& scheduler, const char* span_name, SolveOutput& state,
+    const std::vector<workload::Request>& requests, std::size_t first_new) {
+  const SchedulerOptions& options = scheduler.options();
+  const CostModel& cm = scheduler.cost_model();
+  if (const util::Status s = CheckInputs(cm, state, requests, first_new);
+      !s.ok()) {
+    return s.error();
+  }
+
   obs::MetricsRegistry* metrics = options.metrics;
   const obs::ScopedSpan span(metrics, span_name);
   obs::Add(metrics, "solve.requests", requests.size());
+  SolveUndo undo;
+  undo.resumable_ = state.resumable;
+  undo.phase1_cost_ = state.phase1_cost;
+  undo.final_cost_ = state.final_cost;
+  undo.sorp_ = std::move(state.sorp);
   const bool caps = storage::HasStreamCaps(cm.topology());
-  Phase1Plan phase1 = MergeGroups(previous, requests, first_new, caps);
+  std::size_t resumed = 0;
+  const std::vector<FileWork> work =
+      Merge(state, requests, first_new, caps, undo, &resumed);
+  const std::size_t files = state.schedule.files.size();
   // One pool serves both phases: phase 1's per-file greedies and SORP's
   // shards and tentative victim evaluations.
   std::unique_ptr<util::ThreadPool> pool;
-  if (options.parallel.Resolve() > 1 && phase1.groups.size() > 1) {
+  if (options.parallel.Resolve() > 1 && files > 1) {
     pool = std::make_unique<util::ThreadPool>(options.parallel.Resolve());
   }
 
@@ -142,13 +220,11 @@ util::Result<SolveOutput> SolveTwoPhase(
   // carried-over or resumed plan because new requests are appended.
   {
     const obs::ScopedSpan ivsp_span(metrics, "ivsp");
-    obs::Add(metrics, "incremental.files_carried_over", phase1.carried_over);
-    obs::Add(metrics, "incremental.files_resumed", phase1.resumed);
-    obs::Add(metrics, "incremental.files_rescheduled",
-             phase1.groups.size() - phase1.carried_over);
-    out.schedule.files.resize(phase1.groups.size());
-    PlaceFiles(phase1.groups, requests, cm, options.ivsp, phase1.seeds,
-               out.schedule, pool.get(), metrics);
+    obs::Add(metrics, "incremental.files_carried_over", files - work.size());
+    obs::Add(metrics, "incremental.files_resumed", resumed);
+    obs::Add(metrics, "incremental.files_rescheduled", work.size());
+    PlaceFiles(work, requests, cm, options.ivsp, state.schedule, pool.get(),
+               metrics);
   }
 
   SorpOptions sorp_options;
@@ -158,18 +234,42 @@ util::Result<SolveOutput> SolveTwoPhase(
   sorp_options.regions = options.sorp_regions;
   sorp_options.pool = pool.get();
   sorp_options.metrics = metrics;
-  out.sorp = SorpSolve(out.schedule, requests, cm, sorp_options);
-  out.phase1_cost = out.sorp.cost_before;
-  out.final_cost = out.sorp.cost_after;
+  state.sorp = SorpSolve(state.schedule, requests, cm, sorp_options,
+                         &undo.displaced_);
+  state.phase1_cost = state.sorp.cost_before;
+  state.final_cost = state.sorp.cost_after;
   if (pool != nullptr) obs::ExportPoolTelemetry(metrics, *pool);
-  for (const std::size_t victim : out.sorp.victim_files) {
-    phase1.resumable[victim] = 0;
+  for (const std::size_t victim : state.sorp.victim_files) {
+    state.resumable[victim] = 0;
   }
-  out.resumable = std::move(phase1.resumable);
-  return out;
+  return undo;
 }
 
-}  // namespace
+void SolveUndo::Revert(SolveOutput& state) && {
+  std::vector<FileSchedule>& files = state.schedule.files;
+  // SORP's commits first: each victim gets its phase-1 plan back, which
+  // the phase-1 entries below then undo in turn.
+  for (auto& [file, plan] : displaced_) files[file] = std::move(plan);
+  for (auto& [file, cut] : cuts_) std::move(cut).Revert(files[file]);
+  for (auto& [file, plan] : replaced_) files[file] = std::move(plan);
+  if (!inserted_.empty()) {
+    std::size_t kept = inserted_.front();
+    std::size_t next = 0;
+    for (std::size_t f = inserted_.front(); f < files.size(); ++f) {
+      if (next < inserted_.size() && inserted_[next] == f) {
+        ++next;
+        continue;
+      }
+      files[kept++] = std::move(files[f]);
+    }
+    files.erase(files.begin() + static_cast<std::ptrdiff_t>(kept),
+                files.end());
+  }
+  state.resumable = std::move(resumable_);
+  state.phase1_cost = phase1_cost_;
+  state.final_cost = final_cost_;
+  state.sorp = std::move(sorp_);
+}
 
 VorScheduler::VorScheduler(const net::Topology& topology,
                            const media::Catalog& catalog,
@@ -180,21 +280,18 @@ VorScheduler::VorScheduler(const net::Topology& topology,
 
 util::Result<SolveOutput> VorScheduler::Solve(
     const std::vector<workload::Request>& requests) const {
-  return SolveTwoPhase(*this, "solve", SolveOutput{}, requests, 0);
+  SolveOutput state;
+  const util::Result<SolveUndo> undo =
+      TwoPhaseSolve::Run(*this, "solve", state, requests, 0);
+  if (!undo.ok()) return undo.error();
+  return state;
 }
 
-util::Result<SolveOutput> IncrementalSolve(
-    const VorScheduler& scheduler, const SolveOutput& previous,
+util::Result<SolveUndo> IncrementalSolve(
+    const VorScheduler& scheduler, SolveOutput& state,
     const std::vector<workload::Request>& requests, std::size_t first_new) {
-  if (first_new > requests.size()) {
-    return util::InvalidArgument("first_new is past the end of the requests");
-  }
-  if (previous.resumable.size() != previous.schedule.files.size()) {
-    return util::InvalidArgument(
-        "previous solution has not one resumable flag per file");
-  }
-  return SolveTwoPhase(scheduler, "incremental_solve", previous, requests,
-                       first_new);
+  return TwoPhaseSolve::Run(scheduler, "incremental_solve", state, requests,
+                            first_new);
 }
 
 }  // namespace vor::core

@@ -8,19 +8,21 @@
 //   (SORP-solve, Table 3).
 //
 // One routine runs both phases, behind two entry points.  Solve plans a
-// whole cycle; IncrementalSolve extends a previous solution with late
-// reservations.  The routine checks the new requests, groups only them
-// and merges them into the request lists of the previous plans, places
-// every title that has a new request (PlaceFiles: resumed from its
-// committed plan where that plan is still phase 1's), carries every
-// other title's previous plan over, builds the one thread pool both
-// phases share, and runs SORP on the merged schedule.  Solve(r) is
-// IncrementalSolve from an empty previous solution.
+// whole cycle; IncrementalSolve extends a solution in place with late
+// reservations and returns what a failed attempt needs to undo that.
+// The routine checks the new requests, groups only them, inserts their
+// new titles' empty plans, cuts every touched title that resumes back to
+// its split, places every touched title (PlaceFiles), leaves every other
+// title's plan where it is, builds the one thread pool both phases
+// share, and runs SORP on the result.  Solve(r) is IncrementalSolve on
+// an empty solution.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.hpp"
+#include "core/ivsp.hpp"
 #include "core/schedule.hpp"
 #include "core/sorp.hpp"
 #include "media/catalog.hpp"
@@ -85,6 +87,34 @@ struct SolveOutput {
   SorpStats sorp;
 };
 
+/// What an in-place solve took out of the solution it extended: the
+/// committed requests cut off resumed plans, the old plans of replayed
+/// titles, SORP victims' pre-SORP plans, and the solution's flags, costs
+/// and SORP stats.  Dropping it commits the solve; Revert puts every byte
+/// back.  Its size is that of the solve's work, not of the horizon.
+class SolveUndo {
+ public:
+  /// Restores `state` to the solution the solve that returned this undo
+  /// started from.  `state` must be unchanged since that solve.
+  void Revert(SolveOutput& state) &&;
+
+ private:
+  friend class TwoPhaseSolve;  // src/core/scheduler.cpp
+
+  /// Slots of the titles the solve added, ascending.
+  std::vector<std::size_t> inserted_;
+  /// Resumed titles' slots and what their cuts took.
+  std::vector<std::pair<std::size_t, PlanCut>> cuts_;
+  /// Replayed titles' slots and their plans before the solve.
+  std::vector<std::pair<std::size_t, FileSchedule>> replaced_;
+  /// SORP victims' phase-1 plans.
+  DisplacedPlans displaced_;
+  std::vector<char> resumable_;
+  util::Money phase1_cost_{0.0};
+  util::Money final_cost_{0.0};
+  SorpStats sorp_;
+};
+
 class VorScheduler {
  public:
   /// The topology must Validate(); the catalog must Validate().  Both,
@@ -109,25 +139,33 @@ class VorScheduler {
   CostModel cost_model_;
 };
 
-/// Extends a previous solution with `requests[first_new..]`, late
-/// reservations that arrive before the cycle's cutoff.  In phase 1 files
-/// are scheduled independently, so only the titles the late requests
-/// touch are re-planned; every other title's plan in `previous` carries
-/// over verbatim, and phase 2 re-resolves storage overflows on the merged
-/// schedule (overflow interactions are global, so no shortcut is sound
-/// there).  Phase 1 costs O(new requests) on an append-only horizon:
-/// only the late requests are grouped, and a touched title whose plan is
-/// still phase 1's (SolveOutput::resumable) resumes its greedy from that
-/// plan, cut back to the requests before its first late one, instead of
-/// replaying from its first request — the same bytes, because the
-/// greedy's plan after k requests depends only on those k.
+/// Extends `state`, a solution over `requests[0..first_new)`, in place
+/// with `requests[first_new..]`, late reservations that arrive before the
+/// cycle's cutoff.  In phase 1 files are scheduled independently, so only
+/// the titles the late requests touch are re-planned; every other
+/// title's plan stays where it is, untouched, and phase 2 re-resolves
+/// storage overflows on the merged schedule (overflow interactions are
+/// global, so no shortcut is sound there; SORP stops at its opening
+/// detection when nothing overflows).  Phase 1 costs O(new requests) on
+/// an append-only horizon: only the late requests are grouped, and a
+/// touched title whose plan is still phase 1's (SolveOutput::resumable)
+/// is cut back in place to the requests before its first late one (a
+/// binary search over its deliveries) and its greedy resumes there over
+/// the cut requests and its late ones, instead of replaying from its
+/// first request — the same bytes, because the greedy's plan after k
+/// requests depends only on those k.  Any other touched title replays
+/// from its first request (FileRequestIndices).
 ///
-/// `previous` must be the output of VorScheduler::Solve (or a prior
+/// `state` must be the output of VorScheduler::Solve (or a prior
 /// IncrementalSolve) over `requests[0..first_new)` with the same
 /// scheduler, or such a schedule with every flag 0.  `requests` is the
 /// caller's log with the late requests appended; request indices in the
-/// result refer to it.  A `first_new` past its end, or flags that do not
-/// match `previous`'s files, are an InvalidArgument.  A non-null
+/// result refer to it.  A `first_new` past its end, flags that do not
+/// match `state`'s files, or an invalid late request are refused before
+/// anything moves, leaving `state` untouched.  Otherwise `state` holds
+/// the solved result, and the returned undo restores the input: a
+/// caller that rejects the result calls `std::move(undo).Revert(state)`,
+/// one that keeps it drops the undo.  A non-null
 /// `SchedulerOptions::metrics` receives the
 /// "incremental.files_rescheduled", "incremental.files_resumed" (the
 /// rescheduled titles whose greedy resumed from a kept prefix) and
@@ -145,10 +183,10 @@ class VorScheduler {
 /// On a topology with stream caps the carried-over files are committed
 /// load: their streams seed the stream load and the re-planned files are
 /// placed around them (PlaceFiles), so a previous run with carried-over
-/// files no longer equals a scratch re-solve; from an empty previous
-/// solution the result still equals VorScheduler::Solve.
-[[nodiscard]] util::Result<SolveOutput> IncrementalSolve(
-    const VorScheduler& scheduler, const SolveOutput& previous,
+/// files no longer equals a scratch re-solve; from an empty solution the
+/// result still equals VorScheduler::Solve.
+[[nodiscard]] util::Result<SolveUndo> IncrementalSolve(
+    const VorScheduler& scheduler, SolveOutput& state,
     const std::vector<workload::Request>& requests, std::size_t first_new);
 
 }  // namespace vor::core

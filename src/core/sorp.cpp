@@ -5,8 +5,8 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <iterator>
 #include <numeric>
-#include <optional>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -31,45 +31,42 @@ struct Evaluation {
   double seconds = 0.0;
 };
 
-/// The paper's Table-3 resolution loop, parameterized over scope: the
-/// whole schedule (`shard_files == nullptr`) or one region shard's file
-/// subset.  In shard scope the usage aggregate, overflow detection, and
-/// excess measure all restrict to the shard's files — which, because
-/// shards are route-closed (see FormShards), see exactly the same per-node
-/// timelines the global loop would.  The caller supplies the metrics sink
-/// (per-shard local registries during the parallel phase) and the pool for
-/// the *inner* evaluation fan-out (null inside parallel shards — the shard
-/// already owns a worker thread).  Round spans are suppressed in shard
-/// scope: ScopedSpan paths are per-thread and would start fresh roots on
-/// pool workers.  Costs (stats.cost_*) are left at zero — TotalCost reads
-/// every file and is therefore computed only on the serial control path.
-/// On a topology with stream caps the scope's load also holds the streams;
-/// shards stay exact because every link a shard file's candidates can
-/// cross has both ends in that shard (see FormShards).
-SorpStats RunSorpLoop(Schedule& schedule,
-                      const std::vector<workload::Request>& requests,
-                      const CostModel& cost_model, const SorpOptions& options,
-                      util::ThreadPool* pool, obs::MetricsRegistry* metrics,
-                      const std::vector<std::size_t>* shard_files,
-                      bool round_spans) {
-  SorpStats stats;
-
-  // The scope's load (space, plus streams on a capped topology), built
-  // once and diffed on every commit.  It keeps the canonical piece order
-  // a fresh build produces.
-  std::optional<storage::Load> load;
-  if (shard_files != nullptr) {
-    load.emplace(schedule, cost_model, *shard_files);
-  } else {
-    load.emplace(schedule, cost_model);
+/// Keeps `file`'s plan in `displaced` unless an earlier commit already
+/// put one there, so each victim gives up its pre-SORP plan exactly once.
+void Displace(Schedule& schedule, std::size_t file, DisplacedPlans* displaced) {
+  if (displaced == nullptr ||
+      std::any_of(displaced->begin(), displaced->end(),
+                  [&](const auto& kept) { return kept.first == file; })) {
+    return;
   }
-  ++stats.usage_rebuilds;
+  displaced->emplace_back(file, std::move(schedule.files[file]));
+}
 
-  std::vector<OverflowWindow> overflows = DetectOverflowsIn(*load);
-  stats.initial_overflow_windows = overflows.size();
-  stats.initial_excess = TotalExcess(*load);
-  double excess = stats.initial_excess;
-  obs::Add(metrics, "sorp.initial_overflow_windows", overflows.size());
+/// The paper's Table-3 resolution loop on `load`, whose current overflow
+/// windows are `overflows` and whose excess is `excess`.  The load holds
+/// the whole schedule or one region shard's files; in shard scope the
+/// overflow detection and excess measure see only the shard's files,
+/// which, because shards are route-closed (see FormShards), see exactly
+/// the same per-node timelines the global loop would.  The caller
+/// supplies the metrics sink (per-shard local registries during the
+/// parallel phase) and the pool for the *inner* evaluation fan-out (null
+/// inside parallel shards — the shard already owns a worker thread).
+/// Round spans are suppressed in shard scope: ScopedSpan paths are
+/// per-thread and would start fresh roots on pool workers.  Fills the
+/// victim, evaluation and final-excess fields of the result; the
+/// caller owns the initial-detection fields, the build count and the
+/// costs.  On a topology with stream caps the load also holds the
+/// streams; shards stay exact because every link a shard file's
+/// candidates can cross has both ends in that shard (see FormShards).
+SorpStats ResolveOverflows(storage::Load& load, Schedule& schedule,
+                           std::vector<OverflowWindow> overflows,
+                           double excess,
+                           const std::vector<workload::Request>& requests,
+                           const CostModel& cost_model,
+                           const SorpOptions& options, util::ThreadPool* pool,
+                           obs::MetricsRegistry* metrics, bool round_spans,
+                           DisplacedPlans* displaced) {
+  SorpStats stats;
   if (metrics != nullptr && !overflows.empty()) {
     obs::Append(metrics, "sorp.excess_trajectory", excess);
   }
@@ -84,7 +81,7 @@ SorpStats RunSorpLoop(Schedule& schedule,
     // capacity-unaware ablation blanks its space keys, leaving the static
     // height check.
     const storage::LoadView others =
-        load->Excluding(c.file_index, options.capacity_aware_reschedule);
+        load.Excluding(c.file_index, options.capacity_aware_reschedule);
     RescheduleResult attempt =
         RescheduleVictim(schedule, c.file_index, requests, cost_model,
                          options.ivsp, {{c.node, c.window}}, others);
@@ -161,22 +158,22 @@ SorpStats RunSorpLoop(Schedule& schedule,
     // scope the victim is a shard-owned file, so concurrent shards write
     // disjoint schedule slots.
     const std::size_t victim = candidates[best].file_index;
+    Displace(schedule, victim, displaced);
     schedule.files[victim] = std::move(evals[best].schedule);
     ++stats.victims_rescheduled;
     stats.victim_files.push_back(victim);
 
     // O(victim pieces) diff: swap the victim's old pieces for its new ones.
-    load->ApplyCommit(victim, schedule.files[victim]);
-    overflows = DetectOverflowsIn(*load);
-    const double new_excess = TotalExcess(*load);
+    load.ApplyCommit(victim, schedule.files[victim]);
+    overflows = DetectOverflowsIn(load);
+    const double new_excess = TotalExcess(load);
     obs::Append(metrics, "sorp.excess_trajectory", new_excess);
-    if (new_excess >= excess) break;  // defensive: no progress
+    const bool progress = new_excess < excess;
     excess = new_excess;
+    if (!progress) break;  // defensive: no progress
   }
 
-  stats.final_excess = TotalExcess(*load);
-  obs::Add(metrics, "sorp.victims_rescheduled", stats.victims_rescheduled);
-  obs::Add(metrics, "sorp.usage_rebuilds", stats.usage_rebuilds);
+  stats.final_excess = excess;
   return stats;
 }
 
@@ -338,48 +335,58 @@ ShardPlan FormShards(const Schedule& schedule,
   return plan;
 }
 
-/// Region-sharded engine: resolve each shard concurrently (phase A), fold
-/// per-shard stats/metrics serially in canonical order, then run a global
-/// residual pass (phase B) that re-detects against the full schedule and
-/// mops up anything a shard left behind (per-shard iteration budgets or
-/// progress-guard stalls) — a no-op when the shards fully resolved, which
-/// is the common case.  Costs are left to SorpSolve.
-SorpStats RegionShardedSolve(Schedule& schedule,
+/// Region-sharded engine on `load`, the whole schedule's aggregate, which
+/// overflows: resolve each shard concurrently on its own load (phase A),
+/// fold per-shard stats/metrics serially in canonical order, then run a
+/// global residual pass (phase B) on `load` — brought up to date by one
+/// ApplyCommit per victim file, which answers every query as a fresh
+/// build would — to mop up anything a shard left behind (per-shard
+/// iteration budgets or progress-guard stalls).  Phase B finds nothing
+/// when the shards fully resolved, the common case.  Costs and the
+/// initial-detection fields are left to SorpSolve.
+SorpStats RegionShardedSolve(storage::Load& load, Schedule& schedule,
                              const std::vector<workload::Request>& requests,
                              const CostModel& cost_model,
-                             const SorpOptions& options) {
+                             const SorpOptions& options,
+                             DisplacedPlans* displaced) {
   obs::MetricsRegistry* metrics = options.metrics;
   util::ThreadPool* pool = options.pool;
   SorpStats stats;
 
   const ShardPlan plan =
       FormShards(schedule, requests, cost_model, options.regions);
-  stats.region_shards = plan.shard_files.size();
+  const std::size_t shards = plan.shard_files.size();
+  stats.region_shards = shards;
   obs::Add(metrics, "sorp.regions.base", plan.base_regions);
-  obs::Add(metrics, "sorp.regions.shards", plan.shard_files.size());
+  obs::Add(metrics, "sorp.regions.shards", shards);
   obs::Add(metrics, "sorp.regions.cross_files", plan.cross_files);
 
   // Phase A: per-shard resolution.  Each shard owns its load, overlay
-  // caches, and (when observability is on) a private metrics registry, so
-  // the workers share nothing but read-only inputs and their disjoint
-  // schedule slots.
-  std::vector<SorpStats> shard_stats(plan.shard_files.size());
+  // caches, displaced plans and (when observability is on) a private
+  // metrics registry, so the workers share nothing but read-only inputs
+  // and their disjoint schedule slots.
+  std::vector<SorpStats> shard_stats(shards);
+  std::vector<DisplacedPlans> shard_displaced(displaced != nullptr ? shards
+                                                                   : 0);
   std::vector<std::unique_ptr<obs::MetricsRegistry>> shard_metrics;
-  shard_metrics.reserve(plan.shard_files.size());
-  for (std::size_t s = 0; s < plan.shard_files.size(); ++s) {
+  shard_metrics.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
     shard_metrics.push_back(metrics != nullptr
                                 ? std::make_unique<obs::MetricsRegistry>()
                                 : nullptr);
   }
-  const bool shards_parallel = pool != nullptr &&
-                               plan.shard_files.size() > 1 &&
-                               !pool->InWorkerThread();
+  const bool shards_parallel =
+      pool != nullptr && shards > 1 && !pool->InWorkerThread();
   const auto run_shard = [&](std::size_t s, util::ThreadPool* inner_pool) {
     const obs::Stopwatch watch;
-    shard_stats[s] =
-        RunSorpLoop(schedule, requests, cost_model, options, inner_pool,
-                    shard_metrics[s].get(), &plan.shard_files[s],
-                    /*round_spans=*/false);
+    storage::Load shard_load(schedule, cost_model, plan.shard_files[s]);
+    std::vector<OverflowWindow> overflows = DetectOverflowsIn(shard_load);
+    const double excess = TotalExcess(shard_load);
+    shard_stats[s] = ResolveOverflows(
+        shard_load, schedule, std::move(overflows), excess, requests,
+        cost_model, options, inner_pool, shard_metrics[s].get(),
+        /*round_spans=*/false,
+        displaced != nullptr ? &shard_displaced[s] : nullptr);
     // Per-shard wall time; the serial fold merges these into one timer
     // whose count/min/max expose shard imbalance.
     obs::Observe(shard_metrics[s].get(), "sorp.shard.seconds", watch.Seconds());
@@ -390,32 +397,28 @@ SorpStats RegionShardedSolve(Schedule& schedule,
       // Inner evaluation fan-out stays off inside parallel shards: each
       // shard already occupies one worker, and nested ParallelFor would
       // only run inline anyway.
-      pool->ParallelFor(plan.shard_files.size(),
-                        [&](std::size_t s) { run_shard(s, nullptr); });
+      pool->ParallelFor(shards, [&](std::size_t s) { run_shard(s, nullptr); });
     } else {
       // Serial shard walk (single thread, or one shard): let each shard's
       // evaluation fan-out use the pool.
-      for (std::size_t s = 0; s < plan.shard_files.size(); ++s) {
-        run_shard(s, pool);
-      }
+      for (std::size_t s = 0; s < shards; ++s) run_shard(s, pool);
     }
   }
 
-  // Serial fold in canonical (ascending shard) order: stats sum, metrics
-  // absorb.  initial_excess sums shard-local excesses; shards partition
-  // the residency-hosting nodes, so the total covers every node (the
-  // floating-point summation order differs from the monolithic engine's
-  // node walk — stats-only, the schedule bytes are unaffected).
-  for (std::size_t s = 0; s < plan.shard_files.size(); ++s) {
+  // Serial fold in canonical (ascending shard) order: stats sum, displaced
+  // plans concatenate, metrics absorb.
+  stats.usage_rebuilds = shards;
+  for (std::size_t s = 0; s < shards; ++s) {
     const SorpStats& shard = shard_stats[s];
-    stats.initial_overflow_windows += shard.initial_overflow_windows;
     stats.victims_rescheduled += shard.victims_rescheduled;
     stats.victim_files.insert(stats.victim_files.end(),
                               shard.victim_files.begin(),
                               shard.victim_files.end());
     stats.evaluations += shard.evaluations;
-    stats.usage_rebuilds += shard.usage_rebuilds;
-    stats.initial_excess += shard.initial_excess;
+    if (displaced != nullptr) {
+      std::move(shard_displaced[s].begin(), shard_displaced[s].end(),
+                std::back_inserter(*displaced));
+    }
   }
   if (metrics != nullptr) {
     for (const auto& shard_registry : shard_metrics) {
@@ -423,21 +426,27 @@ SorpStats RegionShardedSolve(Schedule& schedule,
     }
   }
 
-  // Phase B: global residual pass over the reconciled schedule.  Detection
-  // runs against a fresh full aggregate; when the shards resolved
-  // everything (the normal case) this finds no overflows and only
-  // establishes the authoritative final_excess.
+  // Phase B: global residual pass over the reconciled schedule, on the
+  // opening load.  A file the shards committed more than once needs one
+  // ApplyCommit, with its final plan.
   {
     const obs::ScopedSpan residual_span(metrics, "residual");
-    const SorpStats residual =
-        RunSorpLoop(schedule, requests, cost_model, options, pool, metrics,
-                    /*shard_files=*/nullptr, /*round_spans=*/true);
+    std::vector<std::size_t> victims = stats.victim_files;
+    std::sort(victims.begin(), victims.end());
+    victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
+    for (const std::size_t victim : victims) {
+      load.ApplyCommit(victim, schedule.files[victim]);
+    }
+    std::vector<OverflowWindow> overflows = DetectOverflowsIn(load);
+    const double excess = TotalExcess(load);
+    const SorpStats residual = ResolveOverflows(
+        load, schedule, std::move(overflows), excess, requests, cost_model,
+        options, pool, metrics, /*round_spans=*/true, displaced);
     stats.victims_rescheduled += residual.victims_rescheduled;
     stats.victim_files.insert(stats.victim_files.end(),
                               residual.victim_files.begin(),
                               residual.victim_files.end());
     stats.evaluations += residual.evaluations;
-    stats.usage_rebuilds += residual.usage_rebuilds;
     stats.final_excess = residual.final_excess;
     if (residual.victims_rescheduled > 0) {
       obs::Add(metrics, "sorp.regions.residual_victims",
@@ -482,25 +491,54 @@ std::vector<SorpCandidate> CollectSorpCandidates(
 
 SorpStats SorpSolve(Schedule& schedule,
                     const std::vector<workload::Request>& requests,
-                    const CostModel& cost_model, const SorpOptions& options) {
+                    const CostModel& cost_model, const SorpOptions& options,
+                    DisplacedPlans* displaced) {
   obs::MetricsRegistry* metrics = options.metrics;
   const obs::ScopedSpan span(metrics, "sorp");
-  const util::Money cost_before = cost_model.TotalCost(schedule);
-  // The region engine requires commit commutativity (kMaxHeat's reduction
-  // is per-shard deterministic); otherwise the global loop runs, which
-  // handles every configuration.
-  SorpStats stats =
-      options.regions != 1 && options.victim_policy == VictimPolicy::kMaxHeat
-          ? RegionShardedSolve(schedule, requests, cost_model, options)
-          : RunSorpLoop(schedule, requests, cost_model, options, options.pool,
-                        metrics, /*shard_files=*/nullptr,
-                        /*round_spans=*/true);
+  SorpStats stats;
+  stats.cost_before = cost_model.TotalCost(schedule);
+
+  // The opening aggregate (space, plus streams on a capped topology),
+  // built once: detection reads it, and every resolution path commits to
+  // it.  Shards partition the residency-hosting nodes and keep each
+  // node's pieces in order, so no shard overflows where it does not.
+  storage::Load load(schedule, cost_model);
+  stats.usage_rebuilds = 1;
+  std::vector<OverflowWindow> overflows = DetectOverflowsIn(load);
+  stats.initial_overflow_windows = overflows.size();
+  stats.initial_excess = TotalExcess(load);
+  stats.final_excess = stats.initial_excess;
+  if (!overflows.empty()) {
+    // The region engine requires commit commutativity (kMaxHeat's
+    // reduction is per-shard deterministic); otherwise the global loop
+    // runs, which handles every configuration.
+    const SorpStats resolved =
+        options.regions != 1 && options.victim_policy == VictimPolicy::kMaxHeat
+            ? RegionShardedSolve(load, schedule, requests, cost_model, options,
+                                 displaced)
+            : ResolveOverflows(load, schedule, std::move(overflows),
+                               stats.initial_excess, requests, cost_model,
+                               options, options.pool, metrics,
+                               /*round_spans=*/true, displaced);
+    stats.victims_rescheduled = resolved.victims_rescheduled;
+    stats.victim_files = resolved.victim_files;
+    stats.evaluations = resolved.evaluations;
+    stats.usage_rebuilds += resolved.usage_rebuilds;
+    stats.region_shards = resolved.region_shards;
+    stats.final_excess = resolved.final_excess;
+  }
   std::sort(stats.victim_files.begin(), stats.victim_files.end());
   stats.victim_files.erase(
       std::unique(stats.victim_files.begin(), stats.victim_files.end()),
       stats.victim_files.end());
-  stats.cost_before = cost_before;
-  stats.cost_after = cost_model.TotalCost(schedule);
+  // No commit, no change: the schedule still costs what it did.
+  stats.cost_after = stats.victims_rescheduled > 0
+                         ? cost_model.TotalCost(schedule)
+                         : stats.cost_before;
+  obs::Add(metrics, "sorp.initial_overflow_windows",
+           stats.initial_overflow_windows);
+  obs::Add(metrics, "sorp.victims_rescheduled", stats.victims_rescheduled);
+  obs::Add(metrics, "sorp.usage_rebuilds", stats.usage_rebuilds);
   if (metrics != nullptr && !stats.Resolved()) {
     obs::Add(metrics, "sorp.unresolved_runs");
   }

@@ -5,17 +5,20 @@
 // the heat of that rescheduling; commit the single hottest victim; repeat
 // until the integrated schedule is overflow free.
 //
-// One storage::Load, holding each IS's space and, on a topology with
-// stream caps, the capped links' and origins' streams, is built once per
-// solve and delta-maintained across commits (one ApplyCommit each).  Every
-// dry run reads a subtractive "all files but the victim" view of it and
-// keeps its own streams in a private storage::LoadDelta, which copies a
-// key only when the run first writes to it.  The literal
+// One storage::Load of the whole schedule, holding each IS's space and,
+// on a topology with stream caps, the capped links' and origins' streams,
+// opens every solve: detection reads it, and a schedule with no overflow
+// returns right there, having built nothing else.  Otherwise it is
+// delta-maintained across commits (one ApplyCommit each).  Every dry run
+// reads a subtractive "all files but the victim" view of it and keeps its
+// own streams in a private storage::LoadDelta, which copies a key only
+// when the run first writes to it.  The literal
 // rebuild-per-dry-run loop lives on only as the test oracle in
 // tests/reference_sorp.hpp, which the golden suites compare against.
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -55,7 +58,8 @@ struct SorpOptions {
   /// when the total excess fails to decrease (defensive, should not fire).
   std::size_t max_iterations = 10000;
 
-  /// Region-sharded resolution (the million-user scale-out).  1 (default)
+  /// Region-sharded resolution (the million-user scale-out), engaged only
+  /// when the opening detection finds an overflow.  1 (default)
   /// runs the single global loop.  0 = auto: one shard per route-closed
   /// neighborhood cluster of the topology; N >= 2 coalesces the clusters
   /// to at most N before closure merging.  The engine partitions the IS
@@ -65,14 +69,14 @@ struct SorpOptions {
   /// each shard owns its storage::Load and overlay caches — and finishes
   /// with a serial canonical reconciliation pass (per-shard stats/metrics
   /// folded in sorted shard order, then a residual global detection +
-  /// monolithic mop-up, normally a no-op).  Because a file's
-  /// greedy only ever touches nodes on cheapest paths among {VW} and its
-  /// requesting neighborhoods, shard-confined commits commute and the
-  /// final schedule is byte-identical to the monolithic engine whenever
-  /// resolution completes within budget (see DESIGN.md "Region-sharded
-  /// SORP" for the argument and the max_iterations / progress-guard
-  /// caveats; max_iterations is per shard here).  Falls back to the
-  /// monolithic loop when the victim policy is not kMaxHeat.
+  /// monolithic mop-up on the opening aggregate, normally a no-op).
+  /// Because a file's greedy only ever touches nodes on cheapest paths
+  /// among {VW} and its requesting neighborhoods, shard-confined commits
+  /// commute and the final schedule is byte-identical to the monolithic
+  /// engine whenever resolution completes within budget (see DESIGN.md
+  /// "Region-sharded SORP" for the argument and the max_iterations /
+  /// progress-guard caveats; max_iterations is per shard here).  Falls
+  /// back to the monolithic loop when the victim policy is not kMaxHeat.
   std::size_t regions = 1;
 
   // ---- parallelism ----------------------------------------------------
@@ -128,25 +132,36 @@ struct SorpStats {
   std::vector<std::size_t> victim_files;
   /// Tentative rejective-greedy dry runs (one per candidate per round).
   std::size_t evaluations = 0;
-  /// Full-aggregate builds (storage::Load constructions): one per
-  /// resolution loop — commits are diffs, never rebuilds.
+  /// Aggregate builds (storage::Load constructions): the opening build
+  /// of the whole schedule, plus one per region shard — commits are
+  /// diffs, never rebuilds.
   std::size_t usage_rebuilds = 0;
   /// Shards the region engine resolved concurrently (0 on the monolithic
   /// engine; 1 means the region engine ran but closure merging collapsed
   /// everything into one shard).
   std::size_t region_shards = 0;
   util::Money cost_before{0.0};
+  /// cost_before itself when no victim was committed.
   util::Money cost_after{0.0};
-  /// Byte-seconds above capacity before/after.
+  /// Byte-seconds above capacity before/after, both read off the whole
+  /// schedule's aggregate, whichever engine ran.
   double initial_excess = 0.0;
   double final_excess = 0.0;
   [[nodiscard]] bool Resolved() const { return final_excess <= 0.0; }
   [[nodiscard]] bool HadOverflow() const { return initial_overflow_windows > 0; }
 };
 
+/// Plans SORP replaced: per victim file, in first-commit order, the
+/// file's index and the plan it held before its first commit.
+using DisplacedPlans = std::vector<std::pair<std::size_t, FileSchedule>>;
+
 /// Resolves storage overflows in-place.  Returns resolution statistics.
+/// A non-null `displaced` receives each victim's pre-SORP plan (appended
+/// after what it already holds; a file already listed there keeps its
+/// entry), which is otherwise destroyed at the commit.
 SorpStats SorpSolve(Schedule& schedule,
                     const std::vector<workload::Request>& requests,
-                    const CostModel& cost_model, const SorpOptions& options);
+                    const CostModel& cost_model, const SorpOptions& options,
+                    DisplacedPlans* displaced = nullptr);
 
 }  // namespace vor::core

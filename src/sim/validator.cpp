@@ -54,7 +54,8 @@ class Validator {
       CheckResidencies(file);
     }
     // A storage::Load prices every residency, so it needs well-formed
-    // ones; the report already fails when one is not.
+    // ones (a cataloged title, finite and ordered times, a storage
+    // location); the report already fails when one is not.
     if (options_.check_capacity && residencies_loadable_) CheckCapacity();
     return std::move(report_);
   }
@@ -98,6 +99,16 @@ class Validator {
       if (d.route.empty()) {
         Report(Violation::Kind::kBrokenRoute, "empty route");
         continue;
+      }
+      // Pricing a delivery reads its title from the catalog.
+      if (!cm_.catalog().Contains(d.video)) {
+        Report(Violation::Kind::kInvalidSource,
+               "delivery of video " + std::to_string(d.video) +
+                   ", which the catalog does not hold");
+      }
+      if (!std::isfinite(d.start.value())) {
+        Report(Violation::Kind::kWrongStartTime,
+               "delivery starts at a non-finite time");
       }
       for (std::size_t i = 0; i + 1 < d.route.size(); ++i) {
         if (!adjacent_.count(Key(d.route[i], d.route[i + 1]))) {
@@ -149,6 +160,22 @@ class Validator {
 
   void CheckResidencies(const core::FileSchedule& file) {
     for (const core::Residency& c : file.residencies) {
+      // Pricing a residency reads its title from the catalog, and a
+      // non-finite time never lets a timeline sweep advance.
+      if (!cm_.catalog().Contains(c.video)) {
+        Report(Violation::Kind::kInconsistentResidency,
+               "residency of video " + std::to_string(c.video) +
+                   ", which the catalog does not hold");
+        residencies_loadable_ = false;
+        continue;
+      }
+      if (!std::isfinite(c.t_start.value()) ||
+          !std::isfinite(c.t_last.value())) {
+        Report(Violation::Kind::kInconsistentResidency,
+               "residency with a non-finite time");
+        residencies_loadable_ = false;
+        continue;
+      }
       if (c.t_last < c.t_start) {
         Report(Violation::Kind::kInconsistentResidency,
                "residency with t_last < t_start");
@@ -227,7 +254,8 @@ class Validator {
   const core::CostModel& cm_;
   ValidationOptions options_;
   std::unordered_set<std::uint64_t> adjacent_;
-  /// False once a residency is inverted or off storage: no Load takes it.
+  /// False once a residency is inverted, off storage, of an uncataloged
+  /// title or at a non-finite time: no Load takes it.
   bool residencies_loadable_ = true;
   ValidationReport report_;
 };

@@ -234,10 +234,10 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
   // set keeps the previous committed schedule, which was itself
   // validated when committed).
   // Each attempt appends its admitted batch to the committed log, which
-  // is cut back to `first_new` unless the attempt commits.
+  // is cut back to `first_new` unless the attempt commits, and solves the
+  // committed state in place; a failed attempt reverts it.
   const obs::Stopwatch solve_watch;
   const std::size_t first_new = committed_.size();
-  core::SolveOutput next;
   bool committed_new = false;
   while (!admitted.empty()) {
     if (stats.solve_attempts >= kMaxAdmissionRetries) {
@@ -249,12 +249,12 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
     }
     ++stats.solve_attempts;
     for (const StampedRequest& s : admitted) committed_.push_back(s.request);
-    util::Result<core::SolveOutput> out =
+    util::Result<core::SolveUndo> undo =
         core::IncrementalSolve(scheduler_, previous_, committed_, first_new);
-    if (!out.ok()) {
+    if (!undo.ok()) {
       // Solver errors are environment-level (validated requests should
-      // never trigger them); re-defer the batch so nothing is lost and
-      // surface the error.
+      // never trigger them); a refused solve leaves previous_ untouched.
+      // Re-defer the batch so nothing is lost and surface the error.
       committed_.resize(first_new);
       for (StampedRequest& s : admitted) {
         deferred_.push_back(std::move(s));
@@ -265,16 +265,22 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
       }
       std::stable_sort(deferred_.begin(), deferred_.end(), DrainOrderLess);
       obs::Add(config_.metrics, "svc.cycle.solve_errors");
-      return out.error();
+      return undo.error();
     }
-    if (out->sorp.Resolved() &&
-        sim::ValidateSchedule(out->schedule, committed_,
-                              scheduler_.cost_model())
-            .ok()) {
-      next = std::move(*out);
+    bool valid = false;
+    if (previous_.sorp.Resolved()) {
+      const obs::Stopwatch validate_watch;
+      valid = sim::ValidateSchedule(previous_.schedule, committed_,
+                                    scheduler_.cost_model())
+                  .ok();
+      obs::Observe(config_.metrics, "svc.cycle.validate_seconds",
+                   validate_watch.Seconds());
+    }
+    if (valid) {
       committed_new = true;
       break;
     }
+    std::move(*undo).Revert(previous_);
     committed_.resize(first_new);
     // Defer the newer half (drain order puts the oldest first).
     const std::size_t keep = admitted.size() / 2;
@@ -288,7 +294,6 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
 
   if (committed_new) {
     stats.admitted = admitted.size();
-    previous_ = std::move(next);
     obs::Add(config_.metrics, "svc.admit.committed", stats.admitted);
   }
 

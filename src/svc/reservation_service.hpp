@@ -14,11 +14,12 @@
 //   * Cycle clock — CloseCycle() drains the shards, canonically orders
 //     the batch (stable sort by arrival, then the workload replay order:
 //     start time, user, video — so the committed schedule is
-//     byte-identical at any producer/thread count), and replans via
-//     core::IncrementalSolve against the previous cycle's committed
-//     schedule.  Start(period) runs a background thread that closes
-//     cycles on a wall-clock period for live deployments; trace replays
-//     close cycles explicitly at virtual-time epochs instead.
+//     byte-identical at any producer/thread count), and replans the
+//     committed state in place via core::IncrementalSolve, reverting
+//     an attempt it does not commit.  Start(period) runs a background
+//     thread that closes cycles on a wall-clock period for live
+//     deployments; trace replays close cycles explicitly at virtual-time
+//     epochs instead.
 //   * Admission control — one pre-filter, the per-user fairness cap,
 //     then the one capacity gate: a cycle is committed only when SORP
 //     resolved every overflow AND sim::ValidateSchedule passes.
@@ -243,6 +244,8 @@ class ReservationService {
                                          "svc.cycle"};
   std::uint64_t cycle_index_ = 0;
   std::vector<workload::Request> committed_;
+  /// The committed solution over committed_; each close solves it in
+  /// place and reverts the attempts it does not commit.
   core::SolveOutput previous_;
   std::vector<StampedRequest> deferred_;
   std::vector<CycleStats> history_;

@@ -20,17 +20,19 @@ namespace vor::core {
 namespace {
 
 /// Schedule bytes of VorScheduler::Solve at `threads`, or with
-/// `incremental` of IncrementalSolve from an empty previous solution —
-/// the same two-phase solve, so the bytes must match.
+/// `incremental` of IncrementalSolve on an empty solution — the same
+/// two-phase solve, so the bytes must match.
 std::string SolveToBytes(const workload::Scenario& scenario,
                          std::size_t threads, bool incremental = false) {
   SchedulerOptions options;
   options.parallel.threads = threads;
   const VorScheduler scheduler(scenario.topology, scenario.catalog, options);
-  const auto result =
-      incremental
-          ? IncrementalSolve(scheduler, SolveOutput{}, scenario.requests, 0)
-          : scheduler.Solve(scenario.requests);
+  if (incremental) {
+    SolveOutput state;
+    EXPECT_TRUE(IncrementalSolve(scheduler, state, scenario.requests, 0).ok());
+    return io::ToJson(state.schedule).Dump(2);
+  }
+  const auto result = scheduler.Solve(scenario.requests);
   EXPECT_TRUE(result.ok());
   return io::ToJson(result->schedule).Dump(2);
 }
@@ -122,14 +124,13 @@ TEST(DeterminismTest, IncrementalSolveBytesIdenticalAcrossThreadCounts) {
     SchedulerOptions options;
     options.parallel.threads = threads;
     const VorScheduler scheduler(scenario.topology, scenario.catalog, options);
-    const auto base = scheduler.Solve(original);
+    auto base = scheduler.Solve(original);
     ASSERT_TRUE(base.ok());
     std::vector<workload::Request> merged = original;
     merged.insert(merged.end(), late.begin(), late.end());
-    const auto result =
-        IncrementalSolve(scheduler, *base, merged, original.size());
-    ASSERT_TRUE(result.ok());
-    const std::string bytes = io::ToJson(result->schedule).Dump(2);
+    ASSERT_TRUE(
+        IncrementalSolve(scheduler, *base, merged, original.size()).ok());
+    const std::string bytes = io::ToJson(base->schedule).Dump(2);
     if (reference.empty()) {
       reference = bytes;
     } else {

@@ -36,6 +36,50 @@ std::vector<workload::Request> Concat(
   return merged;
 }
 
+/// Every byte a solution holds: its schedule's vor-bin encoding, its
+/// flags, and its costs' and SORP stats' values, bit for bit.
+std::string StateBytes(const SolveOutput& state) {
+  std::string bytes = io::ScheduleToBinary(state.schedule);
+  bytes.append(state.resumable.begin(), state.resumable.end());
+  const auto put = [&bytes](auto value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof value);
+  };
+  const SorpStats& sorp = state.sorp;
+  put(state.phase1_cost.value());
+  put(state.final_cost.value());
+  put(sorp.initial_overflow_windows);
+  put(sorp.victims_rescheduled);
+  for (const std::size_t v : sorp.victim_files) put(v);
+  put(sorp.evaluations);
+  put(sorp.usage_rebuilds);
+  put(sorp.region_shards);
+  put(sorp.cost_before.value());
+  put(sorp.cost_after.value());
+  put(sorp.initial_excess);
+  put(sorp.final_excess);
+  return bytes;
+}
+
+/// IncrementalSolve in place on a copy of `previous`.  A refused solve
+/// must leave the copy as it was; an accepted one must revert to it.
+/// Returns the solved copy, or the refusal.
+util::Result<SolveOutput> SolveCopy(
+    const VorScheduler& scheduler, const SolveOutput& previous,
+    const std::vector<workload::Request>& requests, std::size_t first_new) {
+  const std::string before = StateBytes(previous);
+  SolveOutput state = previous;
+  util::Result<SolveUndo> undo =
+      IncrementalSolve(scheduler, state, requests, first_new);
+  if (!undo.ok()) {
+    EXPECT_EQ(StateBytes(state), before) << "a refused solve moved the state";
+    return undo.error();
+  }
+  SolveOutput solved = state;
+  std::move(*undo).Revert(state);
+  EXPECT_EQ(StateBytes(state), before) << "the revert left other bytes";
+  return solved;
+}
+
 /// Options that record into `metrics`: every solve adds the titles it
 /// re-planned and carried over to the incremental.* counters (a Solve
 /// carries nothing over), so a test reads one IncrementalSolve's split as
@@ -65,8 +109,7 @@ TEST(IncrementalTest, MatchesScratchSolveWhenNoOverflow) {
   const obs::Counter& rescheduled =
       metrics.GetCounter("incremental.files_rescheduled");
   const std::uint64_t rescheduled_before = rescheduled.value();
-  const auto incremental =
-      IncrementalSolve(scheduler, *first, merged, early.size());
+  const auto incremental = SolveCopy(scheduler, *first, merged, early.size());
   ASSERT_TRUE(incremental.ok());
   EXPECT_GT(metrics.GetCounter("incremental.files_carried_over").value(), 0u);
   EXPECT_GT(rescheduled.value(), rescheduled_before);
@@ -96,8 +139,7 @@ TEST(IncrementalTest, TightCapacityStaysFeasibleAndServed) {
   ASSERT_TRUE(first.ok());
 
   const std::vector<workload::Request> merged = Concat(early, late);
-  const auto incremental =
-      IncrementalSolve(scheduler, *first, merged, early.size());
+  const auto incremental = SolveCopy(scheduler, *first, merged, early.size());
   ASSERT_TRUE(incremental.ok());
   EXPECT_TRUE(incremental->sorp.Resolved());
   EXPECT_TRUE(
@@ -126,8 +168,8 @@ TEST(IncrementalTest, EmptyLateBatchKeepsEverything) {
   const obs::Counter& rescheduled =
       metrics.GetCounter("incremental.files_rescheduled");
   const std::uint64_t rescheduled_before = rescheduled.value();
-  const auto incremental = IncrementalSolve(scheduler, *first, merged,
-                                            scenario.requests.size());
+  const auto incremental =
+      SolveCopy(scheduler, *first, merged, scenario.requests.size());
   ASSERT_TRUE(incremental.ok());
   EXPECT_EQ(rescheduled.value(), rescheduled_before);
   EXPECT_EQ(merged.size(), scenario.requests.size());
@@ -168,8 +210,7 @@ TEST(IncrementalTest, CarriedOverStreamsConstrainRescheduledFiles) {
   const auto first = scheduler.Solve(early);
   ASSERT_TRUE(first.ok());
   const std::vector<workload::Request> merged = Concat(early, late);
-  const auto incremental =
-      IncrementalSolve(scheduler, *first, merged, early.size());
+  const auto incremental = SolveCopy(scheduler, *first, merged, early.size());
   ASSERT_TRUE(incremental.ok());
   EXPECT_EQ(metrics.GetCounter("incremental.files_carried_over").value(), 1u);
   const storage::StreamReport streams =
@@ -194,19 +235,19 @@ TEST(IncrementalTest, RejectsBadLateRequests) {
 
   workload::Request bad = scenario.requests[0];
   bad.video = 999999;
-  EXPECT_FALSE(IncrementalSolve(scheduler, *first,
-                                Concat(scenario.requests, {bad}), first_new)
-                   .ok());
+  EXPECT_FALSE(
+      SolveCopy(scheduler, *first, Concat(scenario.requests, {bad}), first_new)
+          .ok());
   bad = scenario.requests[0];
   bad.neighborhood = scenario.topology.warehouse();
-  EXPECT_FALSE(IncrementalSolve(scheduler, *first,
-                                Concat(scenario.requests, {bad}), first_new)
-                   .ok());
+  EXPECT_FALSE(
+      SolveCopy(scheduler, *first, Concat(scenario.requests, {bad}), first_new)
+          .ok());
   for (const double start : {-3600.0, std::nan("")}) {
     bad = scenario.requests[0];
     bad.start_time = util::Seconds{start};
-    const auto result = IncrementalSolve(
-        scheduler, *first, Concat(scenario.requests, {bad}), first_new);
+    const auto result = SolveCopy(scheduler, *first,
+                                  Concat(scenario.requests, {bad}), first_new);
     ASSERT_FALSE(result.ok()) << "start " << start;
     EXPECT_EQ(result.error().code, util::Error::Code::kInvalidArgument);
   }
@@ -221,7 +262,7 @@ TEST(IncrementalTest, RejectsPreviousWithMismatchedFlags) {
   const std::vector<workload::Request> merged =
       Concat(scenario.requests, {scenario.requests[0]});
   const std::size_t first_new = scenario.requests.size();
-  ASSERT_TRUE(IncrementalSolve(scheduler, *first, merged, first_new).ok());
+  ASSERT_TRUE(SolveCopy(scheduler, *first, merged, first_new).ok());
 
   // One flag short, one too many, and none at all: each is refused
   // instead of read past the files.
@@ -230,13 +271,11 @@ TEST(IncrementalTest, RejectsPreviousWithMismatchedFlags) {
         std::size_t{0}}) {
     SolveOutput previous = *first;
     previous.resumable.assign(flags, 1);
-    const auto result =
-        IncrementalSolve(scheduler, previous, merged, first_new);
+    const auto result = SolveCopy(scheduler, previous, merged, first_new);
     ASSERT_FALSE(result.ok()) << flags << " flags";
     EXPECT_EQ(result.error().code, util::Error::Code::kInvalidArgument);
   }
-  const auto past_end =
-      IncrementalSolve(scheduler, *first, merged, merged.size() + 1);
+  const auto past_end = SolveCopy(scheduler, *first, merged, merged.size() + 1);
   ASSERT_FALSE(past_end.ok());
   EXPECT_EQ(past_end.error().code, util::Error::Code::kInvalidArgument);
 }
@@ -255,20 +294,22 @@ struct ReplayTally {
   std::size_t victim_titles_touched_later = 0;
 };
 
-/// Replays `batches` as successive IncrementalSolves, each from the
-/// previous close's full output, and checks every close against a restore
-/// just before it (the state ReservationService::Restore builds: the same
-/// previous output with every resumable flag 0, so every touched title
-/// replays from its first request) and against the close after a restore
-/// (from the previous close's restored output, with the flags that close
-/// left).  All three must give the same bytes.
+/// Replays `batches` as successive IncrementalSolves, each in place on
+/// the previous close's full output, and checks every close against a
+/// restore just before it (the state ReservationService::Restore builds:
+/// the same previous output with every resumable flag 0, so every
+/// touched title replays from its first request) and against the close
+/// after a restore (from the previous close's restored output, with the
+/// flags that close left).  All three must give the same bytes.  Each
+/// close also solves a copy of its input in place, which must give every
+/// byte the live solve gives and revert to every byte of the input.
 void ReplayAgainstRestored(
     const workload::Scenario& scenario,
     const std::vector<std::vector<workload::Request>>& batches,
     ReplayTally* tally) {
   obs::MetricsRegistry metrics;
   SchedulerOptions options = WithMetrics(metrics);
-  options.parallel.threads = 2;  // resumes read previous plans on workers
+  options.parallel.threads = 2;  // resumes cut plans on workers
   const VorScheduler scheduler(scenario.topology, scenario.catalog, options);
   const VorScheduler unmetered(scenario.topology, scenario.catalog);
   SolveOutput previous;
@@ -282,34 +323,41 @@ void ReplayAgainstRestored(
     }
     const std::size_t first_new = committed.size();
     committed.insert(committed.end(), batch.begin(), batch.end());
-    auto full = IncrementalSolve(scheduler, previous, committed, first_new);
-    ASSERT_TRUE(full.ok()) << full.error().message;
-    SolveOutput stripped = previous;
-    stripped.resumable.assign(stripped.schedule.files.size(), 0);
-    auto restored =
-        IncrementalSolve(unmetered, stripped, committed, first_new);
-    ASSERT_TRUE(restored.ok()) << restored.error().message;
-    auto after_restore =
-        IncrementalSolve(unmetered, previous_restored, committed, first_new);
-    ASSERT_TRUE(after_restore.ok()) << after_restore.error().message;
-    for (const SolveOutput* other : {&*restored, &*after_restore}) {
-      EXPECT_EQ(io::ScheduleToBinary(full->schedule),
-                io::ScheduleToBinary(other->schedule))
+    const std::string before = StateBytes(previous);
+    SolveOutput copy = previous;
+    ASSERT_TRUE(IncrementalSolve(scheduler, previous, committed, first_new)
+                    .ok());
+    {
+      auto undo = IncrementalSolve(unmetered, copy, committed, first_new);
+      ASSERT_TRUE(undo.ok()) << undo.error().message;
+      EXPECT_EQ(StateBytes(copy), StateBytes(previous)) << "close " << close;
+      std::move(*undo).Revert(copy);
+      EXPECT_EQ(StateBytes(copy), before) << "close " << close;
+    }
+    SolveOutput& restored = copy;
+    restored.resumable.assign(restored.schedule.files.size(), 0);
+    ASSERT_TRUE(IncrementalSolve(unmetered, restored, committed, first_new)
+                    .ok());
+    ASSERT_TRUE(IncrementalSolve(unmetered, previous_restored, committed,
+                                 first_new)
+                    .ok());
+    const std::string bytes = io::ScheduleToBinary(previous.schedule);
+    for (const SolveOutput* other : {&restored, &previous_restored}) {
+      EXPECT_EQ(bytes, io::ScheduleToBinary(other->schedule))
           << "close " << close;
     }
-    for (const SolveOutput* out : {&*full, &*restored, &*after_restore}) {
+    for (const SolveOutput* out : {&previous, &restored, &previous_restored}) {
       ASSERT_EQ(out->resumable.size(), out->schedule.files.size());
       tally->resumable_flags += static_cast<std::size_t>(
           std::count(out->resumable.begin(), out->resumable.end(), 1));
     }
-    for (const std::size_t v : full->sorp.victim_files) {
-      EXPECT_EQ(full->resumable[v], 0) << "close " << close;
-      victim_titles.insert(full->schedule.files[v].video);
+    for (const std::size_t v : previous.sorp.victim_files) {
+      EXPECT_EQ(previous.resumable[v], 0) << "close " << close;
+      victim_titles.insert(previous.schedule.files[v].video);
     }
-    tally->victims += full->sorp.victim_files.size();
+    tally->victims += previous.sorp.victim_files.size();
     tally->new_requests += batch.size();
-    previous = std::move(*full);
-    previous_restored = std::move(*restored);
+    previous_restored = std::move(restored);
   }
   tally->served = metrics.GetCounter("ivsp.requests").value();
   tally->resumed = metrics.GetCounter("incremental.files_resumed").value();

@@ -292,14 +292,24 @@ TEST(IvspResumeTest, ResumeAtEverySplitEqualsStraightRun) {
       }
       const FileSchedule plan =
           ScheduleFileGreedy(0, inst.requests, old, cm, options, nullptr);
+      // Resume a copy in place: cut it back to the first `kept` requests,
+      // then serve the rest of the list on from there.
+      FileSchedule resumed = plan;
+      PlanCut cut = CutPlan(resumed, kept, inst.requests);
+      EXPECT_EQ(cut.deliveries().size(), old.size() - kept);
+      const std::vector<std::size_t> rest(
+          indices.begin() + static_cast<std::ptrdiff_t>(kept), indices.end());
       GreedyStats stats;
-      const FileSchedule resumed =
-          ScheduleFileGreedy(0, inst.requests, indices, cm, options, nullptr,
-                             &stats, PlanSeed{&plan, kept});
+      ExtendFileGreedy(resumed, inst.requests, rest, cm, options, nullptr,
+                       &stats);
       EXPECT_EQ(Bytes(resumed), straight)
           << "trial " << trial << ", kept " << kept << " of "
           << indices.size();
       EXPECT_EQ(stats.requests, indices.size() - kept);
+      std::move(cut).Revert(resumed);
+      EXPECT_EQ(Bytes(resumed), Bytes(plan))
+          << "revert: trial " << trial << ", kept " << kept << " of "
+          << indices.size();
     }
   }
 }

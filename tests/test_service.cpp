@@ -357,6 +357,54 @@ TEST(ServiceSnapshot, RestoreResumesWithIdenticalSchedule) {
             original.CommittedRequests().size());
 }
 
+TEST(ServiceSnapshot, RevertedAttemptsCommitWhatARestoreCommits) {
+  // Tight stores and a one-round SORP budget make closes halve their
+  // batch.  Each failed attempt reverts the committed state the close
+  // solves in place, so the attempt that commits must give the bytes a
+  // service restored just before the close (every flag 0: each touched
+  // title replays from its first request) commits from the same intake.
+  // Window w takes every kWindows-th request, so a later window reaches
+  // back before committed requests of its titles and cuts their plans.
+  workload::ScenarioParams params;
+  params.storage_count = 6;
+  params.users_per_neighborhood = 12;
+  params.catalog_size = 60;
+  params.is_capacity = util::GB(3.0);
+  params.seed = 42;
+  const workload::Scenario scenario = workload::MakeScenario(params);
+  svc::ServiceConfig config;
+  config.scheduler.max_sorp_iterations = 1;
+  svc::ReservationService live(scenario.topology, scenario.catalog, config);
+  constexpr std::size_t kWindows = 4;
+  std::size_t reverted_on_commits = 0;
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    for (std::size_t i = w; i < scenario.requests.size(); i += kWindows) {
+      ASSERT_EQ(live.Submit(scenario.requests[i],
+                            util::Seconds{static_cast<double>(i)}),
+                svc::SubmitOutcome::kAccepted);
+    }
+    const std::size_t committed_before = live.CommittedRequests().size();
+    svc::ReservationService restored(scenario.topology, scenario.catalog,
+                                     config);
+    ASSERT_TRUE(restored.Restore(live.Snapshot()).ok());
+    const auto stats = live.CloseCycle();
+    ASSERT_TRUE(stats.ok());
+    ASSERT_TRUE(restored.CloseCycle().ok());
+    EXPECT_EQ(io::ToJson(live.CommittedSchedule()).Dump(),
+              io::ToJson(restored.CommittedSchedule()).Dump())
+        << "window " << w;
+    EXPECT_EQ(live.CommittedRequests().size(),
+              restored.CommittedRequests().size());
+    EXPECT_EQ(live.DeferredCount(), restored.DeferredCount());
+    if (committed_before > 0 && stats->solve_attempts > 1 &&
+        stats->admitted > 0) {
+      ++reverted_on_commits;
+    }
+  }
+  EXPECT_GT(reverted_on_commits, 0u)
+      << "no close on a committed state reverted an attempt and committed";
+}
+
 TEST(ServiceSnapshot, RejectsForeignOrCorruptSnapshots) {
   const workload::Scenario scenario = SmallScenario();
   svc::ServiceConfig config;
@@ -416,6 +464,34 @@ TEST(ServiceSnapshot, RejectsForeignOrCorruptSnapshots) {
   backwards.t_last = util::Hours(1.0);
   inverted.schedule.files[0].residencies.push_back(backwards);
   EXPECT_FALSE(service.Restore(inverted).ok());
+
+  // Titles the catalog does not hold, and a residency at a NaN time:
+  // the validator reports each, and prices and loads none of them.
+  const auto unknown = static_cast<media::VideoId>(scenario.catalog.size());
+  svc::ServiceSnapshot foreign_file = good;
+  core::FileSchedule& stray = foreign_file.schedule.files.emplace_back();
+  stray.video = unknown;
+  core::Delivery& stray_delivery = stray.deliveries.emplace_back();
+  stray_delivery.video = unknown;
+  const net::Router router(scenario.topology);
+  stray_delivery.route =
+      router
+          .CheapestPath(scenario.topology.warehouse(),
+                        good.committed[0].neighborhood)
+          .nodes;
+  stray_delivery.start = util::Hours(1.0);
+  EXPECT_FALSE(service.Restore(foreign_file).ok());
+  svc::ServiceSnapshot foreign_residency = good;
+  core::Residency foreign_copy = backwards;
+  std::swap(foreign_copy.t_start, foreign_copy.t_last);
+  foreign_copy.video = unknown;
+  foreign_residency.schedule.files[0].residencies.push_back(foreign_copy);
+  EXPECT_FALSE(service.Restore(foreign_residency).ok());
+  svc::ServiceSnapshot nan_residency = good;
+  core::Residency nan_copy = backwards;
+  nan_copy.t_start = util::Seconds{nan};
+  nan_residency.schedule.files[0].residencies.push_back(nan_copy);
+  EXPECT_FALSE(service.Restore(nan_residency).ok());
 
   // Schedules the validator accepts but no solve writes: the next close
   // walks the files by title and reads each title's requests from its
@@ -704,6 +780,9 @@ TEST(ServiceObs, CountersCoverTheSubmitAndCyclePath) {
             scenario.requests.size());
   EXPECT_EQ(metrics.GetCounter("svc.admit.committed").value(),
             scenario.requests.size());
+  // One validator run per solve attempt (each one resolves here).
+  EXPECT_EQ(metrics.GetTimer("svc.cycle.validate_seconds").Snap().count,
+            service.History().front().solve_attempts);
 }
 
 }  // namespace

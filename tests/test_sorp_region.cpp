@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/ivsp.hpp"
+#include "core/overflow.hpp"
 #include "core/sorp.hpp"
 #include "io/binary.hpp"
 #include "io/serialize.hpp"
@@ -99,6 +102,12 @@ EngineRun RunEngine(const RegionEnv& env, std::size_t regions,
   return run;
 }
 
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
 /// The test-only monolithic reference loop on the same input.
 EngineRun RunReference(const RegionEnv& env) {
   Schedule schedule = env.phase1;
@@ -137,6 +146,17 @@ TEST_P(SorpRegionGoldenGridTest, GridMatchesMonolithic) {
         EXPECT_EQ(run.stats.region_shards, 0u)
             << "regions=1 must stay on the monolithic engine";
       }
+      // One opening build of the whole schedule, one per shard; phase B
+      // reuses the opening build.
+      EXPECT_EQ(run.stats.usage_rebuilds, 1 + run.stats.region_shards)
+          << "regions=" << regions << " threads=" << threads;
+      // The opening detection reports the initial overflow in every
+      // engine, bit for bit.
+      EXPECT_EQ(run.stats.initial_overflow_windows,
+                reference.stats.initial_overflow_windows);
+      EXPECT_EQ(Bits(run.stats.initial_excess),
+                Bits(reference.stats.initial_excess))
+          << "regions=" << regions << " threads=" << threads;
       saw_multiple_shards |= run.stats.region_shards > 1;
     }
   }
@@ -152,6 +172,31 @@ INSTANTIATE_TEST_SUITE_P(
                  ? std::string("uncapped")
                  : "cap" + std::to_string(static_cast<int>(info.param));
     });
+
+// With capacity raised until nothing overflows, SORP stops at its opening
+// detection in every engine: one build, no shards, no victims, the
+// phase-1 bytes, and no second pricing.
+TEST(SorpRegionGoldenTest, NoOverflowStopsAtTheOpeningBuild) {
+  RegionEnv env(/*affinity=*/1.0);
+  env.scenario.topology.SetUniformStorageCapacity(util::GB(1e6));
+  ASSERT_TRUE(DetectOverflows(env.phase1, *env.cm).empty());
+  const std::string phase1 = io::ScheduleToBinary(env.phase1);
+  for (const std::size_t regions : {std::size_t{0}, std::size_t{1}}) {
+    for (const std::size_t threads : {1u, 2u}) {
+      obs::MetricsRegistry metrics;
+      const EngineRun run = RunEngine(env, regions, threads, &metrics);
+      EXPECT_EQ(run.bytes, phase1)
+          << "regions=" << regions << " threads=" << threads;
+      EXPECT_EQ(run.stats.usage_rebuilds, 1u);
+      EXPECT_EQ(run.stats.region_shards, 0u);
+      EXPECT_EQ(run.stats.victims_rescheduled, 0u);
+      EXPECT_EQ(Bits(run.stats.cost_after.value()),
+                Bits(run.stats.cost_before.value()));
+      EXPECT_EQ(metrics.GetCounter("sorp.usage_rebuilds").value(), 1u);
+      EXPECT_EQ(metrics.GetCounter("sorp.regions.shards").value(), 0u);
+    }
+  }
+}
 
 // A global-draw + flash-crowd workload leaves files whose footprint spans
 // several base regions.  Closure merging must fold the straddled regions

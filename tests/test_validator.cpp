@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -113,6 +114,54 @@ TEST_F(ValidatorTest, DetectsInvertedResidency) {
   // Inverted interval (t_last < t_start) unless degenerate.
   if (s.files[0].residencies[0].t_last < s.files[0].residencies[0].t_start) {
     EXPECT_TRUE(HasViolation(s, Violation::Kind::kInconsistentResidency));
+  }
+}
+
+TEST_F(ValidatorTest, DetectsTitlesTheCatalogDoesNotHold) {
+  // Pricing reads a title from the catalog: a file of an uncataloged
+  // title with one direct delivery serving no request, and a residency
+  // of one, must each be reported rather than priced.
+  const auto unknown = static_cast<media::VideoId>(ex_.catalog.size());
+  Schedule with_file = schedule_;
+  core::FileSchedule& foreign = with_file.files.emplace_back();
+  foreign.video = unknown;
+  core::Delivery& d = foreign.deliveries.emplace_back();
+  d.video = unknown;
+  d.route = {ex_.vw, ex_.is1};
+  d.start = util::Hours(1.0);
+  EXPECT_TRUE(HasViolation(with_file, Violation::Kind::kInvalidSource));
+
+  Schedule with_residency = schedule_;
+  ASSERT_FALSE(with_residency.files[0].residencies.empty());
+  core::Residency foreign_copy = with_residency.files[0].residencies[0];
+  foreign_copy.video = unknown;
+  with_residency.files[0].residencies.push_back(foreign_copy);
+  EXPECT_TRUE(
+      HasViolation(with_residency, Violation::Kind::kInconsistentResidency));
+}
+
+TEST_F(ValidatorTest, DetectsNonFiniteTimes) {
+  // A NaN never compares equal to itself, so a timeline sweep over one
+  // would never advance: such a residency is reported, not loaded.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const bool last : {false, true}) {
+    for (const double bad : {nan, inf}) {
+      Schedule s = schedule_;
+      ASSERT_FALSE(s.files[0].residencies.empty());
+      core::Residency& c = s.files[0].residencies[0];
+      (last ? c.t_last : c.t_start) = util::Seconds{bad};
+      EXPECT_TRUE(HasViolation(s, Violation::Kind::kInconsistentResidency))
+          << (last ? "t_last " : "t_start ") << bad;
+    }
+  }
+  for (const double bad : {nan, -inf}) {
+    Schedule s = schedule_;
+    core::Delivery d = s.files[0].deliveries[0];
+    d.request_index = core::kNoRequest;
+    d.start = util::Seconds{bad};
+    s.files[0].deliveries.push_back(d);
+    EXPECT_TRUE(HasViolation(s, Violation::Kind::kWrongStartTime)) << bad;
   }
 }
 
