@@ -4,7 +4,7 @@
 // ok/FAIL line per check, exiting non-zero on any failure.
 //
 //   bench_smoke --smoke         bounded-memory 1M-request streaming replay,
-//                               SORP stress solve
+//                               hostile section length, SORP stress solve
 //   bench_smoke --region-smoke  region-sharded SORP invariants and
 //                               byte-identity against the monolithic loop
 //   bench_smoke                 both, in that order
@@ -24,6 +24,7 @@
 #include "core/overflow.hpp"
 #include "core/sorp.hpp"
 #include "io/binary.hpp"
+#include "io/serialize.hpp"
 #include "media/catalog.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
@@ -160,6 +161,55 @@ bool StreamingReplayRssCheck(std::string* detail) {
   return true;
 }
 
+// ---- hostile section length ------------------------------------------------
+
+/// A 15-byte vor-bin trace declares a section of kMaxSectionPayload
+/// bytes (1 GiB) and supplies three.  Both trace readers, the streaming
+/// one and the whole-buffer one, must reject it as truncated, and peak
+/// RSS may grow by at most 8 MB across both: a reader that sized its
+/// buffer by the declared length would zero-fill the gigabyte first.
+bool HostileLengthRssCheck(std::string* detail) {
+  const std::string path = "bench_smoke_hostile_trace.vorb";
+  std::string bytes(io::kBinaryMagic, sizeof io::kBinaryMagic);
+  io::AppendVarint(bytes, io::kBinaryVersion);
+  io::AppendVarint(bytes, static_cast<std::uint64_t>(io::BinaryKind::kTrace));
+  io::AppendVarint(bytes, io::kSecTraceChunk);
+  io::AppendVarint(bytes, io::kMaxSectionPayload);
+  bytes.append("abc");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (!out) {
+      *detail = "cannot write " + path;
+      return false;
+    }
+  }
+
+#if defined(__unix__)
+  const double rss_before = PeakRssMb();
+#endif
+  bool stream_rejected = false;
+  {
+    auto stream = workload::TraceStream::OpenFile(path);
+    workload::Request r;
+    stream_rejected = !stream.ok() || !stream->Next(r).ok();
+  }
+  const auto file = io::ReadFile(path);
+  const bool decode_rejected = file.ok() && !io::TraceFromBinary(*file).ok();
+  std::remove(path.c_str());
+  *detail = std::to_string(bytes.size()) + "-byte file";
+  if (!stream_rejected) *detail += ", TraceStream accepted it";
+  if (!decode_rejected) *detail += ", TraceFromBinary accepted it";
+#if defined(__unix__)
+  const double growth = PeakRssMb() - rss_before;
+  *detail += ", peak RSS growth " + std::to_string(growth) + " MB";
+  if (growth > 8.0) return false;
+#else
+  *detail += " (RSS check skipped: no getrusage)";
+#endif
+  return stream_rejected && decode_rejected;
+}
+
 // ---- SORP stress solve -----------------------------------------------------
 
 /// 64 IS (16 hubs) x 312 users = 19,968 reservations over 2,000 titles,
@@ -187,6 +237,11 @@ int RunSmoke() {
   const bool stream_bounded = StreamingReplayRssCheck(&stream_detail);
   checks.Require(stream_bounded, "streaming replay keeps memory bounded (" +
                                      stream_detail + ")");
+  std::string hostile_detail;
+  const bool hostile_bounded = HostileLengthRssCheck(&hostile_detail);
+  checks.Require(hostile_bounded,
+                 "a hostile section length is rejected in bounded memory (" +
+                     hostile_detail + ")");
 
   const workload::Scenario scenario = MakeStressScenario();
   const net::Router router(scenario.topology);

@@ -53,7 +53,8 @@ int main() {
   {
     core::FileSchedule f;
     f.video = 0;
-    core::Delivery d1{0, router.CheapestPath(vw, is1).nodes, requests[0].start_time, 0};
+    core::Delivery d1{0, net::Route(router.CheapestPath(vw, is1).nodes),
+                      requests[0].start_time, 0};
     f.deliveries.push_back(d1);
     core::Residency cache;
     cache.video = 0;
@@ -65,7 +66,8 @@ int main() {
     f.residencies.push_back(cache);
     for (const std::size_t i : {1UL, 2UL}) {
       f.deliveries.push_back(core::Delivery{
-          0, router.CheapestPath(is1, is2).nodes, requests[i].start_time, i});
+          0, net::Route(router.CheapestPath(is1, is2).nodes),
+          requests[i].start_time, i});
     }
     s2.files.push_back(std::move(f));
   }

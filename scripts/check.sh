@@ -23,8 +23,10 @@
 #
 # `bench-smoke` builds the plain tree and runs `bench_smoke --smoke`
 # (bench/bench_smoke.cpp): a 1M-request streaming replay whose peak-RSS
-# growth must stay within 8 MB, and the SORP stress solve (SORP engages,
-# victims > 0, one usage build, the sorp.* metrics schema present).
+# growth must stay within 8 MB, a 15-byte trace declaring a 1 GiB section
+# that both trace readers must reject within the same 8 MB, and the SORP
+# stress solve (SORP engages, victims > 0, one usage build, the sorp.*
+# metrics schema present).
 # Performance is e2ebench's job (BENCHMARK.json); this gate checks
 # invariants only.
 #

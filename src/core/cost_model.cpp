@@ -43,7 +43,7 @@ util::NetworkRate CostModel::LinkRate(net::NodeId a, net::NodeId b) const {
 }
 
 util::NetworkRate CostModel::RouteRate(
-    const std::vector<net::NodeId>& route) const {
+    std::span<const net::NodeId> route) const {
   assert(!route.empty());
   if (route.size() == 1) return util::NetworkRate{0.0};
   if (pricing_.basis == PricingBasis::kEndToEnd) {

@@ -18,6 +18,7 @@
 // the paper's worked example of Sec. 3.2 — see DESIGN.md.)
 #pragma once
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -54,7 +55,7 @@ class CostModel {
 
   /// Charging rate of an explicit route under the configured basis.
   [[nodiscard]] util::NetworkRate RouteRate(
-      const std::vector<net::NodeId>& route) const;
+      std::span<const net::NodeId> route) const;
 
   /// Cheapest-route charging rate between two nodes under the basis.
   [[nodiscard]] util::NetworkRate RouteRate(net::NodeId from, net::NodeId to) const;

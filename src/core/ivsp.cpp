@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "workload/generator.hpp"
@@ -123,7 +124,7 @@ class GreedyRun {
     return false;
   }
 
-  bool RouteAllowed(const std::vector<net::NodeId>& route,
+  bool RouteAllowed(std::span<const net::NodeId> route,
                     util::Seconds t) const {
     if (!streams_.has_value() || streams_->RouteFits(route, t, video_)) {
       return true;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "media/video.hpp"
+#include "net/route.hpp"
 #include "net/topology.hpp"
 #include "util/interval.hpp"
 #include "util/units.hpp"
@@ -32,7 +33,7 @@ inline constexpr std::size_t kNoRequest = std::numeric_limits<std::size_t>::max(
 struct Delivery {
   media::VideoId video = 0;
   /// Node sequence from stream origin to the user's local IS.
-  std::vector<net::NodeId> route;
+  net::Route route;
   /// Stream start time t_s^i (equals the request's presentation time).
   util::Seconds start{0.0};
   /// Index into the cycle's request vector, or kNoRequest.
@@ -41,6 +42,10 @@ struct Delivery {
   [[nodiscard]] net::NodeId origin() const { return route.front(); }
   [[nodiscard]] net::NodeId destination() const { return route.back(); }
 };
+
+// With routes of up to four nodes held inline (net::Route), a file's
+// deliveries are one flat array; keep the record at six words.
+static_assert(sizeof(Delivery) <= 48);
 
 /// File residency information c_i.
 struct Residency {

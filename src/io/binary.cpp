@@ -14,32 +14,53 @@ namespace vor::io {
 
 namespace {
 
-using CrcTable = std::array<std::uint32_t, 256>;
+/// kCrcTables[0] is the classic byte table; kCrcTables[k][b] is the CRC
+/// of byte b followed by k zero bytes, so eight table reads fold eight
+/// input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
 
-CrcTable BuildCrcTable() {
-  CrcTable table{};
+constexpr CrcTables BuildCrcTables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-const CrcTable& CrcLookup() {
-  static const CrcTable table = BuildCrcTable();
-  return table;
+constexpr CrcTables kCrcTables = BuildCrcTables();
+
+/// Little-endian load by shift-or, so the result does not depend on the
+/// host's byte order (compilers fold it into one load on x86).
+std::uint32_t LoadLe32(const char* p) {
+  return static_cast<std::uint32_t>(static_cast<unsigned char>(p[0])) |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(p[3])) << 24;
 }
 
 }  // namespace
 
 void Crc32::Update(const char* data, std::size_t n) {
-  const CrcTable& table = CrcLookup();
+  const CrcTables& t = kCrcTables;
   std::uint32_t c = state_;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table[(c ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; data += 8, n -= 8) {
+    const std::uint32_t lo = LoadLe32(data) ^ c;
+    const std::uint32_t hi = LoadLe32(data + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) {
+    c = t[0][(c ^ static_cast<unsigned char>(*data)) & 0xFFu] ^ (c >> 8);
   }
   state_ = c;
 }
@@ -47,18 +68,14 @@ void Crc32::Update(const char* data, std::size_t n) {
 // ---- primitives ----------------------------------------------------------
 
 void AppendVarint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>(0x80u | (v & 0x7Fu)));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
+  char bytes[kMaxVarintBytes];
+  out.append(bytes, EncodeVarint(bytes, v));
 }
 
 void AppendF64(std::string& out, double v) {
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((bits >> (8 * i)) & 0xFFu));
-  }
+  char bytes[8];
+  EncodeF64(bytes, v);
+  out.append(bytes, sizeof bytes);
 }
 
 ByteSource BufferSource(const std::string& buffer) {
@@ -92,14 +109,6 @@ void BinaryWriter::BeginSection(std::uint64_t tag) {
   in_section_ = true;
   tag_ = tag;
   section_.clear();
-}
-
-void BinaryWriter::PutVarint(std::uint64_t v) { AppendVarint(section_, v); }
-
-void BinaryWriter::PutF64(double v) { AppendF64(section_, v); }
-
-void BinaryWriter::PutBytes(const char* data, std::size_t n) {
-  section_.append(data, n);
 }
 
 void BinaryWriter::EndSection() {
@@ -220,13 +229,18 @@ util::Result<bool> BinaryReader::NextSection(BinarySection& out) {
     return util::InvalidArgument("vor-bin: section payload too large");
   }
   out.tag = *tag;
-  out.payload.resize(static_cast<std::size_t>(*len));
-  if (*len > 0) {
-    if (const util::Status s =
-            ReadExact(out.payload.data(), out.payload.size());
+  out.payload.clear();
+  // Grow with the bytes actually read, not with the declared length: a
+  // hostile prefix then fails on truncation after at most one step.
+  for (std::size_t left = static_cast<std::size_t>(*len); left > 0;) {
+    const std::size_t step = std::min(left, kSectionReadStep);
+    const std::size_t at = out.payload.size();
+    out.payload.resize(at + step);
+    if (const util::Status s = ReadExact(out.payload.data() + at, step);
         !s.ok()) {
       return s.error();
     }
+    left -= step;
   }
   return true;
 }
@@ -265,30 +279,6 @@ util::Result<double> PayloadReader::F64() {
 
 // ---- schema visitors -----------------------------------------------------
 
-void BinaryFieldWriter::Id(const char*, std::uint32_t v) {
-  AppendVarint(out, v);
-}
-
-void BinaryFieldWriter::Time(const char*, util::Seconds v) {
-  AppendF64(out, v.value());
-}
-
-void BinaryFieldWriter::IdList(const char*,
-                               const std::vector<net::NodeId>& ids) {
-  AppendVarint(out, ids.size());
-  for (const net::NodeId id : ids) AppendVarint(out, id);
-}
-
-void BinaryFieldWriter::IndexList(const char*,
-                                  const std::vector<std::size_t>& xs) {
-  AppendVarint(out, xs.size());
-  for (const std::size_t x : xs) AppendVarint(out, x);
-}
-
-void BinaryFieldWriter::OptIndex(const char*, std::size_t v) {
-  AppendVarint(out, v == core::kNoRequest ? 0 : static_cast<std::uint64_t>(v) + 1);
-}
-
 namespace {
 
 util::Error FieldError(const char* key, const util::Error& cause) {
@@ -323,7 +313,7 @@ void BinaryFieldReader::Time(const char* key, util::Seconds& v) {
   v = util::Seconds{*r};
 }
 
-void BinaryFieldReader::IdList(const char* key, std::vector<net::NodeId>& ids) {
+void BinaryFieldReader::IdList(const char* key, net::Route& ids) {
   if (!status.ok()) return;
   const auto count = in.Varint();
   if (!count.ok()) {
@@ -383,11 +373,6 @@ void BinaryFieldReader::OptIndex(const char* key, std::size_t& v) {
 
 // ---- record codecs -------------------------------------------------------
 
-void AppendRequestRecord(std::string& out, const workload::Request& r) {
-  BinaryFieldWriter w{out};
-  schema::VisitRequest(w, r);
-}
-
 util::Result<workload::Request> ReadRequestRecord(PayloadReader& in) {
   workload::Request r;
   BinaryFieldReader reader{in};
@@ -399,32 +384,50 @@ util::Result<workload::Request> ReadRequestRecord(PayloadReader& in) {
 void WriteRequestChunk(BinaryWriter& w, std::uint64_t tag,
                        const workload::Request* requests, std::size_t count) {
   w.BeginSection(tag);
-  w.PutVarint(count);
-  std::string body;
+  BinaryFieldWriter out(w.payload());
+  out.Varint(count);
   for (std::size_t i = 0; i < count; ++i) {
-    AppendRequestRecord(body, requests[i]);
+    schema::VisitRequest(out, requests[i]);
   }
-  w.PutBytes(body.data(), body.size());
+  out.Flush();
   w.EndSection();
 }
 
 // ---- schedule ------------------------------------------------------------
 
-void AppendSchedulePayload(std::string& out, const core::Schedule& schedule) {
-  AppendVarint(out, schedule.files.size());
+namespace {
+
+/// The schedule payload through any field visitor with a Varint method:
+/// BinaryFieldWriter writes it, BinaryFieldSizer counts it.
+template <class Out>
+void VisitSchedulePayload(Out& out, const core::Schedule& schedule) {
+  out.Varint(schedule.files.size());
   for (const core::FileSchedule& f : schedule.files) {
-    AppendVarint(out, f.video);
-    AppendVarint(out, f.deliveries.size());
+    out.Varint(f.video);
+    out.Varint(f.deliveries.size());
     for (const core::Delivery& d : f.deliveries) {
-      BinaryFieldWriter w{out};
-      schema::VisitDelivery(w, d);
+      schema::VisitDelivery(out, d);
     }
-    AppendVarint(out, f.residencies.size());
+    out.Varint(f.residencies.size());
     for (const core::Residency& c : f.residencies) {
-      BinaryFieldWriter w{out};
-      schema::VisitResidency(w, c);
+      schema::VisitResidency(out, c);
     }
   }
+}
+
+}  // namespace
+
+void AppendSchedulePayload(std::string& payload,
+                           const core::Schedule& schedule) {
+  BinaryFieldWriter out(payload);
+  VisitSchedulePayload(out, schedule);
+  out.Flush();
+}
+
+std::size_t SchedulePayloadBytes(const core::Schedule& schedule) {
+  BinaryFieldSizer size;
+  VisitSchedulePayload(size, schedule);
+  return size.bytes;
 }
 
 util::Result<core::Schedule> ReadSchedulePayload(const std::string& payload) {
@@ -530,9 +533,7 @@ std::string ScheduleToBinary(const core::Schedule& schedule) {
       [&out](const char* data, std::size_t n) { out.append(data, n); },
       BinaryKind::kSchedule);
   writer.BeginSection(kSecSchedule);
-  std::string payload;
-  AppendSchedulePayload(payload, schedule);
-  writer.PutBytes(payload.data(), payload.size());
+  AppendSchedulePayload(writer.payload(), schedule);
   writer.EndSection();
   writer.Finish();
   return out;

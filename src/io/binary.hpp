@@ -18,8 +18,10 @@
 // the JSON codec — so the two formats cannot drift.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,7 +60,13 @@ inline constexpr std::size_t kTraceChunkRecords = 4096;
 /// cannot force a huge allocation before the CRC is ever checked.
 inline constexpr std::uint64_t kMaxSectionPayload = 1ull << 30;
 
-/// Incremental CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320).
+/// A section payload is read in steps of at most this many bytes, and
+/// its buffer grows only as bytes arrive: a declared length the input
+/// does not back costs at most one step of memory before the read fails.
+inline constexpr std::size_t kSectionReadStep = std::size_t{1} << 20;
+
+/// Incremental CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), eight
+/// bytes per step through 8x256 lookup tables ("slicing-by-8").
 class Crc32 {
  public:
   void Update(const char* data, std::size_t n);
@@ -68,11 +76,44 @@ class Crc32 {
   std::uint32_t state_ = 0xFFFFFFFFu;
 };
 
-/// Appends an unsigned LEB128 varint (7 bits per byte, low group first,
-/// high bit = continuation; at most 10 bytes).
-void AppendVarint(std::string& out, std::uint64_t v);
+/// Most bytes one varint takes.
+inline constexpr std::size_t kMaxVarintBytes = 10;
 
-/// Appends an IEEE-754 double as its 8-byte little-endian bit pattern.
+/// Most bytes a document adds outside its sections (magic, version and
+/// kind, end marker, CRC), and around each section's payload (its tag
+/// and length).
+inline constexpr std::size_t kMaxDocumentOverhead =
+    sizeof kBinaryMagic + 3 * kMaxVarintBytes + 4;
+inline constexpr std::size_t kMaxSectionOverhead = 2 * kMaxVarintBytes;
+
+/// Writes an unsigned LEB128 varint (7 bits per byte, low group first,
+/// high bit = continuation) at dst, which has room for kMaxVarintBytes;
+/// returns the count written.
+inline std::size_t EncodeVarint(char* dst, std::uint64_t v) {
+  std::size_t n = 0;
+  while (v >= 0x80) {
+    dst[n++] = static_cast<char>(0x80u | (v & 0x7Fu));
+    v >>= 7;
+  }
+  dst[n++] = static_cast<char>(v);
+  return n;
+}
+
+/// Writes an IEEE-754 double as its 8-byte little-endian bit pattern.
+inline void EncodeF64(char* dst, double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  for (int i = 0; i < 8; ++i) {
+    dst[i] = static_cast<char>((bits >> (8 * i)) & 0xFFu);
+  }
+}
+
+/// Bytes EncodeVarint writes for v.
+inline std::size_t VarintBytes(std::uint64_t v) {
+  return (static_cast<std::size_t>(std::bit_width(v | 1u)) + 6) / 7;
+}
+
+/// Appends one varint / one double to `out` (one append each).
+void AppendVarint(std::string& out, std::uint64_t v);
 void AppendF64(std::string& out, double v);
 
 /// Pull-based byte supplier for streaming reads: fill up to n bytes at
@@ -86,7 +127,9 @@ using ByteSource = std::function<std::size_t(char*, std::size_t)>;
 
 /// Container-level writer.  Emits the header on construction, buffers
 /// one section at a time, and maintains the running CRC; Finish() seals
-/// the document with the end marker and trailer.
+/// the document with the end marker and trailer.  Encoders append a
+/// section's payload straight into payload(), and EndSection hands that
+/// buffer to the sink once, so each payload byte is copied only there.
 class BinaryWriter {
  public:
   using Sink = std::function<void(const char*, std::size_t)>;
@@ -94,10 +137,9 @@ class BinaryWriter {
   BinaryWriter(Sink sink, BinaryKind kind);
 
   void BeginSection(std::uint64_t tag);
-  /// Payload primitives; only valid between BeginSection and EndSection.
-  void PutVarint(std::uint64_t v);
-  void PutF64(double v);
-  void PutBytes(const char* data, std::size_t n);
+  /// The open section's payload; only valid between BeginSection and
+  /// EndSection.
+  [[nodiscard]] std::string& payload() { return section_; }
   void EndSection();
   /// End marker + CRC trailer.  No writes may follow.
   void Finish();
@@ -162,16 +204,75 @@ class PayloadReader {
 // ---- schema visitors -----------------------------------------------------
 
 /// Binary field writer for the io/schema.hpp record shapes.  Fields are
-/// positional on the wire, so the JSON key argument is ignored.
-struct BinaryFieldWriter {
-  std::string& out;
+/// positional on the wire, so the JSON key argument is ignored.  Values
+/// are encoded into a small block that goes to `out` in one append when
+/// it fills and at Flush, so a payload costs one string append per
+/// block, not one per value.  Nothing else may append to `out` until
+/// Flush; counts between records go through Varint.
+class BinaryFieldWriter {
+ public:
+  explicit BinaryFieldWriter(std::string& out) : out_(out) {}
+  BinaryFieldWriter(const BinaryFieldWriter&) = delete;
+  BinaryFieldWriter& operator=(const BinaryFieldWriter&) = delete;
 
-  void Id(const char* /*key*/, std::uint32_t v);
-  void Time(const char* /*key*/, util::Seconds v);
-  void IdList(const char* /*key*/, const std::vector<net::NodeId>& ids);
-  void IndexList(const char* /*key*/, const std::vector<std::size_t>& xs);
+  void Id(const char* /*key*/, std::uint32_t v) { Varint(v); }
+  void Time(const char* /*key*/, util::Seconds v) {
+    Room(8);
+    EncodeF64(block_ + used_, v.value());
+    used_ += 8;
+  }
+  void IdList(const char* /*key*/, std::span<const net::NodeId> ids) {
+    Varint(ids.size());
+    for (const net::NodeId id : ids) Varint(id);
+  }
+  void IndexList(const char* /*key*/, std::span<const std::size_t> xs) {
+    Varint(xs.size());
+    for (const std::size_t x : xs) Varint(x);
+  }
   /// core::kNoRequest encodes as varint 0; anything else as index + 1.
-  void OptIndex(const char* /*key*/, std::size_t v);
+  void OptIndex(const char* /*key*/, std::size_t v) {
+    Varint(v == core::kNoRequest ? 0 : std::uint64_t{v} + 1);
+  }
+  void Varint(std::uint64_t v) {
+    Room(kMaxVarintBytes);
+    used_ += EncodeVarint(block_ + used_, v);
+  }
+  /// Appends the staged bytes to `out`; call it before anything else
+  /// reads or appends to `out`.
+  void Flush() {
+    out_.append(block_, used_);
+    used_ = 0;
+  }
+
+ private:
+  void Room(std::size_t n) {
+    if (sizeof block_ - used_ < n) Flush();
+  }
+
+  std::string& out_;
+  std::size_t used_ = 0;
+  char block_[256] = {};
+};
+
+/// Counts the bytes a BinaryFieldWriter writes for the same calls, so an
+/// encoder can size its buffers before writing.
+struct BinaryFieldSizer {
+  std::size_t bytes = 0;
+
+  void Id(const char* /*key*/, std::uint32_t v) { Varint(v); }
+  void Time(const char* /*key*/, util::Seconds /*v*/) { bytes += 8; }
+  void IdList(const char* /*key*/, std::span<const net::NodeId> ids) {
+    Varint(ids.size());
+    for (const net::NodeId id : ids) Varint(id);
+  }
+  void IndexList(const char* /*key*/, std::span<const std::size_t> xs) {
+    Varint(xs.size());
+    for (const std::size_t x : xs) Varint(x);
+  }
+  void OptIndex(const char* /*key*/, std::size_t v) {
+    Varint(v == core::kNoRequest ? 0 : std::uint64_t{v} + 1);
+  }
+  void Varint(std::uint64_t v) { bytes += VarintBytes(v); }
 };
 
 /// Binary field reader; the first decode failure latches into `status`
@@ -182,26 +283,28 @@ struct BinaryFieldReader {
 
   void Id(const char* key, std::uint32_t& v);
   void Time(const char* key, util::Seconds& v);
-  void IdList(const char* key, std::vector<net::NodeId>& ids);
+  void IdList(const char* key, net::Route& ids);
   void IndexList(const char* key, std::vector<std::size_t>& xs);
   void OptIndex(const char* key, std::size_t& v);
 };
 
 // ---- record codecs (shared with TraceStream and svc/snapshot) ----------
 
-/// Appends one Request record (schema::VisitRequest shape).
-void AppendRequestRecord(std::string& out, const workload::Request& r);
-/// Decodes one Request record.
+/// Decodes one Request record (schema::VisitRequest shape).
 [[nodiscard]] util::Result<workload::Request> ReadRequestRecord(
     PayloadReader& in);
 
-/// Encodes a request chunk section body (varint count + records) into a
-/// writer; used by the trace, committed, deferred, and pending sections.
+/// Writes a request chunk section (varint count + records); used by the
+/// trace and committed sections.
 void WriteRequestChunk(BinaryWriter& w, std::uint64_t tag,
                        const workload::Request* requests, std::size_t count);
 
-/// Appends/decodes a whole Schedule as one section payload.
-void AppendSchedulePayload(std::string& out, const core::Schedule& schedule);
+/// Appends/decodes a whole Schedule as one section payload (appended
+/// straight into a BinaryWriter's payload()).
+void AppendSchedulePayload(std::string& payload,
+                           const core::Schedule& schedule);
+/// The byte count AppendSchedulePayload appends.
+[[nodiscard]] std::size_t SchedulePayloadBytes(const core::Schedule& schedule);
 [[nodiscard]] util::Result<core::Schedule> ReadSchedulePayload(
     const std::string& payload);
 

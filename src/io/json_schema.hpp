@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,7 @@ struct JsonFieldWriter {
 
   void Id(const char* key, std::uint32_t v) { obj[key] = v; }
   void Time(const char* key, util::Seconds v) { obj[key] = v.value(); }
-  void IdList(const char* key, const std::vector<net::NodeId>& ids) {
+  void IdList(const char* key, std::span<const net::NodeId> ids) {
     util::JsonArray arr;
     arr.reserve(ids.size());
     for (const net::NodeId id : ids) arr.emplace_back(id);
@@ -63,7 +64,7 @@ struct JsonFieldReader {
     const util::Json& f = obj[key];
     if (f.is_number()) v = util::Seconds{f.as_number()};
   }
-  void IdList(const char* key, std::vector<net::NodeId>& ids) {
+  void IdList(const char* key, net::Route& ids) {
     if (!status.ok()) return;
     const util::Json& f = obj[key];
     if (!f.is_array()) {

@@ -7,12 +7,12 @@
 // so adding, renaming, or reordering a field is one edit and the two
 // formats cannot drift apart.
 //
-// Visitor contract (duck-typed; writers take values, readers take
-// mutable references):
+// Visitor contract (duck-typed; writers take values or spans, readers
+// take mutable references):
 //
 //   void Id(const char* key, u32)            ids + small counts
 //   void Time(const char* key, util::Seconds) time points
-//   void IdList(const char* key, std::vector<net::NodeId>)
+//   void IdList(const char* key, net::Route)  a route's node ids
 //   void IndexList(const char* key, std::vector<std::size_t>)
 //   void OptIndex(const char* key, std::size_t)  core::kNoRequest = absent
 //

@@ -147,9 +147,10 @@ DecodeResult DecodeFrame(const char* data, std::size_t size) {
 std::string EncodeSubmitBody(const workload::Request& request,
                              util::Seconds arrival) {
   std::string out;
-  io::BinaryFieldWriter writer{out};
+  io::BinaryFieldWriter writer(out);
   io::schema::VisitRequest(writer, request);
-  io::AppendF64(out, arrival.value());
+  writer.Time("arrival_sec", arrival);
+  writer.Flush();
   return out;
 }
 

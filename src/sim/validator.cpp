@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -50,8 +52,7 @@ class Validator {
   ValidationReport Run() {
     CheckServiceCoverage();
     for (const core::FileSchedule& file : schedule_.files) {
-      CheckDeliveries(file);
-      CheckResidencies(file);
+      CheckResidencies(file, CheckDeliveries(file));
     }
     // A storage::Load prices every residency, so it needs well-formed
     // ones (a cataloged title, finite and ordered times, a storage
@@ -94,8 +95,15 @@ class Validator {
     }
   }
 
-  void CheckDeliveries(const core::FileSchedule& file) {
+  /// Returns whether the file's deliveries come in start order, which
+  /// the anchoring search in CheckResidencies needs; noting it here
+  /// spares that search a pass of its own.
+  bool CheckDeliveries(const core::FileSchedule& file) {
+    bool in_start_order = true;
+    double last_start = -std::numeric_limits<double>::infinity();
     for (const core::Delivery& d : file.deliveries) {
+      in_start_order = in_start_order && StartKey(d) >= last_start;
+      last_start = StartKey(d);
       if (d.route.empty()) {
         Report(Violation::Kind::kBrokenRoute, "empty route");
         continue;
@@ -139,6 +147,7 @@ class Validator {
       }
       CheckDeliveryOrigin(file, d);
     }
+    return in_start_order;
   }
 
   void CheckDeliveryOrigin(const core::FileSchedule& file,
@@ -158,7 +167,51 @@ class Validator {
     Report(Violation::Kind::kInvalidSource, os.str());
   }
 
-  void CheckResidencies(const core::FileSchedule& file) {
+  /// A delivery's start as a search key.  NaN, which equals no
+  /// residency start, sorts last instead of breaking the order.
+  static double StartKey(const core::Delivery& d) {
+    const double t = d.start.value();
+    return std::isnan(t) ? std::numeric_limits<double>::infinity() : t;
+  }
+
+  /// Anchoring: some stream of the residency's title must pass its site
+  /// exactly when caching starts.  The candidates are the deliveries
+  /// starting then, found by binary search in start order: the file's
+  /// own order when it is sorted (as a solve writes it), else `order`,
+  /// its indices sorted by start.
+  static bool Anchored(const core::FileSchedule& file,
+                       const std::vector<std::size_t>& order,
+                       const core::Residency& c) {
+    const auto passes = [&](const core::Delivery& d) {
+      return d.start == c.t_start &&
+             std::find(d.route.begin(), d.route.end(), c.location) !=
+                 d.route.end();
+    };
+    const double t = c.t_start.value();
+    if (order.empty()) {
+      return std::ranges::any_of(
+          std::ranges::equal_range(file.deliveries, t, {}, StartKey), passes);
+    }
+    const auto key = [&](std::size_t i) {
+      return StartKey(file.deliveries[i]);
+    };
+    return std::ranges::any_of(
+        std::ranges::equal_range(order, t, {}, key),
+        [&](std::size_t i) { return passes(file.deliveries[i]); });
+  }
+
+  void CheckResidencies(const core::FileSchedule& file,
+                        bool deliveries_in_start_order) {
+    // A hostile snapshot may list a file's deliveries in any order; sort
+    // their indices once per file then.
+    order_.clear();
+    if (!file.residencies.empty() && !deliveries_in_start_order) {
+      order_.resize(file.deliveries.size());
+      std::iota(order_.begin(), order_.end(), std::size_t{0});
+      std::ranges::sort(order_, {}, [&](std::size_t i) {
+        return StartKey(file.deliveries[i]);
+      });
+    }
     for (const core::Residency& c : file.residencies) {
       // Pricing a residency reads its title from the catalog, and a
       // non-finite time never lets a timeline sweep advance.
@@ -188,16 +241,7 @@ class Validator {
         residencies_loadable_ = false;
         continue;
       }
-      // Anchoring: some stream of this video must pass the cache site
-      // exactly when caching starts.
-      const bool anchored = std::any_of(
-          file.deliveries.begin(), file.deliveries.end(),
-          [&](const core::Delivery& d) {
-            return d.start == c.t_start &&
-                   std::find(d.route.begin(), d.route.end(), c.location) !=
-                       d.route.end();
-          });
-      if (!anchored) {
+      if (!Anchored(file, order_, c)) {
         Report(Violation::Kind::kUnanchoredResidency,
                "no stream passes node " + std::to_string(c.location) +
                    " at the residency's start time");
@@ -254,6 +298,8 @@ class Validator {
   const core::CostModel& cm_;
   ValidationOptions options_;
   std::unordered_set<std::uint64_t> adjacent_;
+  /// CheckResidencies' start order of an unsorted file's deliveries.
+  std::vector<std::size_t> order_;
   /// False once a residency is inverted, off storage, of an uncataloged
   /// title or at a non-finite time: no Load takes it.
   bool residencies_loadable_ = true;

@@ -268,7 +268,7 @@ const util::PiecewiseLinear& LoadDelta::Find(std::size_t key) const {
   return view_->Find(key);
 }
 
-bool LoadDelta::RouteFits(const std::vector<net::NodeId>& route,
+bool LoadDelta::RouteFits(std::span<const net::NodeId> route,
                           util::Seconds t, media::VideoId video) const {
   const Load& load = view_->load();
   const util::LinearPiece piece = load.StreamPiece(video, t, view_->file());

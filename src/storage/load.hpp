@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -158,7 +159,7 @@ class Load {
   /// replay, a single-node route, also streams off the origin's disks).
   /// Does nothing when the aggregate holds no stream key.
   template <typename Fn>
-  void ForEachStreamKey(const std::vector<net::NodeId>& route, Fn&& fn) const {
+  void ForEachStreamKey(std::span<const net::NodeId> route, Fn&& fn) const {
     if (!holds_streams() || route.empty()) return;
     for (std::size_t i = 0; i + 1 < route.size(); ++i) {
       const std::size_t key = LinkKey(route[i], route[i + 1]);
@@ -226,7 +227,7 @@ class LoadDelta {
 
   /// True iff a stream of `video` from `t` along `route` keeps every key
   /// it occupies within its cap.
-  [[nodiscard]] bool RouteFits(const std::vector<net::NodeId>& route,
+  [[nodiscard]] bool RouteFits(std::span<const net::NodeId> route,
                                util::Seconds t, media::VideoId video) const;
 
   /// Adds one delivery's stream to every key it occupies.

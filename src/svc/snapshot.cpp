@@ -114,13 +114,12 @@ void WriteStampedChunks(io::BinaryWriter& writer, std::uint64_t tag,
     const std::size_t count =
         std::min(io::kTraceChunkRecords, items.size() - begin);
     writer.BeginSection(tag);
-    writer.PutVarint(count);
-    std::string body;
+    io::BinaryFieldWriter out(writer.payload());
+    out.Varint(count);
     for (std::size_t i = 0; i < count; ++i) {
-      io::BinaryFieldWriter field_writer{body};
-      io::schema::VisitStamped(field_writer, items[begin + i]);
+      io::schema::VisitStamped(out, items[begin + i]);
     }
-    writer.PutBytes(body.data(), body.size());
+    out.Flush();
     writer.EndSection();
   }
 }
@@ -162,12 +161,37 @@ util::Status ReadRequestChunk(const std::string& payload,
 }  // namespace
 
 std::string SnapshotToBinary(const ServiceSnapshot& snapshot) {
+  // Size the document and its schedule section before writing them:
+  // grown by doubling, a multi-megabyte string touches about twice its
+  // size in fresh pages, which costs more than this counting pass.
+  io::BinaryFieldSizer records;
+  for (const workload::Request& r : snapshot.committed) {
+    io::schema::VisitRequest(records, r);
+  }
+  for (const std::vector<StampedRequest>* stamped :
+       {&snapshot.deferred, &snapshot.pending}) {
+    for (const StampedRequest& s : *stamped) {
+      io::schema::VisitStamped(records, s);
+    }
+  }
+  const std::size_t schedule_bytes =
+      io::SchedulePayloadBytes(snapshot.schedule);
+  const auto chunks = [](std::size_t n) {
+    return (n + io::kTraceChunkRecords - 1) / io::kTraceChunkRecords;
+  };
+  // Every section but the schedule's leads with one varint (a count or
+  // the cycle index).
+  const std::size_t sections = 2 + chunks(snapshot.committed.size()) +
+                               chunks(snapshot.deferred.size()) +
+                               chunks(snapshot.pending.size());
   std::string out;
+  out.reserve(io::kMaxDocumentOverhead + records.bytes + schedule_bytes +
+              sections * (io::kMaxSectionOverhead + io::kMaxVarintBytes));
   io::BinaryWriter writer(
       [&out](const char* data, std::size_t n) { out.append(data, n); },
       io::BinaryKind::kSnapshot);
   writer.BeginSection(io::kSecSvcMeta);
-  writer.PutVarint(snapshot.cycle_index);
+  io::AppendVarint(writer.payload(), snapshot.cycle_index);
   writer.EndSection();
   for (std::size_t begin = 0; begin < snapshot.committed.size();
        begin += io::kTraceChunkRecords) {
@@ -177,9 +201,8 @@ std::string SnapshotToBinary(const ServiceSnapshot& snapshot) {
                           snapshot.committed.data() + begin, count);
   }
   writer.BeginSection(io::kSecSchedule);
-  std::string payload;
-  io::AppendSchedulePayload(payload, snapshot.schedule);
-  writer.PutBytes(payload.data(), payload.size());
+  writer.payload().reserve(schedule_bytes);
+  io::AppendSchedulePayload(writer.payload(), snapshot.schedule);
   writer.EndSection();
   WriteStampedChunks(writer, io::kSecDeferredChunk, snapshot.deferred);
   WriteStampedChunks(writer, io::kSecPendingChunk, snapshot.pending);

@@ -238,7 +238,7 @@ TEST(StorageIoCapTest, TrackerLimitsOriginServing) {
   EXPECT_FALSE(run.RouteFits(replay.route, util::Hours(1.5), 0));
   EXPECT_LE(run.Find(load.ServingKey(1)).Max(), kOneStream.value());
   // ...but the warehouse is never I/O capped.
-  EXPECT_TRUE(run.RouteFits({0, 1, 2}, util::Hours(1.5), 0));
+  EXPECT_TRUE(run.RouteFits(net::Route{0, 1, 2}, util::Hours(1.5), 0));
   // And a disjoint-in-time replay is fine.
   EXPECT_TRUE(run.RouteFits(replay.route, util::Hours(3.0), 0));
 }

@@ -261,8 +261,8 @@ TEST(BinaryIoTest, UnknownSectionsAreSkipped) {
   BinaryWriter writer([&bin](const char* d, std::size_t n) { bin.append(d, n); },
                       BinaryKind::kTrace);
   writer.BeginSection(99);
-  writer.PutVarint(123456);
-  writer.PutF64(2.75);
+  AppendVarint(writer.payload(), 123456);
+  AppendF64(writer.payload(), 2.75);
   writer.EndSection();
   WriteRequestChunk(writer, kSecTraceChunk, requests.data(), requests.size());
   writer.Finish();
@@ -293,6 +293,109 @@ TEST(BinaryIoTest, OversizedSectionLengthRejected) {
   AppendVarint(bin, kSecTraceChunk);
   AppendVarint(bin, kMaxSectionPayload + 1);
   EXPECT_FALSE(TraceFromBinary(bin).ok());
+
+  // A length at the cap passes the bound check, but the input backs only
+  // three bytes of it: the read fails on truncation, having grown the
+  // payload by at most one step, not by the declared gigabyte.
+  std::string hostile(kBinaryMagic, sizeof kBinaryMagic);
+  AppendVarint(hostile, kBinaryVersion);
+  AppendVarint(hostile, static_cast<std::uint64_t>(BinaryKind::kTrace));
+  AppendVarint(hostile, kSecTraceChunk);
+  AppendVarint(hostile, kMaxSectionPayload);
+  hostile.append("abc");
+  EXPECT_EQ(hostile.size(), 15u);
+  BinaryReader reader(BufferSource(hostile));
+  ASSERT_TRUE(reader.ReadHeader(BinaryKind::kTrace).ok());
+  BinarySection section;
+  EXPECT_FALSE(reader.NextSection(section).ok());
+  EXPECT_LT(section.payload.capacity(), hostile.size() + kSectionReadStep);
+  EXPECT_FALSE(TraceFromBinary(hostile).ok());
+}
+
+/// The CRC-32 one byte at a time: the textbook loop the sliced one must
+/// agree with.
+std::uint32_t BytewiseCrc32(const char* data, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= static_cast<unsigned char>(data[i]);
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(BinaryIoTest, SlicedCrcMatchesBytewiseOracle) {
+  Crc32 check;
+  check.Update("123456789", 9);
+  EXPECT_EQ(check.value(), 0xCBF43926u);
+  EXPECT_EQ(BytewiseCrc32("123456789", 9), 0xCBF43926u);
+
+  // Every length 0..100 at every alignment 0..7, so the eight-byte
+  // steps, the byte tail and misaligned loads all run.
+  std::string buffer(8 + 100, '\0');
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<char>((i * 37 + 11) ^ (i >> 3));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 100; ++n) {
+      const char* data = buffer.data() + offset;
+      Crc32 whole;
+      whole.Update(data, n);
+      EXPECT_EQ(whole.value(), BytewiseCrc32(data, n))
+          << "offset " << offset << " length " << n;
+      // Split anywhere, the running state carries across updates.
+      Crc32 split;
+      split.Update(data, n / 3);
+      split.Update(data + n / 3, n - n / 3);
+      EXPECT_EQ(split.value(), whole.value())
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(BinaryIoTest, EncodedBytesArePinned) {
+  // Round trips only show that the encoder and decoder agree; a drift
+  // both sides accepted would pass them.  These digests were taken from
+  // the byte-at-a-time encoder, so any change to the bytes fails here.
+  const workload::Scenario scenario = SmallScenario();
+  svc::ReservationService service(scenario.topology, scenario.catalog);
+  for (const workload::Request& r : scenario.requests) {
+    (void)service.Submit(r, r.start_time);
+  }
+  ASSERT_TRUE(service.CloseCycle().ok());
+  const svc::ServiceSnapshot snapshot = service.Snapshot();
+
+  const std::string trace = TraceToBinary(SortedRequests());
+  const std::string schedule = ScheduleToBinary(snapshot.schedule);
+  const std::string snap = svc::SnapshotToBinary(snapshot);
+  EXPECT_EQ(trace.size(), 235u);
+  EXPECT_EQ(Fnv1a(trace), 0x4d1acc83d42bb049ull);
+  EXPECT_EQ(schedule.size(), 352u);
+  EXPECT_EQ(Fnv1a(schedule), 0x857dffae5110046cull);
+  EXPECT_EQ(snap.size(), 579u);
+  EXPECT_EQ(Fnv1a(snap), 0xa147d6baeb73fd8eull);
+
+  // Requests submitted after the close wait as pending, so this snapshot
+  // also carries a stamped-request chunk.
+  const std::vector<workload::Request> sorted = SortedRequests();
+  for (std::size_t i = 0; i < 5; ++i) {
+    (void)service.Submit(sorted[i], sorted[i].start_time);
+  }
+  const svc::ServiceSnapshot later = service.Snapshot();
+  ASSERT_EQ(later.pending.size(), 5u);
+  const std::string with_pending = svc::SnapshotToBinary(later);
+  EXPECT_EQ(with_pending.size(), 682u);
+  EXPECT_EQ(Fnv1a(with_pending), 0xfb20b45911b8f2efull);
 }
 
 TEST(TraceStreamTest, StreamingMatchesMaterializedDecode) {

@@ -106,6 +106,145 @@ TEST_F(ValidatorTest, DetectsUnanchoredResidency) {
   EXPECT_TRUE(HasViolation(s, Violation::Kind::kUnanchoredResidency));
 }
 
+/// The unanchored-residency reports, in report order.
+std::vector<std::string> UnanchoredDetails(const ValidationReport& report) {
+  std::vector<std::string> details;
+  for (const Violation& v : report.violations) {
+    if (v.kind == Violation::Kind::kUnanchoredResidency) {
+      details.push_back(v.detail);
+    }
+  }
+  return details;
+}
+
+/// The anchoring rule stated directly: some delivery of the file starts
+/// when the residency does and passes its site.
+std::size_t UnanchoredByScan(const Schedule& s) {
+  std::size_t unanchored = 0;
+  for (const core::FileSchedule& f : s.files) {
+    for (const core::Residency& c : f.residencies) {
+      const bool anchored = std::any_of(
+          f.deliveries.begin(), f.deliveries.end(),
+          [&](const core::Delivery& d) {
+            return d.start == c.t_start &&
+                   std::find(d.route.begin(), d.route.end(), c.location) !=
+                       d.route.end();
+          });
+      unanchored += anchored ? 0 : 1;
+    }
+  }
+  return unanchored;
+}
+
+TEST_F(ValidatorTest, AnchoringDoesNotDependOnDeliveryOrder) {
+  // A phase-1 schedule with many residencies, plus per file one copy
+  // moved off its anchor in time and one moved to a site its anchoring
+  // stream does not pass.  A hostile snapshot may list deliveries in any
+  // order; the verdicts must match the direct scan in every order.
+  workload::ScenarioParams params;
+  params.storage_count = 6;
+  params.users_per_neighborhood = 6;
+  params.catalog_size = 20;
+  const workload::Scenario scenario = workload::MakeScenario(params);
+  const net::Router router(scenario.topology);
+  const core::CostModel cm(scenario.topology, router, scenario.catalog);
+  Schedule s = IvspSolve(scenario.requests, cm, IvspOptions{});
+  const std::vector<net::NodeId> storages = scenario.topology.StorageNodes();
+  std::size_t residencies = 0;
+  for (core::FileSchedule& f : s.files) {
+    if (f.residencies.empty()) continue;
+    core::Residency late = f.residencies.front();
+    late.t_start += util::Seconds{1.0};
+    core::Residency moved = f.residencies.front();
+    for (const net::NodeId n : storages) {
+      if (n != moved.location) {
+        moved.location = n;
+        break;
+      }
+    }
+    f.residencies.push_back(late);
+    f.residencies.push_back(moved);
+    residencies += f.residencies.size();
+  }
+  ASSERT_GE(residencies, 20u);
+  ValidationOptions options;
+  options.check_capacity = false;
+  const std::size_t expected = UnanchoredByScan(s);
+  ASSERT_GT(expected, 0u);
+  const std::vector<std::string> sorted =
+      UnanchoredDetails(ValidateSchedule(s, scenario.requests, cm, options));
+  EXPECT_EQ(sorted.size(), expected);
+
+  Schedule reversed = s;
+  Schedule rotated = s;
+  Schedule interleaved = s;
+  for (std::size_t i = 0; i < s.files.size(); ++i) {
+    auto& r = reversed.files[i].deliveries;
+    std::reverse(r.begin(), r.end());
+    auto& o = rotated.files[i].deliveries;
+    std::rotate(o.begin(), o.begin() + o.size() / 3, o.end());
+    const auto& src = s.files[i].deliveries;
+    auto& m = interleaved.files[i].deliveries;
+    m.clear();
+    for (const std::size_t first : {0, 1}) {
+      for (std::size_t j = first; j < src.size(); j += 2) m.push_back(src[j]);
+    }
+  }
+  for (const Schedule* shuffled : {&reversed, &rotated, &interleaved}) {
+    EXPECT_EQ(UnanchoredByScan(*shuffled), expected);
+    EXPECT_EQ(UnanchoredDetails(
+                  ValidateSchedule(*shuffled, scenario.requests, cm, options)),
+              sorted);
+  }
+}
+
+TEST_F(ValidatorTest, AnchoringAmongEqualStartTimes) {
+  // Two streams start when the residency at IS2 does; only one passes
+  // IS2.  Whatever their order among the file's other deliveries (a NaN
+  // start among them), the residency is anchored, and it is not once the
+  // passing stream is gone.
+  const util::Seconds t = util::Hours(14.0);
+  core::Residency c;
+  c.video = 0;
+  c.location = ex_.is2;
+  c.source = ex_.vw;
+  c.t_start = t;
+  c.t_last = t;
+  const auto delivery = [](net::Route route, util::Seconds start) {
+    core::Delivery d;
+    d.route = std::move(route);
+    d.start = start;
+    return d;
+  };
+  const std::vector<core::Delivery> pool = {
+      delivery({ex_.vw, ex_.is1}, t),
+      delivery({ex_.vw, ex_.is1, ex_.is2}, t),
+      delivery({ex_.vw, ex_.is1, ex_.is2}, util::Hours(13.0)),
+      delivery({ex_.vw, ex_.is1, ex_.is2}, util::Hours(15.0)),
+      delivery({ex_.vw, ex_.is1}, t),
+      delivery({ex_.vw, ex_.is1, ex_.is2},
+               util::Seconds{std::numeric_limits<double>::quiet_NaN()}),
+  };
+  for (const bool with_passing : {true, false}) {
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (with_passing || i != 1) order.push_back(i);
+    }
+    std::size_t permutations = 0;
+    do {
+      Schedule s;
+      core::FileSchedule& f = s.files.emplace_back();
+      for (const std::size_t i : order) f.deliveries.push_back(pool[i]);
+      f.residencies.push_back(c);
+      EXPECT_EQ(HasViolation(s, Violation::Kind::kUnanchoredResidency),
+                !with_passing)
+          << "permutation " << permutations;
+      ++permutations;
+    } while (std::next_permutation(order.begin(), order.end()));
+    EXPECT_EQ(permutations, with_passing ? 720u : 120u);
+  }
+}
+
 TEST_F(ValidatorTest, DetectsInvertedResidency) {
   Schedule s = schedule_;
   ASSERT_FALSE(s.files[0].residencies.empty());
