@@ -40,11 +40,13 @@ int main() {
               << of.contributors.size() << " contributing residencies\n";
     std::cout << "victim candidates (improvement metrics per Eqs. 5/8):\n";
     for (const core::ResidencyRef& ref : of.contributors) {
-      const core::Residency& c =
-          schedule.files[ref.file_index].residencies[ref.residency_index];
-      std::cout << "  " << scenario.catalog.video(c.video).title
-                << ": chi=" << core::ImprovedLength(c, of, cm) / 3600.0
-                << "h, dS=" << core::TimeSpaceImprovement(c, of, cm) / 3.6e12
+      const core::FileSchedule& file = schedule.files[ref.file_index];
+      const core::Residency& c = file.residencies[ref.residency_index];
+      std::cout << "  " << scenario.catalog.video(file.video).title
+                << ": chi="
+                << core::ImprovedLength(c, file.video, of, cm) / 3600.0
+                << "h, dS="
+                << core::TimeSpaceImprovement(c, file.video, of, cm) / 3.6e12
                 << " GB*h\n";
     }
     std::cout << '\n';

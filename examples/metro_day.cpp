@@ -43,10 +43,10 @@ int main() {
   double storage_cost = 0.0;
   for (const core::FileSchedule& f : result->schedule.files) {
     for (const core::Delivery& d : f.deliveries) {
-      network_cost += cm.DeliveryCost(d).value();
+      network_cost += cm.DeliveryCost(d, f.video).value();
     }
     for (const core::Residency& c : f.residencies) {
-      storage_cost += cm.ResidencyCost(c).value();
+      storage_cost += cm.ResidencyCost(c, f.video).value();
     }
   }
   const double direct_cost =

@@ -53,11 +53,10 @@ int main() {
   {
     core::FileSchedule f;
     f.video = 0;
-    core::Delivery d1{0, net::Route(router.CheapestPath(vw, is1).nodes),
+    core::Delivery d1{net::Route(router.CheapestPath(vw, is1).nodes),
                       requests[0].start_time, 0};
     f.deliveries.push_back(d1);
     core::Residency cache;
-    cache.video = 0;
     cache.location = is1;
     cache.source = vw;
     cache.t_start = requests[0].start_time;
@@ -66,7 +65,7 @@ int main() {
     f.residencies.push_back(cache);
     for (const std::size_t i : {1UL, 2UL}) {
       f.deliveries.push_back(core::Delivery{
-          0, net::Route(router.CheapestPath(is1, is2).nodes),
+          net::Route(router.CheapestPath(is1, is2).nodes),
           requests[i].start_time, i});
     }
     s2.files.push_back(std::move(f));
@@ -87,7 +86,7 @@ int main() {
   // Show the plan.
   for (const core::FileSchedule& f : result->schedule.files) {
     for (const core::Delivery& d : f.deliveries) {
-      std::cout << "  deliver '" << catalog.video(d.video).title << "' at t="
+      std::cout << "  deliver '" << catalog.video(f.video).title << "' at t="
                 << d.start.value() / 3600.0 << "h via [";
       for (std::size_t i = 0; i < d.route.size(); ++i) {
         std::cout << (i ? " -> " : "") << topology.node(d.route[i]).name;
@@ -99,7 +98,7 @@ int main() {
                 << " over [" << c.t_start.value() / 3600.0 << "h, "
                 << c.t_last.value() / 3600.0 << "h] serving "
                 << c.services.size() << " request(s), storage cost $"
-                << cost_model.ResidencyCost(c).value() << "\n";
+                << cost_model.ResidencyCost(c, f.video).value() << "\n";
     }
   }
 

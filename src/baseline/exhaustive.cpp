@@ -56,7 +56,6 @@ class Search {
   void RecordDelivery(SearchState& state, net::NodeId origin,
                       const workload::Request& req, std::size_t request_index) {
     Delivery d;
-    d.video = video_;
     d.route = cm_.router().CheapestPath(origin, req.neighborhood).nodes;
     d.start = req.start_time;
     d.request_index = request_index;
@@ -121,7 +120,6 @@ class Search {
       if (already_cached) continue;
       SearchState next = state;
       Residency cache;
-      cache.video = video_;
       cache.location = node;
       cache.source = anchor.second;
       cache.t_start = anchor.first;

@@ -15,7 +15,6 @@ core::Schedule NetworkOnlySchedule(
     for (const std::size_t idx : indices) {
       const workload::Request& req = requests[idx];
       core::Delivery d;
-      d.video = video;
       d.route = cost_model.router().CheapestPath(vw, req.neighborhood).nodes;
       d.start = req.start_time;
       d.request_index = idx;

@@ -13,7 +13,6 @@ namespace {
 
 /// One resident copy at a storage node.
 struct Copy {
-  media::VideoId video = 0;
   std::size_t file_index = 0;
   std::size_t residency_index = 0;
   /// Unique tag for the copy's reservation piece in the usage timeline.
@@ -50,7 +49,8 @@ OnlineLruResult OnlineLruSchedule(
   auto logical_bytes = [&](net::NodeId node) {
     double total = 0.0;
     for (const Copy& copy : resident[node]) {
-      total += cost_model.catalog().video(copy.video).size.value();
+      const media::VideoId video = result.schedule.files[copy.file_index].video;
+      total += cost_model.catalog().video(video).size.value();
     }
     return total;
   };
@@ -76,18 +76,20 @@ OnlineLruResult OnlineLruSchedule(
     }
 
     // Local hit?
+    const std::size_t file_index = file_of_video.at(req.video);
     const auto hit = std::find_if(copies.begin(), copies.end(),
                                   [&](const Copy& c) {
-                                    return c.video == req.video;
+                                    return c.file_index == file_index;
                                   });
     const bool had_copy = hit != copies.end();
     if (hit != copies.end()) {
       core::Residency& res = residency_of(*hit);
       core::Residency extended = res;
       extended.t_last = req.start_time;
-      util::LinearPiece piece = cost_model.OccupancyPiece(extended, hit->tag);
+      util::LinearPiece piece =
+          cost_model.OccupancyPiece(extended, req.video, hit->tag);
       const util::LinearPiece old_piece =
-          cost_model.OccupancyPiece(res, hit->tag);
+          cost_model.OccupancyPiece(res, req.video, hit->tag);
       node_usage.RemoveByTag(hit->tag);
       if (node_usage.FitsUnder(piece, capacity)) {
         node_usage.Add(piece);
@@ -95,7 +97,6 @@ OnlineLruResult OnlineLruSchedule(
         res.services.push_back(idx);
         hit->last_use = req.start_time;
         core::Delivery d;
-        d.video = req.video;
         d.route = {home};
         d.start = req.start_time;
         d.request_index = idx;
@@ -110,9 +111,7 @@ OnlineLruResult OnlineLruSchedule(
     }
 
     // Miss: fetch from the warehouse.
-    const std::size_t file_index = file_of_video.at(req.video);
     core::Delivery d;
-    d.video = req.video;
     d.route = cost_model.router().CheapestPath(vw, home).nodes;
     d.start = req.start_time;
     d.request_index = idx;
@@ -135,13 +134,11 @@ OnlineLruResult OnlineLruSchedule(
     if (logical_bytes(home) + size > capacity) continue;
 
     core::Residency cache;
-    cache.video = req.video;
     cache.location = home;
     cache.source = vw;
     cache.t_start = req.start_time;
     cache.t_last = req.start_time;
     Copy copy;
-    copy.video = req.video;
     copy.file_index = file_index;
     copy.residency_index =
         result.schedule.files[file_index].residencies.size();

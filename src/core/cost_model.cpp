@@ -67,12 +67,13 @@ util::Bytes CostModel::StreamBytes(media::VideoId video) const {
   return v.bandwidth * v.playback;
 }
 
-util::Money CostModel::DeliveryCost(const Delivery& d) const {
-  return RouteRate(d.route) * StreamBytes(d.video);
+util::Money CostModel::DeliveryCost(const Delivery& d,
+                                    media::VideoId video) const {
+  return RouteRate(d.route) * StreamBytes(video);
 }
 
-double CostModel::Gamma(const Residency& c) const {
-  const media::Video& v = catalog_->video(c.video);
+double CostModel::Gamma(const Residency& c, media::VideoId video) const {
+  const media::Video& v = catalog_->video(video);
   const double delta = c.duration().value();
   const double playback = v.playback.value();
   assert(delta >= 0.0 && playback > 0.0);
@@ -93,26 +94,28 @@ util::Money CostModel::ResidencyCostAt(net::NodeId location,
   return topology_->node(location).srate * reserved;
 }
 
-util::Money CostModel::ResidencyCost(const Residency& c) const {
-  return ResidencyCostAt(c.location, c.video, c.t_start, c.t_last);
+util::Money CostModel::ResidencyCost(const Residency& c,
+                                     media::VideoId video) const {
+  return ResidencyCostAt(c.location, video, c.t_start, c.t_last);
 }
 
 util::LinearPiece CostModel::OccupancyPiece(const Residency& c,
+                                            media::VideoId video,
                                             std::uint64_t tag) const {
-  const media::Video& v = catalog_->video(c.video);
+  const media::Video& v = catalog_->video(video);
   util::LinearPiece piece;
   piece.t0 = c.t_start;
   piece.t1 = c.t_last;
   piece.t2 = c.t_last + v.playback;
-  piece.height = Gamma(c) * v.size.value();
+  piece.height = Gamma(c, video) * v.size.value();
   piece.tag = tag;
   return piece;
 }
 
 util::Money CostModel::FileCost(const FileSchedule& f) const {
   util::Money total{0.0};
-  for (const Delivery& d : f.deliveries) total += DeliveryCost(d);
-  for (const Residency& c : f.residencies) total += ResidencyCost(c);
+  for (const Delivery& d : f.deliveries) total += DeliveryCost(d, f.video);
+  for (const Residency& c : f.residencies) total += ResidencyCost(c, f.video);
   return total;
 }
 

@@ -60,15 +60,18 @@ class CostModel {
   /// Cheapest-route charging rate between two nodes under the basis.
   [[nodiscard]] util::NetworkRate RouteRate(net::NodeId from, net::NodeId to) const;
 
-  [[nodiscard]] util::Money DeliveryCost(const Delivery& d) const;
+  /// Per-record calls take the title of the file holding the record.
+  [[nodiscard]] util::Money DeliveryCost(const Delivery& d,
+                                         media::VideoId video) const;
 
   // -- storage ---------------------------------------------------------
 
   /// The max-space coefficient g of Eq. (7): 1 for long residencies,
   /// (t_f - t_s)/P for short ones.
-  [[nodiscard]] double Gamma(const Residency& c) const;
+  [[nodiscard]] double Gamma(const Residency& c, media::VideoId video) const;
 
-  [[nodiscard]] util::Money ResidencyCost(const Residency& c) const;
+  [[nodiscard]] util::Money ResidencyCost(const Residency& c,
+                                          media::VideoId video) const;
 
   /// Storage cost of a hypothetical residency at `location` over
   /// [t_start, t_last] for `video` — used for incremental cost evaluation
@@ -81,6 +84,7 @@ class CostModel {
   /// Reserved-space profile of the residency (Eq. 6): plateau g*size over
   /// [t_s, t_f], linear drain to 0 over [t_f, t_f + P].
   [[nodiscard]] util::LinearPiece OccupancyPiece(const Residency& c,
+                                                 media::VideoId video,
                                                  std::uint64_t tag) const;
 
   // -- aggregates ------------------------------------------------------

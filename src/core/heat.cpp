@@ -18,15 +18,17 @@ std::string ToString(HeatMetric metric) {
   return "unknown";
 }
 
-double ImprovedLength(const Residency& c, const OverflowWindow& overflow,
+double ImprovedLength(const Residency& c, media::VideoId video,
+                      const OverflowWindow& overflow,
                       const CostModel& cost_model) {
-  const util::LinearPiece piece = cost_model.OccupancyPiece(c, /*tag=*/0);
+  const util::LinearPiece piece = cost_model.OccupancyPiece(c, video, 0);
   return util::Intersect(piece.Support(), overflow.window).length().value();
 }
 
-double TimeSpaceImprovement(const Residency& c, const OverflowWindow& overflow,
+double TimeSpaceImprovement(const Residency& c, media::VideoId video,
+                            const OverflowWindow& overflow,
                             const CostModel& cost_model) {
-  const util::LinearPiece piece = cost_model.OccupancyPiece(c, /*tag=*/0);
+  const util::LinearPiece piece = cost_model.OccupancyPiece(c, video, 0);
   return piece.IntegralOver(
       util::Intersect(piece.Support(), overflow.window));
 }

@@ -34,14 +34,16 @@ enum class HeatMetric : std::uint8_t {
 [[nodiscard]] std::string ToString(HeatMetric metric);
 
 /// chi of Eq. (8): length (seconds) of the overlap between the overflow
-/// window and the residency's occupancy support [t_s, t_f + P].
-[[nodiscard]] double ImprovedLength(const Residency& c,
+/// window and the residency's occupancy support [t_s, t_f + P].  `video`
+/// is the title of the file holding `c`.
+[[nodiscard]] double ImprovedLength(const Residency& c, media::VideoId video,
                                     const OverflowWindow& overflow,
                                     const CostModel& cost_model);
 
 /// dS of Eq. (5): byte-seconds of the residency's own occupancy inside the
 /// overflow window — what disappears from the window if the file leaves.
 [[nodiscard]] double TimeSpaceImprovement(const Residency& c,
+                                          media::VideoId video,
                                           const OverflowWindow& overflow,
                                           const CostModel& cost_model);
 

@@ -113,11 +113,10 @@ class GreedyRun {
     }
     if (load_ == nullptr) return true;
     Residency probe;
-    probe.video = video_;
     probe.location = node;
     probe.t_start = t_start;
     probe.t_last = t_last;
-    if (load_->ResidencyFits(node, cm_.OccupancyPiece(probe, /*tag=*/0))) {
+    if (load_->ResidencyFits(node, cm_.OccupancyPiece(probe, video_, 0))) {
       return true;
     }
     ++stats_.rejected_capacity;
@@ -204,12 +203,11 @@ class GreedyRun {
   void RecordDelivery(net::NodeId origin, const workload::Request& req,
                       std::size_t request_index) {
     Delivery d;
-    d.video = video_;
     d.route = cm_.router().CheapestPath(origin, req.neighborhood).nodes;
     d.start = req.start_time;
     d.request_index = request_index;
     AnchorAlong(d);
-    if (streams_.has_value()) streams_->AddStream(d);
+    if (streams_.has_value()) streams_->AddStream(d, video_);
     deliveries_.push_back(std::move(d));
   }
 
@@ -261,7 +259,6 @@ class GreedyRun {
       case CandidateKind::kNewCache: {
         ++stats_.new_cache;
         Residency cache;
-        cache.video = video_;
         cache.location = best.cache_node;
         cache.source = best.anchor.origin;
         cache.t_start = best.anchor.time;

@@ -19,14 +19,14 @@ ScheduleReport BuildReport(const Schedule& schedule,
 
   for (const FileSchedule& file : schedule.files) {
     for (const Delivery& d : file.deliveries) {
-      report.network_cost += cost_model.DeliveryCost(d).value();
+      report.network_cost += cost_model.DeliveryCost(d, file.video).value();
       const std::size_t hops = d.route.size() - 1;
       if (report.hops_histogram.size() <= hops) {
         report.hops_histogram.resize(hops + 1, 0);
       }
       ++report.hops_histogram[hops];
-      report.link_bytes +=
-          static_cast<double>(hops) * cost_model.StreamBytes(d.video).value();
+      report.link_bytes += static_cast<double>(hops) *
+                           cost_model.StreamBytes(file.video).value();
       if (d.request_index != kNoRequest) {
         if (d.origin() == vw) {
           ++report.served_direct;
@@ -41,8 +41,8 @@ ScheduleReport BuildReport(const Schedule& schedule,
       NodeReport& n = nodes[c.location];
       n.node = c.location;
       ++n.residencies;
-      n.storage_cost += cost_model.ResidencyCost(c).value();
-      report.storage_cost += cost_model.ResidencyCost(c).value();
+      n.storage_cost += cost_model.ResidencyCost(c, file.video).value();
+      report.storage_cost += cost_model.ResidencyCost(c, file.video).value();
     }
   }
   report.total_cost = report.network_cost + report.storage_cost;

@@ -1,11 +1,12 @@
 // Service schedule data model (Sec. 2.1).
 //
-// A schedule S consists of:
-//   * network transfer records d_i = (route, start time, video id) — one per
+// A schedule S is the union of per-title schedules S_i, each holding:
+//   * network transfer records d_i = (route, start time, request) — one per
 //     serviced request (a request served by its local cache carries a
 //     trivial single-node route), and
-//   * file residency records c_i = ([t_s, t_f], location, video id, source,
-//     service list) describing temporary caching at an intermediate storage.
+//   * file residency records c_i = ([t_s, t_f], location, source, service
+//     list) describing temporary caching at an intermediate storage.
+// S_i states its title once; a record's title is its S_i's.
 //
 // Caches are filled by copying data blocks out of an on-going stream
 // (Sec. 2.1), so every residency is anchored to a delivery of the same
@@ -31,7 +32,6 @@ inline constexpr std::size_t kNoRequest = std::numeric_limits<std::size_t>::max(
 
 /// Network transfer information d_i.
 struct Delivery {
-  media::VideoId video = 0;
   /// Node sequence from stream origin to the user's local IS.
   net::Route route;
   /// Stream start time t_s^i (equals the request's presentation time).
@@ -44,12 +44,11 @@ struct Delivery {
 };
 
 // With routes of up to four nodes held inline (net::Route), a file's
-// deliveries are one flat array; keep the record at six words.
-static_assert(sizeof(Delivery) <= 48);
+// deliveries are one flat array; keep the record at five words.
+static_assert(sizeof(Delivery) <= 40);
 
 /// File residency information c_i.
 struct Residency {
-  media::VideoId video = 0;
   /// Intermediate storage holding the copy (loc_i).
   net::NodeId location = net::kInvalidNode;
   /// Origin node of the anchoring stream (n_src: VW or another cache).
@@ -66,6 +65,8 @@ struct Residency {
   /// Caching duration t_f - t_s.
   [[nodiscard]] util::Seconds duration() const { return t_last - t_start; }
 };
+
+static_assert(sizeof(Residency) <= 48);
 
 /// Schedule S_i for one video file (all requests for that title).
 struct FileSchedule {

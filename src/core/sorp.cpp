@@ -472,9 +472,9 @@ std::vector<SorpCandidate> CollectSorpCandidates(
       const FileSchedule& file = schedule.files[ref.file_index];
       const Residency& c = file.residencies[ref.residency_index];
 
-      const double ds = TimeSpaceImprovement(c, of, cost_model);
+      const double ds = TimeSpaceImprovement(c, file.video, of, cost_model);
       if (ds <= 0.0) continue;
-      const double chi = ImprovedLength(c, of, cost_model);
+      const double chi = ImprovedLength(c, file.video, of, cost_model);
 
       if (!evaluated
                .emplace(ref.file_index, of.node, of.window.start.value(),

@@ -455,7 +455,6 @@ util::Result<core::Schedule> ReadSchedulePayload(const std::string& payload) {
     }
     for (std::uint64_t di = 0; di < *delivery_count; ++di) {
       core::Delivery d;
-      d.video = f.video;
       BinaryFieldReader reader{in};
       schema::VisitDelivery(reader, d);
       if (!reader.status.ok()) return reader.status.error();
@@ -468,7 +467,6 @@ util::Result<core::Schedule> ReadSchedulePayload(const std::string& payload) {
     }
     for (std::uint64_t ci = 0; ci < *residency_count; ++ci) {
       core::Residency c;
-      c.video = f.video;
       BinaryFieldReader reader{in};
       schema::VisitResidency(reader, c);
       if (!reader.status.ok()) return reader.status.error();

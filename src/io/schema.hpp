@@ -43,8 +43,7 @@ void VisitStamped(Visitor& v, StampedT& s) {
   v.Id("deferrals", s.deferrals);
 }
 
-/// core::Delivery.  The video id is carried by the enclosing
-/// FileSchedule, not the record.
+/// core::Delivery.  Its title is the enclosing FileSchedule's.
 template <class Visitor, class DeliveryT>
 void VisitDelivery(Visitor& v, DeliveryT& d) {
   v.IdList("route", d.route);
@@ -52,7 +51,7 @@ void VisitDelivery(Visitor& v, DeliveryT& d) {
   v.OptIndex("request", d.request_index);
 }
 
-/// core::Residency.  Like Delivery, video comes from the enclosing file.
+/// core::Residency.  Like Delivery, its title is the enclosing file's.
 template <class Visitor, class ResidencyT>
 void VisitResidency(Visitor& v, ResidencyT& c) {
   v.Id("location", c.location);

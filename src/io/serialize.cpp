@@ -243,7 +243,6 @@ util::Result<core::Schedule> ScheduleFromJson(const Json& j) {
     }
     for (const Json& delivery : file["deliveries"].as_array()) {
       core::Delivery d;
-      d.video = f.video;
       JsonFieldReader reader{delivery};
       schema::VisitDelivery(reader, d);
       if (!reader.status.ok()) return reader.status.error();
@@ -251,7 +250,6 @@ util::Result<core::Schedule> ScheduleFromJson(const Json& j) {
     }
     for (const Json& residency : file["residencies"].as_array()) {
       core::Residency c;
-      c.video = f.video;
       JsonFieldReader reader{residency};
       schema::VisitResidency(reader, c);
       if (!reader.status.ok()) return reader.status.error();

@@ -82,11 +82,6 @@ void Topology::SetNodeIoCap(NodeId id, util::BytesPerSecond cap) {
   nodes_[id].io_cap = cap;
 }
 
-void Topology::SetNodeCapacity(NodeId id, util::Bytes capacity) {
-  assert(id < nodes_.size() && nodes_[id].kind == NodeKind::kStorage);
-  nodes_[id].capacity = capacity;
-}
-
 Topology Topology::WithoutLink(std::size_t index) const {
   assert(index < links_.size());
   Topology copy;

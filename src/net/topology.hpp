@@ -97,10 +97,6 @@ class Topology {
   /// Sets one storage node's serving-I/O cap.
   void SetNodeIoCap(NodeId id, util::BytesPerSecond cap);
 
-  /// Sets one storage node's capacity (tiered-capacity deployments: big
-  /// metro hubs over small edge storages).
-  void SetNodeCapacity(NodeId id, util::Bytes capacity);
-
   /// Returns a copy of this topology with link `index` removed (what-if
   /// outage studies).  The result may fail Validate() if the link was a
   /// bridge — callers must check.

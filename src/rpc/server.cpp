@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -179,7 +180,7 @@ bool Server::HandleFrame(Socket& socket, const Frame& frame) {
       info.cycle_index = service_->cycle_index();
       info.pending = service_->PendingCount();
       info.deferred = service_->DeferredCount();
-      info.committed_total = service_->CommittedRequests().size();
+      info.committed_total = service_->CommittedCount();
       return SendFrame(socket, MsgType::kStatusInfo, frame.seq,
                        EncodeStatusBody(info))
           .ok();
@@ -198,11 +199,9 @@ bool Server::HandleFrame(Socket& socket, const Frame& frame) {
           .ok();
     }
     case MsgType::kCycleQuery: {
-      const std::vector<svc::CycleStats> history = service_->History();
-      const svc::CycleStats* last =
-          history.empty() ? nullptr : &history.back();
+      const std::optional<svc::CycleStats> last = service_->LastCycle();
       return SendFrame(socket, MsgType::kCycleStats, frame.seq,
-                       EncodeCycleStatsBody(last))
+                       EncodeCycleStatsBody(last ? &*last : nullptr))
           .ok();
     }
     case MsgType::kSnapshotTrigger: {

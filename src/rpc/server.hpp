@@ -96,11 +96,6 @@ class Server {
   /// returns ShutdownRequested().
   [[nodiscard]] bool WaitForShutdownRequest(double timeout_seconds) const;
 
-  /// Connections currently being served.
-  [[nodiscard]] std::size_t ActiveConnections() const {
-    return active_.load(std::memory_order_relaxed);
-  }
-
  private:
   void AcceptLoop();
   void ConnectionLoop(Socket socket);

@@ -125,7 +125,8 @@ SimulationResult SimulateSchedule(const core::Schedule& schedule,
                        EventType::kStreamEnd, id});
     }
     for (const core::Residency& c : file.residencies) {
-      const util::LinearPiece piece = cost_model.OccupancyPiece(c, 0);
+      const util::LinearPiece piece =
+          cost_model.OccupancyPiece(c, file.video, 0);
       const double drain = piece.t2.value() - piece.t1.value();
       queue.push(Event{piece.t0.value(), EventType::kReserve, 0, piece.height,
                        c.location});

@@ -108,10 +108,10 @@ class Validator {
         Report(Violation::Kind::kBrokenRoute, "empty route");
         continue;
       }
-      // Pricing a delivery reads its title from the catalog.
-      if (!cm_.catalog().Contains(d.video)) {
+      // Pricing a delivery reads its file's title from the catalog.
+      if (!cm_.catalog().Contains(file.video)) {
         Report(Violation::Kind::kInvalidSource,
-               "delivery of video " + std::to_string(d.video) +
+               "delivery of video " + std::to_string(file.video) +
                    ", which the catalog does not hold");
       }
       if (!std::isfinite(d.start.value())) {
@@ -139,10 +139,10 @@ class Validator {
                  "delivery for request " + std::to_string(d.request_index) +
                      " starts at the wrong time");
         }
-        if (d.video != req.video) {
+        if (file.video != req.video) {
           Report(Violation::Kind::kInvalidSource,
-                 "delivery carries the wrong video for request " +
-                     std::to_string(d.request_index));
+                 "delivery for request " + std::to_string(d.request_index) +
+                     " is filed under another title");
         }
       }
       CheckDeliveryOrigin(file, d);
@@ -161,7 +161,7 @@ class Validator {
       if (d.start >= c.t_start && d.start <= c.t_last) return;
     }
     std::ostringstream os;
-    os << "delivery of video " << d.video << " at t=" << d.start.value()
+    os << "delivery of video " << file.video << " at t=" << d.start.value()
        << " originates at node " << origin
        << " which holds no valid copy at that time";
     Report(Violation::Kind::kInvalidSource, os.str());
@@ -213,11 +213,11 @@ class Validator {
       });
     }
     for (const core::Residency& c : file.residencies) {
-      // Pricing a residency reads its title from the catalog, and a
+      // Pricing a residency reads its file's title from the catalog, and a
       // non-finite time never lets a timeline sweep advance.
-      if (!cm_.catalog().Contains(c.video)) {
+      if (!cm_.catalog().Contains(file.video)) {
         Report(Violation::Kind::kInconsistentResidency,
-               "residency of video " + std::to_string(c.video) +
+               "residency of video " + std::to_string(file.video) +
                    ", which the catalog does not hold");
         residencies_loadable_ = false;
         continue;

@@ -169,12 +169,13 @@ void Load::Place(std::size_t file, const core::FileSchedule& plan,
     const core::Residency& c = plan.residencies[r];
     const std::size_t key = SpaceKey(c.location);
     if (key != kNoKey) {
-      put(key, cost_model_->OccupancyPiece(c, core::ResidencyRef{file, r}.Pack()));
+      put(key, cost_model_->OccupancyPiece(c, plan.video,
+                                           core::ResidencyRef{file, r}.Pack()));
     }
   }
   if (holds_streams()) {
     for (const core::Delivery& d : plan.deliveries) {
-      const util::LinearPiece piece = StreamPiece(d.video, d.start, file);
+      const util::LinearPiece piece = StreamPiece(plan.video, d.start, file);
       ForEachStreamKey(d.route, [&](std::size_t key) { put(key, piece); });
     }
   }
@@ -279,9 +280,10 @@ bool LoadDelta::RouteFits(std::span<const net::NodeId> route,
   return fits;
 }
 
-void LoadDelta::AddStream(const core::Delivery& d) {
+void LoadDelta::AddStream(const core::Delivery& d, media::VideoId video) {
   const Load& load = view_->load();
-  const util::LinearPiece piece = load.StreamPiece(d.video, d.start, view_->file());
+  const util::LinearPiece piece =
+      load.StreamPiece(video, d.start, view_->file());
   load.ForEachStreamKey(d.route, [&](std::size_t key) {
     auto it = std::lower_bound(
         own_.begin(), own_.end(), key,
@@ -314,9 +316,10 @@ StreamReport MeasureStreams(const core::Schedule& schedule,
   for (std::size_t f = 0; f < schedule.files.size(); ++f) {
     const LoadView others = load.Excluding(f);
     LoadDelta run(others);
+    const media::VideoId video = schedule.files[f].video;
     for (const core::Delivery& d : schedule.files[f].deliveries) {
-      if (!run.RouteFits(d.route, d.start, d.video)) ++report.forced_requests;
-      run.AddStream(d);
+      if (!run.RouteFits(d.route, d.start, video)) ++report.forced_requests;
+      run.AddStream(d, video);
     }
     load.ApplyCommit(f, schedule.files[f]);
   }

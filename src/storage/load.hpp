@@ -230,8 +230,8 @@ class LoadDelta {
   [[nodiscard]] bool RouteFits(std::span<const net::NodeId> route,
                                util::Seconds t, media::VideoId video) const;
 
-  /// Adds one delivery's stream to every key it occupies.
-  void AddStream(const core::Delivery& d);
+  /// Adds the stream of one delivery of `video` to every key it occupies.
+  void AddStream(const core::Delivery& d, media::VideoId video);
 
   /// Keys the run has written, ascending.
   [[nodiscard]] std::vector<std::size_t> Touched() const;

@@ -57,20 +57,14 @@ AdmissionSplit ApplyFairnessCap(std::size_t user_cycle_cap,
 }
 
 /// The shape a solve writes and the next close's merge walks, which the
-/// validator does not check: files in strictly ascending title order,
-/// every delivery under its own file's title.
+/// validator does not check: files in strictly ascending title order.  (It
+/// reports a delivery filed under another title as an invalid source.)
 util::Status CheckSolvedShape(const core::Schedule& schedule) {
   const std::vector<core::FileSchedule>& files = schedule.files;
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    if (i > 0 && files[i].video <= files[i - 1].video) {
+  for (std::size_t i = 1; i < files.size(); ++i) {
+    if (files[i].video <= files[i - 1].video) {
       return util::InvalidArgument(
           "snapshot schedule files are out of ascending title order");
-    }
-    for (const core::Delivery& d : files[i].deliveries) {
-      if (d.video != files[i].video) {
-        return util::InvalidArgument(
-            "snapshot schedule files a delivery under another title");
-      }
     }
   }
   return util::Status::Ok();
@@ -402,6 +396,17 @@ std::size_t ReservationService::DeferredCount() const {
 std::vector<CycleStats> ReservationService::History() const {
   std::lock_guard lock(cycle_mutex_);
   return history_;
+}
+
+std::size_t ReservationService::CommittedCount() const {
+  std::lock_guard lock(cycle_mutex_);
+  return committed_.size();
+}
+
+std::optional<CycleStats> ReservationService::LastCycle() const {
+  std::lock_guard lock(cycle_mutex_);
+  if (history_.empty()) return std::nullopt;
+  return history_.back();
 }
 
 ServiceSnapshot ReservationService::Snapshot() const {

@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -186,6 +187,10 @@ class ReservationService {
   [[nodiscard]] std::size_t PendingCount() const;
   [[nodiscard]] std::size_t DeferredCount() const;
   [[nodiscard]] std::vector<CycleStats> History() const;
+  /// CommittedRequests().size() and History().back() (nullopt while the
+  /// history is empty), without copying the log or the history.
+  [[nodiscard]] std::size_t CommittedCount() const;
+  [[nodiscard]] std::optional<CycleStats> LastCycle() const;
 
   /// Consistent copy of the full state (committed + deferred + open
   /// intake).  Does not mutate the service.
@@ -194,9 +199,9 @@ class ReservationService {
   /// Replaces the service state with a snapshot's (typically straight
   /// after construction).  Validates every request against the
   /// environment, refuses a committed schedule not in the shape a solve
-  /// writes (files in strictly ascending title order, each delivery under
-  /// its own title) and re-validates it; on error the service is left
-  /// unchanged.  No restored plan is resumable.
+  /// writes (files in strictly ascending title order) and re-validates
+  /// it; on error the service is left unchanged.  No restored plan is
+  /// resumable.
   [[nodiscard]] util::Status Restore(const ServiceSnapshot& snapshot);
 
  private:

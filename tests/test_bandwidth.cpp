@@ -73,14 +73,13 @@ TEST(StreamLoadTest, TracksAndRemovesByFile) {
   Load load(env.schedule, env.cm, Resources::kStreams);
 
   core::Delivery d;
-  d.video = 0;
   d.route = {0, 1, 2};
   d.start = util::Hours(1);
   {
     const LoadView others = load.Excluding(0);
     LoadDelta run(others);
     EXPECT_TRUE(run.RouteFits(d.route, d.start, 0));
-    run.AddStream(d);
+    run.AddStream(d, 0);
     // The run sees its own stream on the link for the playback hour.
     EXPECT_FALSE(run.RouteFits(d.route, util::Hours(1.5), 0));
     EXPECT_TRUE(run.RouteFits(d.route, util::Hours(2.5), 0));
@@ -111,11 +110,10 @@ TEST(StreamLoadTest, UncapacitatedLinksAlwaysPass) {
   LoadDelta run(others);
   for (int i = 0; i < 50; ++i) {
     core::Delivery d;
-    d.video = 0;
     d.route = {vw, a};
     d.start = util::Hours(1);
     EXPECT_TRUE(run.RouteFits(d.route, d.start, 0));
-    run.AddStream(d);
+    run.AddStream(d, 0);
   }
   EXPECT_TRUE(run.Touched().empty());
 }
@@ -227,13 +225,12 @@ TEST(StorageIoCapTest, TrackerLimitsOriginServing) {
   EXPECT_EQ(load.ServingKey(0), Load::kNoKey);  // the warehouse
 
   core::Delivery replay;
-  replay.video = 0;
   replay.route = {1, 2};  // served out of IS0's disks
   replay.start = util::Hours(1);
   const LoadView others = load.Excluding(0);
   LoadDelta run(others);
   EXPECT_TRUE(run.RouteFits(replay.route, replay.start, 0));
-  run.AddStream(replay);
+  run.AddStream(replay, 0);
   // Second concurrent replay from the same storage is refused...
   EXPECT_FALSE(run.RouteFits(replay.route, util::Hours(1.5), 0));
   EXPECT_LE(run.Find(load.ServingKey(1)).Max(), kOneStream.value());

@@ -140,13 +140,11 @@ TEST(BinaryIoTest, ScheduleNoRequestDeliveryRoundTrips) {
   core::FileSchedule file;
   file.video = 3;
   core::Delivery d;
-  d.video = 3;
   d.route = {0, 1, 2};
   d.start = util::Seconds{125.5};
   d.request_index = core::kNoRequest;
   file.deliveries.push_back(d);
   core::Residency res;
-  res.video = 3;
   res.location = 2;
   res.source = 0;
   res.t_start = util::Seconds{125.5};

@@ -31,9 +31,8 @@ TEST(EdgeCaseTest, ParallelLinksUseCheapestRate) {
 
   EXPECT_NEAR(cm.RouteRate(vw, a).value() * 1e9, 4.0, 1e-9);
   Delivery d;
-  d.video = 0;
   d.route = {vw, a};
-  EXPECT_NEAR(cm.DeliveryCost(d).value(), 4.0, 1e-9);  // min of the two
+  EXPECT_NEAR(cm.DeliveryCost(d, 0).value(), 4.0, 1e-9);  // min of the two
 }
 
 TEST(EdgeCaseTest, SimultaneousRequestsAllServedDeterministically) {
@@ -139,7 +138,6 @@ TEST_P(StorageCostSweep, FormulaMatchesClosedFormAndIntegral) {
   const CostModel cm(topo, router, catalog);
 
   core::Residency c;
-  c.video = 0;
   c.location = 1;
   c.t_start = util::Hours(2.0);
   c.t_last = util::Hours(2.0 + delta_hours);
@@ -148,11 +146,11 @@ TEST_P(StorageCostSweep, FormulaMatchesClosedFormAndIntegral) {
   const double gamma = std::min(1.0, delta_hours / playback_h);
   // srate 3.6 $/GBh on 1 GB: cost = 3.6 * gamma * (delta + P/2) in hours.
   const double expected = 3.6 * gamma * (delta_hours + playback_h / 2.0);
-  EXPECT_NEAR(cm.ResidencyCost(c).value(), expected, 1e-9);
+  EXPECT_NEAR(cm.ResidencyCost(c, 0).value(), expected, 1e-9);
 
   // And it is exactly srate times the occupancy integral.
-  const util::LinearPiece piece = cm.OccupancyPiece(c, 0);
-  EXPECT_NEAR(cm.ResidencyCost(c).value(),
+  const util::LinearPiece piece = cm.OccupancyPiece(c, 0, 0);
+  EXPECT_NEAR(cm.ResidencyCost(c, 0).value(),
               topo.node(1).srate.value() *
                   piece.IntegralOver(piece.Support()),
               1e-6);

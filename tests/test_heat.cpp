@@ -23,7 +23,6 @@ struct Env {
 
 Residency MakeResidency(double start_h, double last_h) {
   Residency c;
-  c.video = 0;
   c.location = 1;
   c.t_start = util::Hours(start_h);
   c.t_last = util::Hours(last_h);
@@ -41,22 +40,22 @@ TEST(HeatTest, ImprovedLengthIsSupportOverlap) {
   Env env;
   // Occupancy support: [1h, 5h + 1h playback) = [1h, 6h).
   const Residency c = MakeResidency(1, 5);
-  EXPECT_DOUBLE_EQ(ImprovedLength(c, Window(2, 4), env.cm), 2 * 3600.0);
-  EXPECT_DOUBLE_EQ(ImprovedLength(c, Window(5, 9), env.cm), 1 * 3600.0);
-  EXPECT_DOUBLE_EQ(ImprovedLength(c, Window(7, 9), env.cm), 0.0);
-  EXPECT_DOUBLE_EQ(ImprovedLength(c, Window(0, 10), env.cm), 5 * 3600.0);
+  EXPECT_DOUBLE_EQ(ImprovedLength(c, 0, Window(2, 4), env.cm), 2 * 3600.0);
+  EXPECT_DOUBLE_EQ(ImprovedLength(c, 0, Window(5, 9), env.cm), 1 * 3600.0);
+  EXPECT_DOUBLE_EQ(ImprovedLength(c, 0, Window(7, 9), env.cm), 0.0);
+  EXPECT_DOUBLE_EQ(ImprovedLength(c, 0, Window(0, 10), env.cm), 5 * 3600.0);
 }
 
 TEST(HeatTest, TimeSpaceIsOccupancyIntegralInWindow) {
   Env env;
   const Residency c = MakeResidency(1, 5);
   // Plateau 1 GB over the window [2h, 4h].
-  EXPECT_NEAR(TimeSpaceImprovement(c, Window(2, 4), env.cm), 1e9 * 2 * 3600.0,
-              1e3);
+  EXPECT_NEAR(TimeSpaceImprovement(c, 0, Window(2, 4), env.cm),
+              1e9 * 2 * 3600.0, 1e3);
   // Drain [5h, 6h): integral = 0.5 GB*h.
-  EXPECT_NEAR(TimeSpaceImprovement(c, Window(5, 9), env.cm),
+  EXPECT_NEAR(TimeSpaceImprovement(c, 0, Window(5, 9), env.cm),
               0.5e9 * 3600.0, 1e3);
-  EXPECT_DOUBLE_EQ(TimeSpaceImprovement(c, Window(8, 9), env.cm), 0.0);
+  EXPECT_DOUBLE_EQ(TimeSpaceImprovement(c, 0, Window(8, 9), env.cm), 0.0);
 }
 
 TEST(HeatTest, MetricSelection) {

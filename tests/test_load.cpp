@@ -174,7 +174,7 @@ TEST(UsageTrackerTest, FreshTrackerMatchesBuildUsage) {
       if (key.kind == LoadKey::Kind::kSpace) {
         for (std::size_t r = 0; r < file.residencies.size(); ++r) {
           if (file.residencies[r].location != key.node) continue;
-          want.Add(env.cm->OccupancyPiece(file.residencies[r],
+          want.Add(env.cm->OccupancyPiece(file.residencies[r], file.video,
                                           core::ResidencyRef{f, r}.Pack()));
         }
         continue;
@@ -185,7 +185,7 @@ TEST(UsageTrackerTest, FreshTrackerMatchesBuildUsage) {
               std::max(d.route[i], d.route[i + 1]) != key.peer) {
             continue;
           }
-          const media::Video& v = env.scenario.catalog.video(d.video);
+          const media::Video& v = env.scenario.catalog.video(file.video);
           want.Add(util::LinearPiece{d.start, d.start + v.playback,
                                      d.start + v.playback,
                                      v.bandwidth.value(),
@@ -224,7 +224,8 @@ TEST(UsageTrackerTest, SubtractiveViewMatchesBuildUsageExcludingFile) {
         if (load.keys()[k].kind == LoadKey::Kind::kSpace) {
           for (const core::Residency& c : env.schedule.files[f].residencies) {
             if (c.location == load.keys()[k].node) {
-              probes.push_back(env.cm->OccupancyPiece(c, 0));
+              probes.push_back(env.cm->OccupancyPiece(
+                  c, env.schedule.files[f].video, 0));
             }
           }
         }
@@ -423,8 +424,8 @@ TEST_P(SorpDryRunLoadTest, DeltaMatchesFreshBuild) {
     LoadDelta run(view);
     std::vector<util::LinearPiece> own;  // the run's streams so far
     for (const core::Delivery& d : file.deliveries) {
-      run.AddStream(d);
-      const media::Video& v = env.scenario.catalog.video(d.video);
+      run.AddStream(d, file.video);
+      const media::Video& v = env.scenario.catalog.video(file.video);
       own.push_back(util::LinearPiece{d.start, d.start + v.playback,
                                       d.start + v.playback,
                                       v.bandwidth.value(), tag});

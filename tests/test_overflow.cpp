@@ -21,7 +21,6 @@ struct Env {
 
 Residency MakeResidency(net::NodeId node, double start_h, double last_h) {
   Residency c;
-  c.video = 0;
   c.location = node;
   c.source = 0;
   c.t_start = util::Hours(start_h);

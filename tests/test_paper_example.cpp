@@ -28,7 +28,6 @@ class PaperExampleTest : public ::testing::Test {
     f.video = 0;
     for (std::size_t i = 0; i < ex_.requests.size(); ++i) {
       Delivery d;
-      d.video = 0;
       d.route = router_.CheapestPath(ex_.vw, ex_.requests[i].neighborhood).nodes;
       d.start = ex_.requests[i].start_time;
       d.request_index = i;
@@ -46,14 +45,12 @@ class PaperExampleTest : public ::testing::Test {
     f.video = 0;
 
     Delivery d1;
-    d1.video = 0;
     d1.route = router_.CheapestPath(ex_.vw, ex_.is1).nodes;
     d1.start = ex_.requests[0].start_time;
     d1.request_index = 0;
     f.deliveries.push_back(d1);
 
     Residency cache;
-    cache.video = 0;
     cache.location = ex_.is1;
     cache.source = ex_.vw;
     cache.t_start = ex_.requests[0].start_time;  // 1:00 pm
@@ -63,7 +60,6 @@ class PaperExampleTest : public ::testing::Test {
 
     for (const std::size_t i : {1UL, 2UL}) {
       Delivery d;
-      d.video = 0;
       d.route = router_.CheapestPath(ex_.is1, ex_.is2).nodes;
       d.start = ex_.requests[i].start_time;
       d.request_index = i;
@@ -102,7 +98,7 @@ TEST_F(PaperExampleTest, S2CostsExactly138_975) {
 
 TEST_F(PaperExampleTest, ResidencyAloneCosts9_375) {
   const Schedule s2 = BuildS2();
-  EXPECT_NEAR(cm_.ResidencyCost(s2.files[0].residencies[0]).value(), 9.375,
+  EXPECT_NEAR(cm_.ResidencyCost(s2.files[0].residencies[0], 0).value(), 9.375,
               1e-9);
 }
 

@@ -87,7 +87,7 @@ TEST_F(PlaybackSimTest, LinkTelemetryAccountsAllTraffic) {
   for (const core::FileSchedule& f : schedule_.files) {
     for (const core::Delivery& d : f.deliveries) {
       expected += static_cast<double>(d.route.size() - 1) *
-                  cm_.StreamBytes(d.video).value();
+                  cm_.StreamBytes(f.video).value();
     }
   }
   EXPECT_NEAR(total_link_bytes, expected, expected * 1e-9 + 1.0);

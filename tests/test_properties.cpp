@@ -75,7 +75,7 @@ TEST_P(SchedulerInvariants, HoldOnRandomEnvironments) {
     for (const core::Residency& c : f.residencies) {
       if (c.services.empty()) {
         EXPECT_DOUBLE_EQ(
-            scheduler.cost_model().ResidencyCost(c).value(), 0.0);
+            scheduler.cost_model().ResidencyCost(c, f.video).value(), 0.0);
       }
     }
   }

@@ -85,7 +85,8 @@ TEST(RejectiveTest, RescheduleRespectsOtherFilesCapacity) {
   // the victim may not cache there.
   for (const Residency& c : result.schedule.residencies) {
     if (c.location == 3u) {
-      EXPECT_LE(env.cm.OccupancyPiece(c, 0).height, 0.2e9 + 1.0);
+      EXPECT_LE(env.cm.OccupancyPiece(c, result.schedule.video, 0).height,
+                0.2e9 + 1.0);
     }
   }
 }

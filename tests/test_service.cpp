@@ -8,6 +8,7 @@
 #include <chrono>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -405,6 +406,64 @@ TEST(ServiceSnapshot, RevertedAttemptsCommitWhatARestoreCommits) {
       << "no close on a committed state reverted an attempt and committed";
 }
 
+TEST(ServiceState, CountAndLastCloseMatchTheCopies) {
+  // CommittedCount and LastCycle answer what CommittedRequests().size()
+  // and History().back() do, across closes that revert attempts (tight
+  // stores, a one-round SORP budget) and across a restore, which clears
+  // the history.
+  workload::ScenarioParams params;
+  params.storage_count = 6;
+  params.users_per_neighborhood = 12;
+  params.catalog_size = 60;
+  params.is_capacity = util::GB(3.0);
+  params.seed = 42;
+  const workload::Scenario scenario = workload::MakeScenario(params);
+  svc::ServiceConfig config;
+  config.scheduler.max_sorp_iterations = 1;
+  svc::ReservationService service(scenario.topology, scenario.catalog,
+                                  config);
+  const auto expect_matches = [](const svc::ReservationService& s) {
+    EXPECT_EQ(s.CommittedCount(), s.CommittedRequests().size());
+    const std::vector<svc::CycleStats> history = s.History();
+    const std::optional<svc::CycleStats> last = s.LastCycle();
+    ASSERT_EQ(last.has_value(), !history.empty());
+    if (!last) return;
+    EXPECT_EQ(last->cycle, history.back().cycle);
+    EXPECT_EQ(last->admitted, history.back().admitted);
+    EXPECT_EQ(last->deferred_out, history.back().deferred_out);
+    EXPECT_EQ(last->solve_attempts, history.back().solve_attempts);
+    EXPECT_EQ(last->committed_total, history.back().committed_total);
+    EXPECT_EQ(last->close_seconds, history.back().close_seconds);
+    EXPECT_EQ(last->final_cost, history.back().final_cost);
+  };
+  expect_matches(service);
+  constexpr std::size_t kWindows = 4;
+  std::size_t reverted = 0;
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    for (std::size_t i = w; i < scenario.requests.size(); i += kWindows) {
+      ASSERT_EQ(service.Submit(scenario.requests[i],
+                               util::Seconds{static_cast<double>(i)}),
+                svc::SubmitOutcome::kAccepted);
+    }
+    const auto stats = service.CloseCycle();
+    ASSERT_TRUE(stats.ok());
+    if (stats->solve_attempts > 1) ++reverted;
+    expect_matches(service);
+  }
+  EXPECT_GT(reverted, 0u) << "no close reverted an attempt";
+
+  const svc::ServiceSnapshot snapshot = service.Snapshot();
+  ASSERT_GT(snapshot.committed.size(), 0u);
+  svc::ReservationService restored(scenario.topology, scenario.catalog,
+                                   config);
+  ASSERT_TRUE(restored.Restore(snapshot).ok());
+  EXPECT_EQ(restored.CommittedCount(), snapshot.committed.size());
+  EXPECT_FALSE(restored.LastCycle().has_value());
+  expect_matches(restored);
+  ASSERT_TRUE(restored.CloseCycle().ok());
+  expect_matches(restored);
+}
+
 TEST(ServiceSnapshot, RejectsForeignOrCorruptSnapshots) {
   const workload::Scenario scenario = SmallScenario();
   svc::ServiceConfig config;
@@ -457,7 +516,6 @@ TEST(ServiceSnapshot, RejectsForeignOrCorruptSnapshots) {
   svc::ServiceSnapshot inverted = good;
   ASSERT_FALSE(inverted.schedule.files.empty());
   core::Residency backwards;
-  backwards.video = inverted.schedule.files[0].video;
   backwards.location = inverted.committed[0].neighborhood;
   backwards.source = scenario.topology.warehouse();
   backwards.t_start = util::Hours(2.0);
@@ -465,14 +523,14 @@ TEST(ServiceSnapshot, RejectsForeignOrCorruptSnapshots) {
   inverted.schedule.files[0].residencies.push_back(backwards);
   EXPECT_FALSE(service.Restore(inverted).ok());
 
-  // Titles the catalog does not hold, and a residency at a NaN time:
-  // the validator reports each, and prices and loads none of them.
+  // Files of a title the catalog does not hold, one with a delivery and
+  // one with a residency, and a residency at a NaN time: the validator
+  // reports each, and prices and loads none of them.
   const auto unknown = static_cast<media::VideoId>(scenario.catalog.size());
   svc::ServiceSnapshot foreign_file = good;
   core::FileSchedule& stray = foreign_file.schedule.files.emplace_back();
   stray.video = unknown;
   core::Delivery& stray_delivery = stray.deliveries.emplace_back();
-  stray_delivery.video = unknown;
   const net::Router router(scenario.topology);
   stray_delivery.route =
       router
@@ -484,8 +542,9 @@ TEST(ServiceSnapshot, RejectsForeignOrCorruptSnapshots) {
   svc::ServiceSnapshot foreign_residency = good;
   core::Residency foreign_copy = backwards;
   std::swap(foreign_copy.t_start, foreign_copy.t_last);
-  foreign_copy.video = unknown;
-  foreign_residency.schedule.files[0].residencies.push_back(foreign_copy);
+  core::FileSchedule& holder = foreign_residency.schedule.files.emplace_back();
+  holder.video = unknown;
+  holder.residencies.push_back(foreign_copy);
   EXPECT_FALSE(service.Restore(foreign_residency).ok());
   svc::ServiceSnapshot nan_residency = good;
   core::Residency nan_copy = backwards;
@@ -493,9 +552,11 @@ TEST(ServiceSnapshot, RejectsForeignOrCorruptSnapshots) {
   nan_residency.schedule.files[0].residencies.push_back(nan_copy);
   EXPECT_FALSE(service.Restore(nan_residency).ok());
 
-  // Schedules the validator accepts but no solve writes: the next close
-  // walks the files by title and reads each title's requests from its
-  // own file's deliveries.
+  // Schedules no solve writes: the next close walks the files by title
+  // and reads each title's requests from its own file's deliveries.  The
+  // validator accepts the first two, which the shape check refuses.  The
+  // third files a delivery under a title its request is not for, which
+  // the validator reports as an invalid source.
   const core::VorScheduler scheduler(scenario.topology, scenario.catalog);
   std::vector<svc::ServiceSnapshot> misshapen(3, good);
   std::vector<core::FileSchedule>& swapped = misshapen[0].schedule.files;
@@ -531,11 +592,16 @@ TEST(ServiceSnapshot, RejectsForeignOrCorruptSnapshots) {
   refiled[from].deliveries.erase(refiled[from].deliveries.begin() +
                                  static_cast<std::ptrdiff_t>(which));
   for (std::size_t i = 0; i < misshapen.size(); ++i) {
-    EXPECT_TRUE(sim::ValidateSchedule(misshapen[i].schedule,
-                                      misshapen[i].committed,
-                                      scheduler.cost_model())
-                    .ok())
-        << "misshapen snapshot " << i;
+    const sim::ValidationReport report =
+        sim::ValidateSchedule(misshapen[i].schedule, misshapen[i].committed,
+                              scheduler.cost_model());
+    if (i < 2) {
+      EXPECT_TRUE(report.ok()) << "misshapen snapshot " << i;
+    } else {
+      ASSERT_EQ(report.violations.size(), 1u);
+      EXPECT_EQ(report.violations[0].kind,
+                sim::Violation::Kind::kInvalidSource);
+    }
     const util::Status restored = service.Restore(misshapen[i]);
     ASSERT_FALSE(restored.ok()) << "misshapen snapshot " << i;
     EXPECT_EQ(restored.error().code, util::Error::Code::kInvalidArgument);

@@ -192,7 +192,6 @@ Schedule OneResidencySchedule(net::NodeId node, util::Seconds t_start,
   FileSchedule file;
   file.video = 0;
   Residency c;
-  c.video = 0;
   c.location = node;
   c.source = 0;
   c.t_start = t_start;

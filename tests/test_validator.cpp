@@ -97,7 +97,6 @@ TEST_F(ValidatorTest, DetectsInvalidSource) {
 TEST_F(ValidatorTest, DetectsUnanchoredResidency) {
   Schedule s = schedule_;
   core::Residency ghost;
-  ghost.video = 0;
   ghost.location = ex_.is1;
   ghost.source = ex_.vw;
   ghost.t_start = util::Hours(2.0);  // nothing streams at 2:00 am
@@ -205,7 +204,6 @@ TEST_F(ValidatorTest, AnchoringAmongEqualStartTimes) {
   // passing stream is gone.
   const util::Seconds t = util::Hours(14.0);
   core::Residency c;
-  c.video = 0;
   c.location = ex_.is2;
   c.source = ex_.vw;
   c.t_start = t;
@@ -258,25 +256,51 @@ TEST_F(ValidatorTest, DetectsInvertedResidency) {
 
 TEST_F(ValidatorTest, DetectsTitlesTheCatalogDoesNotHold) {
   // Pricing reads a title from the catalog: a file of an uncataloged
-  // title with one direct delivery serving no request, and a residency
-  // of one, must each be reported rather than priced.
+  // title with one direct delivery serving no request, and one holding a
+  // residency, must each be reported rather than priced.
   const auto unknown = static_cast<media::VideoId>(ex_.catalog.size());
   Schedule with_file = schedule_;
   core::FileSchedule& foreign = with_file.files.emplace_back();
   foreign.video = unknown;
   core::Delivery& d = foreign.deliveries.emplace_back();
-  d.video = unknown;
   d.route = {ex_.vw, ex_.is1};
   d.start = util::Hours(1.0);
   EXPECT_TRUE(HasViolation(with_file, Violation::Kind::kInvalidSource));
 
   Schedule with_residency = schedule_;
   ASSERT_FALSE(with_residency.files[0].residencies.empty());
-  core::Residency foreign_copy = with_residency.files[0].residencies[0];
-  foreign_copy.video = unknown;
-  with_residency.files[0].residencies.push_back(foreign_copy);
+  core::FileSchedule& holder = with_residency.files.emplace_back();
+  holder.video = unknown;
+  holder.residencies.push_back(with_residency.files[0].residencies[0]);
   EXPECT_TRUE(
       HasViolation(with_residency, Violation::Kind::kInconsistentResidency));
+}
+
+TEST_F(ValidatorTest, DetectsDeliveryFiledUnderAnotherTitle) {
+  // A record's title is its file's.  Three direct deliveries validate
+  // under the requests' title; moving one into another cataloged title's
+  // file makes it serve a request that title does not answer.
+  media::Video other = ex_.catalog.video(0);
+  other.title = "other";
+  const media::VideoId other_title = ex_.catalog.Add(other);
+  Schedule s;
+  s.files.resize(2);
+  s.files[0].video = 0;
+  s.files[1].video = other_title;
+  for (std::size_t i = 0; i < ex_.requests.size(); ++i) {
+    core::Delivery& d = s.files[0].deliveries.emplace_back();
+    d.route =
+        router_.CheapestPath(ex_.vw, ex_.requests[i].neighborhood).nodes;
+    d.start = ex_.requests[i].start_time;
+    d.request_index = i;
+  }
+  ASSERT_TRUE(ValidateSchedule(s, ex_.requests, cm_).ok());
+
+  s.files[1].deliveries.push_back(s.files[0].deliveries[1]);
+  s.files[0].deliveries.erase(s.files[0].deliveries.begin() + 1);
+  const ValidationReport report = ValidateSchedule(s, ex_.requests, cm_);
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].kind, Violation::Kind::kInvalidSource);
 }
 
 TEST_F(ValidatorTest, DetectsNonFiniteTimes) {

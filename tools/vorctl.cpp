@@ -667,7 +667,7 @@ int CmdServe(const Args& args) {
     server.Stop();
     if (clock_ms > 0) service.Stop();
     closes = service.History();
-    total = service.CommittedRequests().size() + service.DeferredCount() +
+    total = service.CommittedCount() + service.DeferredCount() +
             service.PendingCount();
   } else {
   // The trace is consumed as a stream in canonical replay order: a
