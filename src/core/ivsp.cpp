@@ -332,11 +332,13 @@ PlanCut CutPlan(FileSchedule& plan, std::size_t kept,
   cut.deliveries_.assign(std::make_move_iterator(split),
                          std::make_move_iterator(plan.deliveries.end()));
   plan.deliveries.erase(split, plan.deliveries.end());
-  // The kept requests are those before the first cut delivery's.
+  // The kept requests are those before the first cut delivery's.  A cut
+  // at 0 keeps none, whatever order (or unbound first delivery) a
+  // restored plan lists, so it takes every cache.
   const workload::ChronologicalOrder order{&requests};
   const auto is_kept = [&](std::size_t r) {
-    return cut.deliveries_.empty() ||
-           order(r, cut.deliveries_.front().request_index);
+    return kept > 0 && (cut.deliveries_.empty() ||
+                        order(r, cut.deliveries_.front().request_index));
   };
   for (Residency& cache : plan.residencies) {
     const auto end = std::partition_point(cache.services.begin(),
@@ -424,21 +426,14 @@ void PlaceFiles(const std::vector<FileWork>& work,
     if (metrics != nullptr) file_seconds[w] = watch.Seconds();
   };
   if (storage::HasStreamCaps(cost_model.topology())) {
-    // The carried plans' streams load the topology before any file is
-    // placed.
-    std::vector<std::size_t> carried_files;
-    carried_files.reserve(schedule.files.size() - work.size());
-    for (std::size_t f = 0, w = 0; f < schedule.files.size(); ++f) {
-      if (w < work.size() && work[w].file == f) {
-        ++w;
-      } else {
-        carried_files.push_back(f);
-      }
-    }
-    storage::Load streams(schedule, cost_model, carried_files,
-                          storage::Resources::kStreams);
+    // No title resumes here, so every slot placed is empty and the
+    // schedule's streams are the carried plans': they load the topology
+    // before any file is placed.
+    storage::Load streams(schedule, cost_model, storage::Resources::kStreams);
     for (std::size_t w = 0; w < work.size(); ++w) {
       const std::size_t f = work[w].file;
+      assert(schedule.files[f].deliveries.empty() &&
+             schedule.files[f].residencies.empty());
       const storage::LoadView others = streams.Excluding(f);
       ConstraintSet constraints;
       constraints.load = &others;

@@ -132,7 +132,7 @@ void ExtendFileGreedy(FileSchedule& plan,
 class PlanCut {
  public:
   /// The deliveries after the split, in the plan's order: the committed
-  /// requests a resumed greedy serves again.
+  /// requests the greedy serves again (all of a plan cut at 0).
   [[nodiscard]] const std::vector<Delivery>& deliveries() const {
     return deliveries_;
   }
@@ -167,7 +167,9 @@ class PlanCut {
 /// the caches they opened with the services among them (t_last back at
 /// the last kept service), and nothing else.  The plan delivers in
 /// chronological order and opens caches in that order, so the cut takes
-/// a suffix of each vector.  Returns what it took.
+/// a suffix of each vector.  A cut at 0 takes any plan whole, in
+/// whatever order it lists its records (a restored or constrained plan
+/// included), and leaves the title's empty plan.  Returns what it took.
 [[nodiscard]] PlanCut CutPlan(FileSchedule& plan, std::size_t kept,
                               const std::vector<workload::Request>& requests);
 
@@ -202,10 +204,11 @@ struct FileWork {
 /// stream caps the entries fan out over `pool` (null = serial); each
 /// entry is written by one task, so the result is identical at any
 /// thread count.  On a topology with stream caps
-/// (storage::HasStreamCaps) the carried plans seed one storage::Load of
-/// streams and the entries are placed serially in ascending order, each
-/// from an empty plan, constrained by that load and committed to it: a
-/// file's streams constrain every later file.
+/// (storage::HasStreamCaps) no title resumes, so every entry's slot holds
+/// an empty plan: the schedule's streams, the carried plans', seed one
+/// storage::Load, and the entries are placed serially in ascending order,
+/// constrained by that load and committed to it: a file's streams
+/// constrain every later file.
 ///
 /// A non-null `metrics` receives the placed files' greedy timings
 /// ("ivsp.file_greedy") and aggregated decision counters (ivsp.*), which

@@ -8,10 +8,11 @@
 namespace vor::core {
 
 std::vector<std::size_t> FileRequestIndices(
-    const FileSchedule& file, const std::vector<workload::Request>& requests) {
+    std::span<const Delivery> deliveries,
+    const std::vector<workload::Request>& requests) {
   std::vector<std::size_t> indices;
-  indices.reserve(file.deliveries.size());
-  for (const Delivery& d : file.deliveries) {
+  indices.reserve(deliveries.size());
+  for (const Delivery& d : deliveries) {
     if (d.request_index != kNoRequest) indices.push_back(d.request_index);
   }
   // A solve's plan delivers in this order already; only a restored
@@ -41,7 +42,8 @@ RescheduleResult RescheduleVictim(
   RescheduleResult result;
   result.old_cost = cost_model.FileCost(old_file);
   result.schedule = ScheduleFileGreedy(
-      old_file.video, requests, FileRequestIndices(old_file, requests),
+      old_file.video, requests,
+      FileRequestIndices(old_file.deliveries, requests),
       cost_model, options, &constraints, &result.greedy);
   result.new_cost = cost_model.FileCost(result.schedule);
   return result;

@@ -7,6 +7,7 @@
 // never create another.
 #pragma once
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -32,13 +33,15 @@ struct RescheduleResult {
   [[nodiscard]] util::Money Overhead() const { return new_cost - old_cost; }
 };
 
-/// The request indices a file's delivery records serve, in
-/// workload::ChronologicalOrder (the order phase 1 served them in): the
-/// title's request list that SORP re-plans a victim over and that a
-/// later solve merges the title's new requests into.  Sorts only when
-/// the deliveries are not already in that order, as a solve writes them.
+/// The request indices `deliveries` serve, in
+/// workload::ChronologicalOrder (the order phase 1 served them in),
+/// skipping unbound ones: the request list that SORP re-plans a victim
+/// over, and that a later solve merges a cut title's new requests into.
+/// Sorts only when the deliveries are not already in that order, as a
+/// solve writes them.
 [[nodiscard]] std::vector<std::size_t> FileRequestIndices(
-    const FileSchedule& file, const std::vector<workload::Request>& requests);
+    std::span<const Delivery> deliveries,
+    const std::vector<workload::Request>& requests);
 
 /// Recomputes S_i^new(dt, ISj) for the file at `file_index`:
 ///   * `forbidden` — (node, interval) pairs the file must not be resident

@@ -11,6 +11,7 @@
 #include "storage/load.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
+#include "workload/trace.hpp"
 
 namespace vor::core {
 
@@ -34,18 +35,10 @@ util::Status CheckInputs(const CostModel& cm, const SolveOutput& state,
     return s.error();
   }
   for (std::size_t i = first_new; i < requests.size(); ++i) {
-    const workload::Request& r = requests[i];
-    if (!cm.catalog().Contains(r.video)) {
-      return util::NotFound("request for unknown video id " +
-                            std::to_string(r.video));
-    }
-    if (!cm.topology().IsStorage(r.neighborhood)) {
-      return util::InvalidArgument(
-          "request neighborhood is not an intermediate storage node");
-    }
-    if (!workload::IsValidTime(r.start_time)) {
-      return util::InvalidArgument(
-          "request has a negative or non-finite start time");
+    if (const util::Status s = workload::ValidateRequest(
+            requests[i], cm.topology(), cm.catalog(), i);
+        !s.ok()) {
+      return s;
     }
   }
   return util::Status::Ok();
@@ -75,17 +68,16 @@ class TwoPhaseSolve {
  private:
   /// Phase 1's input, made in place.  Groups only the new requests
   /// `requests[first_new..]`, inserts an empty plan for each new title
-  /// (ascending title order), and makes each touched title one work
-  /// entry.  A title whose plan is still the unconstrained greedy's own
-  /// output (`resumable`, never set on a topology with stream caps: a
-  /// capped prefix was placed against an older stream load) is cut back
-  /// to its split, the deliveries before its first new request in
-  /// workload::ChronologicalOrder; its list is the cut requests merged
-  /// with its new ones.  New indices follow every old one, so a tie in
-  /// start time keeps the old request first.  Any other touched title,
-  /// or one whose split is 0, replays from its first request: its plan
-  /// moves to the undo, and its list is every request its plan served
-  /// (FileRequestIndices) merged with its new ones.
+  /// (ascending title order, flag 0), and makes each touched title one
+  /// work entry the same way: its plan is cut at its split (CutPlan), and
+  /// its list is the cut requests merged with its new ones.  The split
+  /// of a title whose plan is still the unconstrained greedy's own output
+  /// (`resumable`, never set on a topology with stream caps: a capped
+  /// prefix was placed against an older stream load) is its deliveries
+  /// before its first new request in workload::ChronologicalOrder; any
+  /// other title is cut at 0 and replays from its first request.  New
+  /// indices follow every old one, so a tie in start time keeps the old
+  /// request first.
   static std::vector<FileWork> Merge(
       SolveOutput& state, const std::vector<workload::Request>& requests,
       std::size_t first_new, bool caps, SolveUndo& undo,
@@ -99,9 +91,9 @@ std::vector<FileWork> TwoPhaseSolve::Merge(
   std::vector<FileSchedule>& files = state.schedule.files;
   std::vector<char>& flags = state.resumable;
 
-  // Each group's position among the committed plans, and whether its
-  // title has none yet.
-  std::vector<std::size_t> at(fresh.size());
+  // Each group's slot once the new titles are in, and whether its title
+  // has no plan yet.
+  std::vector<std::size_t> slots(fresh.size());
   std::vector<char> is_new(fresh.size(), 0);
   std::size_t added_titles = 0;
   auto from = files.begin();
@@ -110,7 +102,7 @@ std::vector<FileWork> TwoPhaseSolve::Merge(
                             [](const FileSchedule& file, media::VideoId v) {
                               return file.video < v;
                             });
-    at[g] = static_cast<std::size_t>(from - files.begin());
+    slots[g] = static_cast<std::size_t>(from - files.begin()) + added_titles;
     if (from == files.end() || from->video != fresh[g].first) {
       is_new[g] = 1;
       ++added_titles;
@@ -126,7 +118,7 @@ std::vector<FileWork> TwoPhaseSolve::Merge(
     undo.inserted_.resize(added_titles);
     for (std::size_t g = fresh.size(); g-- > 0;) {
       if (is_new[g] == 0) continue;
-      while (old_end > at[g]) {
+      while (slot > slots[g] + 1) {
         --old_end;
         --slot;
         files[slot] = std::move(files[old_end]);
@@ -135,6 +127,7 @@ std::vector<FileWork> TwoPhaseSolve::Merge(
       --slot;
       files[slot] = FileSchedule{};
       files[slot].video = fresh[g].first;
+      flags[slot] = 0;
       undo.inserted_[--added_titles] = slot;
     }
   }
@@ -142,45 +135,27 @@ std::vector<FileWork> TwoPhaseSolve::Merge(
   const workload::ChronologicalOrder order{&requests};
   std::vector<FileWork> work;
   work.reserve(fresh.size());
-  std::size_t inserted_before = 0;
+  undo.cuts_.reserve(fresh.size());
   for (std::size_t g = 0; g < fresh.size(); ++g) {
-    const std::size_t slot = at[g] + inserted_before;
-    std::vector<std::size_t>& added = fresh[g].second;
+    const std::size_t slot = slots[g];
+    const std::vector<std::size_t>& added = fresh[g].second;
     FileSchedule& plan = files[slot];
+    std::size_t split = 0;
+    if (flags[slot] != 0) {
+      split = static_cast<std::size_t>(
+          std::partition_point(plan.deliveries.begin(), plan.deliveries.end(),
+                               [&](const Delivery& d) {
+                                 return order(d.request_index, added.front());
+                               }) -
+          plan.deliveries.begin());
+    }
+    PlanCut cut = CutPlan(plan, split, requests);
     FileWork& entry = work.emplace_back();
     entry.file = slot;
-    if (is_new[g] != 0) {
-      ++inserted_before;
-      entry.indices = std::move(added);
-    } else {
-      std::size_t kept = 0;
-      if (flags[slot] != 0) {
-        kept = static_cast<std::size_t>(
-            std::partition_point(plan.deliveries.begin(),
-                                 plan.deliveries.end(),
-                                 [&](const Delivery& d) {
-                                   return order(d.request_index,
-                                                added.front());
-                                 }) -
-            plan.deliveries.begin());
-      }
-      if (kept > 0) {
-        PlanCut cut = CutPlan(plan, kept, requests);
-        entry.indices.reserve(cut.deliveries().size() + added.size());
-        for (const Delivery& d : cut.deliveries()) {
-          entry.indices.push_back(d.request_index);
-        }
-        undo.cuts_.emplace_back(slot, std::move(cut));
-        ++*resumed;
-      } else {
-        entry.indices = FileRequestIndices(plan, requests);
-        FileSchedule empty;
-        empty.video = plan.video;
-        undo.replaced_.emplace_back(slot,
-                                    std::exchange(plan, std::move(empty)));
-      }
-      MergeChronological(entry.indices, added, order);
-    }
+    entry.indices = FileRequestIndices(cut.deliveries(), requests);
+    MergeChronological(entry.indices, added, order);
+    undo.cuts_.emplace_back(slot, std::move(cut));
+    *resumed += split > 0 ? 1 : 0;
     flags[slot] = caps ? 0 : 1;
   }
   return work;
@@ -251,7 +226,6 @@ void SolveUndo::Revert(SolveOutput& state) && {
   // the phase-1 entries below then undo in turn.
   for (auto& [file, plan] : displaced_) files[file] = std::move(plan);
   for (auto& [file, cut] : cuts_) std::move(cut).Revert(files[file]);
-  for (auto& [file, plan] : replaced_) files[file] = std::move(plan);
   if (!inserted_.empty()) {
     std::size_t kept = inserted_.front();
     std::size_t next = 0;

@@ -11,11 +11,11 @@
 // whole cycle; IncrementalSolve extends a solution in place with late
 // reservations and returns what a failed attempt needs to undo that.
 // The routine checks the new requests, groups only them, inserts their
-// new titles' empty plans, cuts every touched title that resumes back to
-// its split, places every touched title (PlaceFiles), leaves every other
-// title's plan where it is, builds the one thread pool both phases
-// share, and runs SORP on the result.  Solve(r) is IncrementalSolve on
-// an empty solution.
+// new titles' empty plans, cuts every touched title at its split (0 for
+// a title that cannot resume), extends every touched title from there
+// (PlaceFiles), leaves every other title's plan where it is, builds the
+// one thread pool both phases share, and runs SORP on the result.
+// Solve(r) is IncrementalSolve on an empty solution.
 #pragma once
 
 #include <utility>
@@ -88,10 +88,11 @@ struct SolveOutput {
 };
 
 /// What an in-place solve took out of the solution it extended: the
-/// committed requests cut off resumed plans, the old plans of replayed
-/// titles, SORP victims' pre-SORP plans, and the solution's flags, costs
-/// and SORP stats.  Dropping it commits the solve; Revert puts every byte
-/// back.  Its size is that of the solve's work, not of the horizon.
+/// slots it inserted, what its cuts took off the touched titles' plans
+/// (a whole plan, for a title cut at 0), SORP victims' pre-SORP plans,
+/// and the solution's flags, costs and SORP stats.  Dropping it commits
+/// the solve; Revert puts every byte back.  Its size is that of the
+/// solve's work, not of the horizon.
 class SolveUndo {
  public:
   /// Restores `state` to the solution the solve that returned this undo
@@ -103,10 +104,8 @@ class SolveUndo {
 
   /// Slots of the titles the solve added, ascending.
   std::vector<std::size_t> inserted_;
-  /// Resumed titles' slots and what their cuts took.
+  /// Touched titles' slots and what their cuts took.
   std::vector<std::pair<std::size_t, PlanCut>> cuts_;
-  /// Replayed titles' slots and their plans before the solve.
-  std::vector<std::pair<std::size_t, FileSchedule>> replaced_;
   /// SORP victims' phase-1 plans.
   DisplacedPlans displaced_;
   std::vector<char> resumable_;
@@ -147,14 +146,14 @@ class VorScheduler {
 /// storage overflows on the merged schedule (overflow interactions are
 /// global, so no shortcut is sound there; SORP stops at its opening
 /// detection when nothing overflows).  Phase 1 costs O(new requests) on
-/// an append-only horizon: only the late requests are grouped, and a
-/// touched title whose plan is still phase 1's (SolveOutput::resumable)
-/// is cut back in place to the requests before its first late one (a
-/// binary search over its deliveries) and its greedy resumes there over
-/// the cut requests and its late ones, instead of replaying from its
-/// first request — the same bytes, because the greedy's plan after k
-/// requests depends only on those k.  Any other touched title replays
-/// from its first request (FileRequestIndices).
+/// an append-only horizon: only the late requests are grouped, and every
+/// touched title is cut back in place to its split and its greedy
+/// extended from there over the cut requests and its late ones.  A title
+/// whose plan is still phase 1's (SolveOutput::resumable) splits before
+/// its first late request (a binary search over its deliveries) instead
+/// of replaying from its first request — the same bytes, because the
+/// greedy's plan after k requests depends only on those k.  Any other
+/// touched title is cut at 0, which takes its whole plan, and replays.
 ///
 /// `state` must be the output of VorScheduler::Solve (or a prior
 /// IncrementalSolve) over `requests[0..first_new)` with the same

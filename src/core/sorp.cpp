@@ -9,7 +9,6 @@
 #include <numeric>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "core/overflow.hpp"
@@ -223,9 +222,10 @@ struct ShardPlan {
 ///
 /// Starting from the topology's base regions (net::MakeRegions), two merge
 /// passes run to a joint fixpoint:
-///   1. file spans — a file's requesting neighborhoods, current residency
-///      locations, and delivery-route nodes must share one shard (the
-///      file is one indivisible victim);
+///   1. file spans — a file's current residency locations and
+///      delivery-route nodes must share one shard (the file is one
+///      indivisible victim).  Its requesting neighborhoods are among
+///      them: every request is delivered along a route that ends there;
 ///   2. route closure — every cheapest path among {VW} ∪ group members
 ///      with both endpoints in the group is folded into the group.
 /// The closure makes each shard's greedy self-contained: RescheduleVictim
@@ -240,22 +240,15 @@ struct ShardPlan {
 /// that shard's files — the byte-identity argument of DESIGN.md
 /// "Region-sharded SORP".
 ///
-/// Files with no footprint at all (no requests, residencies, deliveries)
-/// belong to no shard; neither engine can ever pick them as victims.
-ShardPlan FormShards(const Schedule& schedule,
-                     const std::vector<workload::Request>& requests,
-                     const CostModel& cost_model, std::size_t target_regions) {
+/// Files with no footprint at all (no residencies, deliveries) belong to
+/// no shard; neither engine can ever pick them as victims.
+ShardPlan FormShards(const Schedule& schedule, const CostModel& cost_model,
+                     std::size_t target_regions) {
   ShardPlan plan;
   const net::Topology& topology = cost_model.topology();
   const net::RegionMap rmap = net::MakeRegions(topology, target_regions);
   plan.base_regions = rmap.count;
   if (rmap.count == 0) return plan;
-
-  std::unordered_map<media::VideoId, std::size_t> file_of_video;
-  file_of_video.reserve(schedule.files.size());
-  for (std::size_t f = 0; f < schedule.files.size(); ++f) {
-    file_of_video.emplace(schedule.files[f].video, f);
-  }
 
   // Base regions touched by each file's current footprint.
   std::vector<std::vector<std::uint32_t>> file_regions(schedule.files.size());
@@ -263,10 +256,6 @@ ShardPlan FormShards(const Schedule& schedule,
     const std::uint32_t r = rmap.RegionOf(node);
     if (r != net::kInvalidRegion) file_regions[f].push_back(r);
   };
-  for (const workload::Request& req : requests) {
-    const auto it = file_of_video.find(req.video);
-    if (it != file_of_video.end()) add_region(it->second, req.neighborhood);
-  }
   for (std::size_t f = 0; f < schedule.files.size(); ++f) {
     const FileSchedule& file = schedule.files[f];
     for (const Residency& c : file.residencies) add_region(f, c.location);
@@ -353,8 +342,7 @@ SorpStats RegionShardedSolve(storage::Load& load, Schedule& schedule,
   util::ThreadPool* pool = options.pool;
   SorpStats stats;
 
-  const ShardPlan plan =
-      FormShards(schedule, requests, cost_model, options.regions);
+  const ShardPlan plan = FormShards(schedule, cost_model, options.regions);
   const std::size_t shards = plan.shard_files.size();
   stats.region_shards = shards;
   obs::Add(metrics, "sorp.regions.base", plan.base_regions);

@@ -104,24 +104,12 @@ ReservationService::ReservationService(const net::Topology& topology,
 
 ReservationService::~ReservationService() { Stop(); }
 
-util::Status ReservationService::ValidateRequest(
-    const workload::Request& request) const {
-  if (!catalog_->Contains(request.video)) {
-    return util::NotFound("unknown video id " + std::to_string(request.video));
-  }
-  if (!topology_->IsStorage(request.neighborhood)) {
-    return util::InvalidArgument("neighborhood is not an intermediate storage");
-  }
-  if (!workload::IsValidTime(request.start_time)) {
-    return util::InvalidArgument("negative or non-finite start time");
-  }
-  return util::Status::Ok();
-}
-
 util::Status ReservationService::ValidateStamped(
     const StampedRequest& stamped) const {
-  if (const util::Status s = ValidateRequest(stamped.request); !s.ok()) {
-    return s.error();
+  if (const util::Status s =
+          workload::ValidateRequest(stamped.request, *topology_, *catalog_);
+      !s.ok()) {
+    return s;
   }
   if (!workload::IsValidTime(stamped.arrival)) {
     return util::InvalidArgument("negative or non-finite arrival time");
@@ -432,8 +420,12 @@ ServiceSnapshot ReservationService::Snapshot() const {
 }
 
 util::Status ReservationService::Restore(const ServiceSnapshot& snapshot) {
-  for (const workload::Request& r : snapshot.committed) {
-    if (const util::Status s = ValidateRequest(r); !s.ok()) return s.error();
+  for (std::size_t i = 0; i < snapshot.committed.size(); ++i) {
+    if (const util::Status s = workload::ValidateRequest(
+            snapshot.committed[i], *topology_, *catalog_, i);
+        !s.ok()) {
+      return s;
+    }
   }
   for (const std::vector<StampedRequest>* stamped :
        {&snapshot.deferred, &snapshot.pending}) {

@@ -216,9 +216,7 @@ class ReservationService {
   };
   /// Drains shards + spill (cycle mutex must be held).
   [[nodiscard]] std::vector<StampedRequest> DrainIntake();
-  [[nodiscard]] util::Status ValidateRequest(
-      const workload::Request& request) const;
-  /// ValidateRequest plus a finite, non-negative arrival.
+  /// workload::ValidateRequest plus a finite, non-negative arrival.
   [[nodiscard]] util::Status ValidateStamped(
       const StampedRequest& stamped) const;
   /// Seconds since intake_epoch_ (monotonic), for queue-wait stamps.

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 
 namespace vor::util {
@@ -78,12 +79,9 @@ void ThreadPool::WorkerLoop() {
   tls_worker_pool = nullptr;
 }
 
-ParallelForStatus ThreadPool::ParallelFor(
-    std::size_t n, const std::function<void(std::size_t)>& body,
-    CancellationToken* cancel, ParallelForStatus* status_out) {
-  ParallelForStatus status;
-  if (status_out != nullptr) *status_out = status;
-  if (n == 0) return status;
+void ThreadPool::ParallelFor(std::size_t n,
+                             const std::function<void(std::size_t)>& body) {
+  if (n == 0) return;
   {
     std::lock_guard lock(mutex_);
     ++telemetry_.parallel_for_calls;
@@ -94,33 +92,16 @@ ParallelForStatus ThreadPool::ParallelFor(
   // Reentrancy guard: a body running on this pool that fans out again
   // must not wait on futures only this pool's (busy) workers could
   // fulfil.  Inline serial execution preserves the semantics (same
-  // indices, same exceptions, same cancellation behaviour).
+  // indices, same exceptions).
   if (InWorkerThread()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && cancel->cancelled()) {
-        status.abandoned = n - i;
-        break;
-      }
-      try {
-        body(i);
-      } catch (...) {
-        status.abandoned = n - i - 1;
-        if (status_out != nullptr) *status_out = status;
-        throw;
-      }
-      ++status.completed;
-    }
-    if (status_out != nullptr) *status_out = status;
-    return status;
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
   }
 
   // Atomic work counter: each worker claims the next index, so uneven task
   // costs (some sweep points resolve many overflows, some none) balance
-  // out.  `attempted` counts indices whose body actually started, so the
-  // caller can tell a completed run from one aborted by error/cancel.
+  // out.  The first exception stops every worker at its next claim.
   auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  auto attempted = std::make_shared<std::atomic<std::size_t>>(0);
-  auto completed = std::make_shared<std::atomic<std::size_t>>(0);
   auto aborted = std::make_shared<std::atomic<bool>>(false);
   std::exception_ptr error;
   std::mutex error_mutex;
@@ -129,15 +110,11 @@ ParallelForStatus ThreadPool::ParallelFor(
   std::vector<std::future<void>> futures;
   futures.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    futures.push_back(Submit([&, next, attempted, completed, aborted] {
+    futures.push_back(Submit([&, next, aborted] {
       for (;;) {
-        if (aborted->load() ||
-            (cancel != nullptr && cancel->cancelled())) {
-          return;
-        }
+        if (aborted->load()) return;
         const std::size_t i = next->fetch_add(1);
         if (i >= n) return;
-        attempted->fetch_add(1);
         try {
           body(i);
         } catch (...) {
@@ -145,19 +122,11 @@ ParallelForStatus ThreadPool::ParallelFor(
           if (!aborted->exchange(true)) error = std::current_exception();
           return;
         }
-        completed->fetch_add(1);
       }
     }));
   }
   for (auto& f : futures) f.get();
-
-  status.completed = completed->load();
-  // The index that threw was attempted but not completed; it belongs to
-  // neither bucket, matching the inline path.
-  status.abandoned = n - attempted->load();
-  if (status_out != nullptr) *status_out = status;
   if (error) std::rethrow_exception(error);
-  return status;
 }
 
 }  // namespace vor::util

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -32,32 +31,6 @@
 #include <vector>
 
 namespace vor::util {
-
-/// Cooperative cancellation for ParallelFor: a failed or aborted shard
-/// flips the token and the remaining shards stop claiming indices at the
-/// next claim point.  Shareable across threads; all operations are
-/// lock-free.
-class CancellationToken {
- public:
-  void Cancel() noexcept { cancelled_.store(true, std::memory_order_relaxed); }
-  [[nodiscard]] bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
-/// Outcome of a ParallelFor run.  `completed` counts body invocations
-/// that returned normally; `abandoned` counts indices that were never
-/// attempted because an earlier body threw or the caller cancelled.
-/// completed + abandoned == n except when a body threw (the throwing
-/// index is in neither bucket).
-struct ParallelForStatus {
-  std::size_t completed = 0;
-  std::size_t abandoned = 0;
-  [[nodiscard]] bool AllCompleted() const { return abandoned == 0; }
-};
 
 /// User-facing parallelism knob threaded through the solver options.
 ///   threads == 1  -> run serially on the calling thread (default);
@@ -137,16 +110,11 @@ class ThreadPool {
 
   /// Runs body(i) for i in [0, n), distributing indices over the pool, and
   /// blocks until all shards finish.  Exceptions from body propagate
-  /// (first one wins); remaining indices are then abandoned, and the
-  /// returned status (written through `status_out` before any rethrow)
-  /// says how many.  A non-null `cancel` token lets the caller (or a
-  /// body) stop further indices from being claimed without an exception.
+  /// (first one wins); no index is claimed after the first one throws.
   /// Reentrant calls from a worker of this pool run inline and serially.
   /// body must be safe to invoke concurrently for distinct i.
-  ParallelForStatus ParallelFor(std::size_t n,
-                                const std::function<void(std::size_t)>& body,
-                                CancellationToken* cancel = nullptr,
-                                ParallelForStatus* status_out = nullptr);
+  void ParallelFor(std::size_t n,
+                   const std::function<void(std::size_t)>& body);
 
  private:
   void WorkerLoop();

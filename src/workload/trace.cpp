@@ -143,35 +143,35 @@ void SortForReplay(std::vector<Request>& requests) {
   std::stable_sort(requests.begin(), requests.end(), ReplayOrderLess);
 }
 
+util::Status ValidateRequest(const Request& r, const net::Topology& topology,
+                             const media::Catalog& catalog,
+                             std::optional<std::size_t> index) {
+  const std::string which =
+      index.has_value() ? "request " + std::to_string(*index) : "request";
+  if (!catalog.Contains(r.video)) {
+    return util::NotFound(which + " references unknown video " +
+                          std::to_string(r.video));
+  }
+  if (!topology.IsStorage(r.neighborhood)) {
+    return util::InvalidArgument(which + " has non-storage neighborhood " +
+                                 std::to_string(r.neighborhood));
+  }
+  if (!IsValidTime(r.start_time)) {
+    return util::InvalidArgument(which +
+                                 " has a negative or non-finite start time");
+  }
+  return util::Status::Ok();
+}
+
 util::Status ValidateTrace(const std::vector<Request>& requests,
                            const net::Topology& topology,
                            const media::Catalog& catalog) {
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (const util::Status s =
-            ValidateTraceRecord(requests[i], i, topology, catalog);
+            ValidateRequest(requests[i], topology, catalog, i);
         !s.ok()) {
       return s;
     }
-  }
-  return util::Status::Ok();
-}
-
-util::Status ValidateTraceRecord(const Request& r, std::size_t index,
-                                 const net::Topology& topology,
-                                 const media::Catalog& catalog) {
-  if (!catalog.Contains(r.video)) {
-    return util::InvalidArgument("request " + std::to_string(index) +
-                                 " references unknown video " +
-                                 std::to_string(r.video));
-  }
-  if (!topology.IsStorage(r.neighborhood)) {
-    return util::InvalidArgument("request " + std::to_string(index) +
-                                 " has non-storage neighborhood " +
-                                 std::to_string(r.neighborhood));
-  }
-  if (!IsValidTime(r.start_time)) {
-    return util::InvalidArgument("request " + std::to_string(index) +
-                                 " has a negative or non-finite start time");
   }
   return util::Status::Ok();
 }

@@ -13,6 +13,8 @@
 // validated against the catalog/topology on request.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,18 +33,21 @@ namespace vor::workload {
 [[nodiscard]] util::Result<std::vector<Request>> RequestsFromCsv(
     const std::string& text);
 
-/// Validates a trace against an environment: video ids must be in the
-/// catalog, neighborhoods must be storage nodes, times non-negative.
+/// The one request check, made by every path that takes requests in
+/// (traces, scenarios, the scheduler, the service): the title must be in
+/// the catalog (kNotFound otherwise), the neighborhood a storage node and
+/// the start time IsValidTime (kInvalidArgument otherwise).  A given
+/// `index`, the request's position in its trace or log, appears in the
+/// error message as "request N".
+[[nodiscard]] util::Status ValidateRequest(
+    const Request& r, const net::Topology& topology,
+    const media::Catalog& catalog,
+    std::optional<std::size_t> index = std::nullopt);
+
+/// ValidateRequest over a whole trace, each record with its index.
 [[nodiscard]] util::Status ValidateTrace(
     const std::vector<Request>& requests, const net::Topology& topology,
     const media::Catalog& catalog);
-
-/// Per-record form of ValidateTrace, for streaming replay paths that
-/// never hold the whole trace; `index` appears in error messages.
-[[nodiscard]] util::Status ValidateTraceRecord(const Request& r,
-                                               std::size_t index,
-                                               const net::Topology& topology,
-                                               const media::Catalog& catalog);
 
 /// Canonical replay order: (start time, user, video, neighborhood),
 /// ascending.  A reservation log's row order is an accident of how the

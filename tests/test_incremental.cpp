@@ -292,17 +292,38 @@ struct ReplayTally {
   /// SORP victims, and the later requests for a title that was one.
   std::size_t victims = 0;
   std::size_t victim_titles_touched_later = 0;
+  /// Restored plans whose deliveries a close saw out of order.
+  std::size_t reversed_plans = 0;
 };
+
+/// Reverses the deliveries of the first title `batch` touches that has
+/// two or more, as a restored plan may list them.  Returns 1 if a title
+/// had, 0 if none did.
+std::size_t ReverseOneTouchedPlan(Schedule& schedule,
+                                  const std::vector<workload::Request>& batch) {
+  std::set<media::VideoId> touched;
+  for (const workload::Request& r : batch) touched.insert(r.video);
+  for (FileSchedule& file : schedule.files) {
+    if (file.deliveries.size() >= 2 && touched.count(file.video) != 0) {
+      std::reverse(file.deliveries.begin(), file.deliveries.end());
+      return 1;
+    }
+  }
+  return 0;
+}
 
 /// Replays `batches` as successive IncrementalSolves, each in place on
 /// the previous close's full output, and checks every close against a
 /// restore just before it (the state ReservationService::Restore builds:
 /// the same previous output with every resumable flag 0, so every
-/// touched title replays from its first request) and against the close
-/// after a restore (from the previous close's restored output, with the
-/// flags that close left).  All three must give the same bytes.  Each
-/// close also solves a copy of its input in place, which must give every
-/// byte the live solve gives and revert to every byte of the input.
+/// touched title is cut at 0 and replays from its first request; one
+/// touched title's restored plan also lists its deliveries in reverse)
+/// and against the close after a restore (from the previous close's
+/// restored output, with the flags that close left).  All three must
+/// give the same bytes.  Each close also solves a copy of its input in
+/// place, and of the restored input, which must give every byte the
+/// live solve gives and revert to every byte of the input, the reversed
+/// order included.
 void ReplayAgainstRestored(
     const workload::Scenario& scenario,
     const std::vector<std::vector<workload::Request>>& batches,
@@ -336,8 +357,13 @@ void ReplayAgainstRestored(
     }
     SolveOutput& restored = copy;
     restored.resumable.assign(restored.schedule.files.size(), 0);
-    ASSERT_TRUE(IncrementalSolve(unmetered, restored, committed, first_new)
-                    .ok());
+    tally->reversed_plans += ReverseOneTouchedPlan(restored.schedule, batch);
+    {
+      util::Result<SolveOutput> solved =
+          SolveCopy(unmetered, restored, committed, first_new);
+      ASSERT_TRUE(solved.ok()) << solved.error().message;
+      restored = std::move(*solved);
+    }
     ASSERT_TRUE(IncrementalSolve(unmetered, previous_restored, committed,
                                  first_new)
                     .ok());
@@ -361,6 +387,7 @@ void ReplayAgainstRestored(
   }
   tally->served = metrics.GetCounter("ivsp.requests").value();
   tally->resumed = metrics.GetCounter("incremental.files_resumed").value();
+  EXPECT_GT(tally->reversed_plans, 0u) << "no restored plan was reversed";
 }
 
 /// `count` consecutive runs of the start-ordered requests: every batch

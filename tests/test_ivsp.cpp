@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -312,6 +313,38 @@ TEST(IvspResumeTest, ResumeAtEverySplitEqualsStraightRun) {
           << indices.size();
     }
   }
+}
+
+TEST(IvspResumeTest, CutAtZeroTakesAnyPlanWhole) {
+  // A restored plan may list its deliveries in any order or start with an
+  // unbound one.  A cut at 0 still takes every delivery and every cache,
+  // and its Revert gives every byte back.
+  util::Rng rng(20261020);
+  std::size_t caches = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const RandomInstance inst(rng);
+    const net::Router router(inst.topo);
+    const CostModel cm(inst.topo, router, inst.catalog);
+    const FileSchedule plan = ScheduleFileGreedy(
+        0, inst.requests, workload::GroupByVideo(inst.requests).front().second,
+        cm, IvspOptions{}, nullptr);
+    caches += plan.residencies.size();
+    // Reversed, the first delivery is the latest, after every service.
+    FileSchedule reversed = plan;
+    std::reverse(reversed.deliveries.begin(), reversed.deliveries.end());
+    FileSchedule unbound = plan;
+    unbound.deliveries.front().request_index = kNoRequest;
+    for (FileSchedule* restored : {&reversed, &unbound}) {
+      const std::string before = Bytes(*restored);
+      PlanCut cut = CutPlan(*restored, 0, inst.requests);
+      EXPECT_TRUE(restored->deliveries.empty()) << "trial " << trial;
+      EXPECT_TRUE(restored->residencies.empty()) << "trial " << trial;
+      EXPECT_EQ(cut.deliveries().size(), plan.deliveries.size());
+      std::move(cut).Revert(*restored);
+      EXPECT_EQ(Bytes(*restored), before) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(caches, 0u) << "no plan opened a cache to take";
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ TEST(RejectiveTest, FileRequestIndicesRecoversChronology) {
   const auto requests = CloseRequests();
   const Schedule s = IvspSolve(requests, env.cm, IvspOptions{});
   ASSERT_EQ(s.files.size(), 1u);
-  EXPECT_EQ(FileRequestIndices(s.files[0], requests),
+  EXPECT_EQ(FileRequestIndices(s.files[0].deliveries, requests),
             (std::vector<std::size_t>{0, 1, 2}));
 }
 

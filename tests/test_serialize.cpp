@@ -114,19 +114,24 @@ TEST(SerializeTest, ScenarioBundleRoundTripSolvesIdentically) {
 }
 
 TEST(SerializeTest, ScenarioRejectsInvalidRequests) {
-  // Scenario requests pass the trace's per-record check: a catalog
-  // title, a storage-node neighborhood, a finite non-negative start.
+  // Scenario requests pass the one request check: a catalog title (else
+  // kNotFound), a storage-node neighborhood and a finite non-negative
+  // start (else kInvalidArgument).
   const workload::Scenario scenario = SmallScenario();
   std::vector<workload::Request> bad(3, scenario.requests[0]);
   bad[0].video = 99999;
   bad[1].neighborhood = scenario.topology.warehouse();
   bad[2].start_time = util::Seconds{-3600.0};
-  for (const workload::Request& r : bad) {
+  for (std::size_t i = 0; i < bad.size(); ++i) {
     workload::Scenario corrupt = scenario;
-    corrupt.requests[0] = r;
+    corrupt.requests[0] = bad[i];
     const auto restored = ScenarioFromJson(ScenarioToJson(corrupt));
     ASSERT_FALSE(restored.ok());
-    EXPECT_EQ(restored.error().code, util::Error::Code::kInvalidArgument);
+    EXPECT_EQ(restored.error().code, i == 0
+                                         ? util::Error::Code::kNotFound
+                                         : util::Error::Code::kInvalidArgument);
+    EXPECT_EQ(restored.error().message.rfind("request 0 ", 0), 0u)
+        << restored.error().message;
   }
 }
 

@@ -135,9 +135,19 @@ TEST_P(SorpRegionGoldenGridTest, GridMatchesMonolithic) {
   for (const std::size_t regions : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}, std::size_t{0}}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
-      const EngineRun run = RunEngine(env, regions, threads);
+      obs::MetricsRegistry metrics;
+      const EngineRun run = RunEngine(env, regions, threads, &metrics);
       EXPECT_EQ(run.bytes, reference.bytes)
           << "diverged at regions=" << regions << " threads=" << threads;
+      if (regions != 1) {
+        // Pinned shard plans: four shards at 8 regions and at auto, one
+        // at 2, and no file spans two base regions.
+        EXPECT_EQ(metrics.GetCounter("sorp.regions.shards").value(),
+                  regions == 2 ? 1u : 4u)
+            << "regions=" << regions << " threads=" << threads;
+        EXPECT_EQ(metrics.GetCounter("sorp.regions.cross_files").value(), 0u)
+            << "regions=" << regions << " threads=" << threads;
+      }
       EXPECT_EQ(run.stats.victims_rescheduled,
                 reference.stats.victims_rescheduled)
           << "victim count drifted at regions=" << regions
@@ -213,14 +223,22 @@ TEST(SorpRegionGoldenTest, BoundaryStraddlingVictimsMatch) {
   EXPECT_EQ(sharded.bytes, reference.bytes);
   EXPECT_GT(metrics.GetCounter("sorp.regions.cross_files").value(), 0u)
       << "workload should produce boundary-straddling files";
+  // The pinned shard plan: a file's span is its residencies and its
+  // deliveries' routes, which end at its requesting neighborhoods.
+  EXPECT_EQ(metrics.GetCounter("sorp.regions.cross_files").value(), 67u);
+  EXPECT_EQ(metrics.GetCounter("sorp.regions.shards").value(), 1u);
   // Straddling files merge their regions: fewer shards than base regions.
   EXPECT_LT(metrics.GetCounter("sorp.regions.shards").value(),
             metrics.GetCounter("sorp.regions.base").value());
 
   for (const std::size_t regions : {std::size_t{2}, std::size_t{8}}) {
-    const EngineRun run = RunEngine(env, regions, /*threads=*/8);
+    obs::MetricsRegistry coalesced;
+    const EngineRun run = RunEngine(env, regions, /*threads=*/8, &coalesced);
     EXPECT_EQ(run.bytes, reference.bytes)
         << "diverged at regions=" << regions;
+    EXPECT_EQ(coalesced.GetCounter("sorp.regions.cross_files").value(),
+              regions == 2 ? 54u : 67u);
+    EXPECT_EQ(coalesced.GetCounter("sorp.regions.shards").value(), 1u);
   }
 }
 

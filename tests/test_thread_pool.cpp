@@ -35,21 +35,15 @@ TEST(ThreadPoolTest, ManyTasksAllComplete) {
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  const ParallelForStatus status =
-      pool.ParallelFor(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.ParallelFor(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_TRUE(status.AllCompleted());
-  EXPECT_EQ(status.completed, 1000u);
-  EXPECT_EQ(status.abandoned, 0u);
 }
 
 TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
   ThreadPool pool(2);
   bool called = false;
-  const ParallelForStatus status =
-      pool.ParallelFor(0, [&](std::size_t) { called = true; });
+  pool.ParallelFor(0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
-  EXPECT_TRUE(status.AllCompleted());
 }
 
 TEST(ThreadPoolTest, ParallelForFewerItemsThanThreads) {
@@ -147,9 +141,7 @@ TEST(ThreadPoolStressTest, OversubscribedPoolCompletesAllWork) {
   // Many more workers than cores, many more indices than workers.
   ThreadPool pool(16);
   std::vector<std::atomic<int>> hits(5000);
-  const ParallelForStatus status =
-      pool.ParallelFor(5000, [&](std::size_t i) { hits[i].fetch_add(1); });
-  EXPECT_EQ(status.completed, 5000u);
+  pool.ParallelFor(5000, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -184,9 +176,7 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineInsteadOfDeadlocking) {
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
   pool.ParallelFor(4, [&](std::size_t) {
-    const ParallelForStatus inner = pool.ParallelFor(
-        8, [&](std::size_t) { inner_total.fetch_add(1); });
-    EXPECT_TRUE(inner.AllCompleted());
+    pool.ParallelFor(8, [&](std::size_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 4 * 8);
 }
@@ -204,61 +194,22 @@ TEST(ThreadPoolTest, NestedParallelForPropagatesInnerException) {
                std::runtime_error);
 }
 
-// ---- cancellation & abandoned-index accounting --------------------------
+// ---- early exit ---------------------------------------------------------
 
-TEST(ThreadPoolTest, CancellationStopsClaimingPromptly) {
-  ThreadPool pool(1);  // single worker: deterministic claim order
-  CancellationToken cancel;
-  std::atomic<std::size_t> ran{0};
-  const ParallelForStatus status = pool.ParallelFor(
-      100,
-      [&](std::size_t i) {
-        ran.fetch_add(1);
-        if (i == 9) cancel.Cancel();
-      },
-      &cancel);
-  EXPECT_EQ(ran.load(), 10u);
-  EXPECT_EQ(status.completed, 10u);
-  EXPECT_EQ(status.abandoned, 90u);
-  EXPECT_FALSE(status.AllCompleted());
-}
-
-TEST(ThreadPoolTest, AbandonedCountSurfacedWhenBodyThrows) {
-  // Early exit on the first error skips un-started indices; the caller
-  // can now distinguish "completed" from "aborted early" even though the
-  // exception still propagates.
+TEST(ThreadPoolTest, ParallelForStopsClaimingAfterThrow) {
+  // One worker claims indices in order: once index 37 throws, no later
+  // index runs.
   ThreadPool pool(1);
-  ParallelForStatus status;
-  EXPECT_THROW(pool.ParallelFor(
-                   100,
-                   [](std::size_t i) {
-                     if (i == 37) throw std::runtime_error("boom");
-                   },
-                   /*cancel=*/nullptr, &status),
+  std::vector<int> ran(100, 0);
+  EXPECT_THROW(pool.ParallelFor(100,
+                                [&](std::size_t i) {
+                                  ran[i] = 1;
+                                  if (i == 37) throw std::runtime_error("boom");
+                                }),
                std::runtime_error);
-  // Indices 0..36 completed, 37 threw (neither bucket), 38..99 abandoned.
-  EXPECT_EQ(status.completed, 37u);
-  EXPECT_EQ(status.abandoned, 62u);
-  EXPECT_FALSE(status.AllCompleted());
-}
-
-TEST(ThreadPoolTest, InlineReentrantCallHonoursCancellationAndStatus) {
-  ThreadPool pool(1);
-  auto outer = pool.Submit([&pool] {
-    CancellationToken cancel;
-    std::size_t ran = 0;
-    const ParallelForStatus status = pool.ParallelFor(
-        20,
-        [&](std::size_t i) {
-          ++ran;
-          if (i == 4) cancel.Cancel();
-        },
-        &cancel);
-    EXPECT_EQ(ran, 5u);
-    EXPECT_EQ(status.completed, 5u);
-    EXPECT_EQ(status.abandoned, 15u);
-  });
-  outer.get();
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_EQ(ran[i], i <= 37 ? 1 : 0) << "index " << i;
+  }
 }
 
 }  // namespace

@@ -181,7 +181,8 @@ TEST(GroupByVideoTest, TiedStartsComeOutInIndexOrder) {
   ASSERT_EQ(plan.files.size(), groups.size());
   for (std::size_t f = 0; f < groups.size(); ++f) {
     const std::vector<std::size_t>& indices = groups[f].second;
-    EXPECT_EQ(core::FileRequestIndices(plan.files[f], requests), indices);
+    EXPECT_EQ(core::FileRequestIndices(plan.files[f].deliveries, requests),
+              indices);
     ASSERT_EQ(plan.files[f].deliveries.size(), indices.size());
     for (std::size_t i = 0; i < indices.size(); ++i) {
       EXPECT_EQ(plan.files[f].deliveries[i].request_index, indices[i]);

@@ -739,8 +739,8 @@ int CmdServe(const Args& args) {
     auto more = stream->Next(r);
     if (!more.ok()) return Fail(more.error().message);
     if (!*more) break;
-    if (const util::Status s = workload::ValidateTraceRecord(
-            r, total, scenario->topology, scenario->catalog);
+    if (const util::Status s = workload::ValidateRequest(
+            r, scenario->topology, scenario->catalog, total);
         !s.ok()) {
       return Fail(s.error().message);
     }
