@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <optional>
 #include <span>
 
@@ -61,7 +60,8 @@ class GreedyRun {
         vw_(cm.topology().warehouse()),
         stream_bytes_(cm.StreamBytes(video)),
         cached_nodes_(cm.topology().node_count(), 0),
-        load_(constraints != nullptr ? constraints->load : nullptr) {
+        load_(constraints != nullptr ? constraints->load : nullptr),
+        anchors_(cm.topology().node_count()) {
     // An uncapped load checks no route: RouteAllowed runs for every
     // candidate, so it must cost nothing there.
     if (load_ != nullptr && load_->load().holds_streams()) {
@@ -174,8 +174,9 @@ class GreedyRun {
   }
 
   void ConsiderNewCaches(const workload::Request& req, Candidate& best) const {
-    for (const auto& [node, anchor] : anchors_) {
+    for (const net::NodeId node : anchored_) {
       if (IsCached(node)) continue;  // extension candidate covers it
+      const Anchor& anchor = anchors_[node];
       if (!options_.allow_remote_caching && node != req.neighborhood) continue;
       ++stats_.candidates;
       assert(anchor.time <= req.start_time);
@@ -219,9 +220,9 @@ class GreedyRun {
     for (const net::NodeId n : d.route) {
       if (!cm_.topology().IsStorage(n)) continue;
       Anchor& a = anchors_[n];
-      if (a.origin == net::kInvalidNode || d.start >= a.time) {
-        a = Anchor{d.start, d.origin()};
-      }
+      const bool first = a.origin == net::kInvalidNode;
+      if (first) anchored_.insert(std::ranges::upper_bound(anchored_, n), n);
+      if (first || d.start >= a.time) a = Anchor{d.start, d.origin()};
     }
   }
 
@@ -290,7 +291,11 @@ class GreedyRun {
 
   std::vector<Delivery> deliveries_;
   std::vector<Residency> caches_;
-  std::map<net::NodeId, Anchor> anchors_;  // ordered: deterministic tie-breaks
+  /// Each node's latest anchor (origin kInvalidNode: none yet), and the
+  /// anchored nodes, ascending: candidates come in node order, a
+  /// deterministic tie-break.
+  std::vector<Anchor> anchors_;
+  std::vector<net::NodeId> anchored_;
   // Tallies only; mutable so the const Consider*/allowed helpers can count
   // the rejections they decide.
   mutable GreedyStats stats_;

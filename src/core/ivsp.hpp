@@ -137,6 +137,17 @@ class PlanCut {
     return deliveries_;
   }
 
+  /// The deliveries the cut kept, the plan's first ones.
+  [[nodiscard]] std::size_t kept_deliveries() const {
+    return kept_deliveries_;
+  }
+  /// The caches open at the split, the plan's first ones.
+  [[nodiscard]] std::size_t kept_caches() const { return kept_.size(); }
+  /// The services kept cache `cache` kept, its first ones.
+  [[nodiscard]] std::size_t kept_services(std::size_t cache) const {
+    return kept_[cache].services;
+  }
+
   /// Restores the plan CutPlan cut, byte for byte.  `plan` must be that
   /// plan, unchanged since the cut or extended by ExtendFileGreedy.
   void Revert(FileSchedule& plan) &&;

@@ -92,12 +92,26 @@ struct SolveOutput {
 /// (a whole plan, for a title cut at 0), SORP victims' pre-SORP plans,
 /// and the solution's flags, costs and SORP stats.  Dropping it commits
 /// the solve; Revert puts every byte back.  Its size is that of the
-/// solve's work, not of the horizon.
+/// solve's work, not of the horizon, and it is also the solve's change
+/// set: sim::ValidateChange checks only the records it names.
 class SolveUndo {
  public:
   /// Restores `state` to the solution the solve that returned this undo
   /// started from.  `state` must be unchanged since that solve.
   void Revert(SolveOutput& state) &&;
+
+  /// Every title phase 1 touched, ascending by slot (slots count the
+  /// inserted ones), and what its cut took; a new title's inserted slot
+  /// is cut at 0 from an empty plan.  The slot's records past the cut's
+  /// kept ones are the solve's.
+  [[nodiscard]] const std::vector<std::pair<std::size_t, PlanCut>>& cuts()
+      const {
+    return cuts_;
+  }
+  /// SORP's victims and their plans before its first commit to each
+  /// (the phase-1 plan, or the carried one if phase 1 did not touch the
+  /// title): a victim's whole plan is the solve's.
+  [[nodiscard]] const DisplacedPlans& displaced() const { return displaced_; }
 
  private:
   friend class TwoPhaseSolve;  // src/core/scheduler.cpp

@@ -1,6 +1,7 @@
 #include "svc/reservation_service.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <unordered_map>
 
@@ -251,12 +252,18 @@ util::Result<CycleStats> ReservationService::CloseCycle() {
     }
     bool valid = false;
     if (previous_.sorp.Resolved()) {
+      // The committed state passed validation and the attempt wrote only
+      // what its undo names, so checking that change is checking the
+      // horizon (sim::ValidateChange's contract); asserts cross-check it.
       const obs::Stopwatch validate_watch;
-      valid = sim::ValidateSchedule(previous_.schedule, committed_,
-                                    scheduler_.cost_model())
+      valid = sim::ValidateChange(previous_.schedule, committed_,
+                                  scheduler_.cost_model(), *undo, first_new)
                   .ok();
       obs::Observe(config_.metrics, "svc.cycle.validate_seconds",
                    validate_watch.Seconds());
+      assert(valid == sim::ValidateSchedule(previous_.schedule, committed_,
+                                            scheduler_.cost_model())
+                          .ok());
     }
     if (valid) {
       committed_new = true;

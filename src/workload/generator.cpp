@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 
 #include "util/zipf.hpp"
 
@@ -71,15 +70,33 @@ std::vector<Request> GenerateRequests(const net::Topology& topology,
 
 VideoGroups GroupByVideo(const std::vector<Request>& requests,
                          std::size_t first) {
-  std::map<media::VideoId, std::vector<std::size_t>> groups;
+  // One sort of (title, start, index) lays the groups out back to back,
+  // each in ChronologicalOrder.
+  struct Key {
+    media::VideoId video;
+    util::Seconds start;
+    std::size_t index;
+  };
+  std::vector<Key> keys;
+  keys.reserve(requests.size() - std::min(first, requests.size()));
   for (std::size_t i = first; i < requests.size(); ++i) {
-    groups[requests[i].video].push_back(i);
+    keys.push_back(Key{requests[i].video, requests[i].start_time, i});
   }
+  std::ranges::sort(keys, [](const Key& a, const Key& b) {
+    if (a.video != b.video) return a.video < b.video;
+    if (a.start != b.start) return a.start < b.start;
+    return a.index < b.index;
+  });
   VideoGroups out;
-  out.reserve(groups.size());
-  for (auto& [video, indices] : groups) {
-    std::sort(indices.begin(), indices.end(), ChronologicalOrder{&requests});
-    out.emplace_back(video, std::move(indices));
+  for (auto group = keys.begin(); group != keys.end();) {
+    const auto end = std::find_if(group, keys.end(), [&](const Key& k) {
+      return k.video != group->video;
+    });
+    std::vector<std::size_t>& indices =
+        out.emplace_back(group->video, std::vector<std::size_t>{}).second;
+    indices.reserve(static_cast<std::size_t>(end - group));
+    for (auto k = group; k != end; ++k) indices.push_back(k->index);
+    group = end;
   }
   return out;
 }

@@ -2,6 +2,7 @@
 // and small random environments.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -9,6 +10,7 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "workload/request.hpp"
+#include "workload/scenario.hpp"
 
 namespace vor::testing {
 
@@ -86,6 +88,59 @@ inline media::Catalog OneVideoCatalog() {
   v.bandwidth = v.size / v.playback;
   catalog.Add(v);
   return catalog;
+}
+
+/// A multi-close horizon's scenario: 24 users per neighborhood over 60
+/// titles, storage dear enough that caching competes with the network.
+inline workload::ScenarioParams ReplayParams(double capacity_gb) {
+  workload::ScenarioParams params;
+  params.is_capacity = util::GB(capacity_gb);
+  params.nrate_per_gb = 1000;
+  params.srate_per_gb_hour = 3;
+  params.users_per_neighborhood = 24;
+  params.catalog_size = 60;
+  return params;
+}
+
+/// `count` consecutive runs of the start-ordered requests: every batch
+/// starts at or after the last one, so each touched title's split falls
+/// at its plan's end.
+inline std::vector<std::vector<workload::Request>> Chronological(
+    const std::vector<workload::Request>& requests, std::size_t count) {
+  std::vector<std::vector<workload::Request>> batches(count);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    batches[i * count / requests.size()].push_back(requests[i]);
+  }
+  return batches;
+}
+
+/// Request i goes to batch i % count: every batch spans the whole day,
+/// so late requests start before committed ones and splits fall mid-plan.
+inline std::vector<std::vector<workload::Request>> Interleaved(
+    const std::vector<workload::Request>& requests, std::size_t count) {
+  std::vector<std::vector<workload::Request>> batches(count);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    batches[i % count].push_back(requests[i]);
+  }
+  return batches;
+}
+
+/// Reverses the deliveries of the first title `batch` touches that has
+/// two or more, as a restored plan may list them.  Returns 1 if a title
+/// had, 0 if none did.
+inline std::size_t ReverseOneTouchedPlan(
+    core::Schedule& schedule, const std::vector<workload::Request>& batch) {
+  for (core::FileSchedule& file : schedule.files) {
+    if (file.deliveries.size() >= 2 &&
+        std::any_of(batch.begin(), batch.end(),
+                    [&](const workload::Request& r) {
+                      return r.video == file.video;
+                    })) {
+      std::reverse(file.deliveries.begin(), file.deliveries.end());
+      return 1;
+    }
+  }
+  return 0;
 }
 
 }  // namespace vor::testing

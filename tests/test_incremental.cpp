@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "sim/validator.hpp"
 #include "storage/load.hpp"
+#include "test_helpers.hpp"
 #include "workload/scenario.hpp"
 
 namespace vor::core {
@@ -296,22 +297,6 @@ struct ReplayTally {
   std::size_t reversed_plans = 0;
 };
 
-/// Reverses the deliveries of the first title `batch` touches that has
-/// two or more, as a restored plan may list them.  Returns 1 if a title
-/// had, 0 if none did.
-std::size_t ReverseOneTouchedPlan(Schedule& schedule,
-                                  const std::vector<workload::Request>& batch) {
-  std::set<media::VideoId> touched;
-  for (const workload::Request& r : batch) touched.insert(r.video);
-  for (FileSchedule& file : schedule.files) {
-    if (file.deliveries.size() >= 2 && touched.count(file.video) != 0) {
-      std::reverse(file.deliveries.begin(), file.deliveries.end());
-      return 1;
-    }
-  }
-  return 0;
-}
-
 /// Replays `batches` as successive IncrementalSolves, each in place on
 /// the previous close's full output, and checks every close against a
 /// restore just before it (the state ReservationService::Restore builds:
@@ -357,7 +342,8 @@ void ReplayAgainstRestored(
     }
     SolveOutput& restored = copy;
     restored.resumable.assign(restored.schedule.files.size(), 0);
-    tally->reversed_plans += ReverseOneTouchedPlan(restored.schedule, batch);
+    tally->reversed_plans +=
+        testing::ReverseOneTouchedPlan(restored.schedule, batch);
     {
       util::Result<SolveOutput> solved =
           SolveCopy(unmetered, restored, committed, first_new);
@@ -390,76 +376,47 @@ void ReplayAgainstRestored(
   EXPECT_GT(tally->reversed_plans, 0u) << "no restored plan was reversed";
 }
 
-/// `count` consecutive runs of the start-ordered requests: every batch
-/// starts at or after the last one, so each touched title's split falls
-/// at its plan's end.
-std::vector<std::vector<workload::Request>> Chronological(
-    const std::vector<workload::Request>& requests, std::size_t count) {
-  std::vector<std::vector<workload::Request>> batches(count);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    batches[i * count / requests.size()].push_back(requests[i]);
-  }
-  return batches;
-}
-
-/// Request i goes to batch i % count: every batch spans the whole day,
-/// so late requests start before committed ones and splits fall mid-plan.
-std::vector<std::vector<workload::Request>> Interleaved(
-    const std::vector<workload::Request>& requests, std::size_t count) {
-  std::vector<std::vector<workload::Request>> batches(count);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    batches[i % count].push_back(requests[i]);
-  }
-  return batches;
-}
-
-workload::ScenarioParams ReplayParams(double capacity_gb) {
-  workload::ScenarioParams params;
-  params.is_capacity = util::GB(capacity_gb);
-  params.nrate_per_gb = 1000;
-  params.srate_per_gb_hour = 3;
-  params.users_per_neighborhood = 24;
-  params.catalog_size = 60;
-  return params;
-}
-
 TEST(IncrementalResumeTest, AppendOnlyReplayServesOnlyNewRequests) {
-  const workload::Scenario scenario = workload::MakeScenario(ReplayParams(100));
+  const workload::Scenario scenario =
+      workload::MakeScenario(testing::ReplayParams(100));
   ReplayTally tally;
   ASSERT_NO_FATAL_FAILURE(ReplayAgainstRestored(
-      scenario, Chronological(scenario.requests, 6), &tally));
+      scenario, testing::Chronological(scenario.requests, 6), &tally));
   EXPECT_EQ(tally.victims, 0u);
   EXPECT_GT(tally.resumed, 0u);
   EXPECT_EQ(tally.served, tally.new_requests);
 }
 
 TEST(IncrementalResumeTest, LateRequestsSplitPlansMidway) {
-  const workload::Scenario scenario = workload::MakeScenario(ReplayParams(100));
+  const workload::Scenario scenario =
+      workload::MakeScenario(testing::ReplayParams(100));
   ReplayTally tally;
   ASSERT_NO_FATAL_FAILURE(ReplayAgainstRestored(
-      scenario, Interleaved(scenario.requests, 5), &tally));
+      scenario, testing::Interleaved(scenario.requests, 5), &tally));
   EXPECT_GT(tally.resumed, 0u);
   // A mid-plan split serves the committed requests after it again.
   EXPECT_GT(tally.served, tally.new_requests);
 }
 
 TEST(IncrementalResumeTest, SorpVictimsReplayFromTheirFirstRequest) {
-  const workload::Scenario scenario = workload::MakeScenario(ReplayParams(5));
+  const workload::Scenario scenario =
+      workload::MakeScenario(testing::ReplayParams(5));
   ReplayTally tally;
   ASSERT_NO_FATAL_FAILURE(ReplayAgainstRestored(
-      scenario, Chronological(scenario.requests, 6), &tally));
+      scenario, testing::Chronological(scenario.requests, 6), &tally));
   EXPECT_GT(tally.victims, 0u);
   EXPECT_GT(tally.victim_titles_touched_later, 0u);
   EXPECT_GT(tally.resumed, 0u);
 }
 
 TEST(IncrementalResumeTest, StreamCapsReplayFromTheFirstRequest) {
-  workload::Scenario scenario = workload::MakeScenario(ReplayParams(100));
+  workload::Scenario scenario =
+      workload::MakeScenario(testing::ReplayParams(100));
   // About two typical streams per link.
   scenario.topology.SetUniformBandwidthCap(util::BytesPerSecond{1.2e6});
   ReplayTally tally;
   ASSERT_NO_FATAL_FAILURE(ReplayAgainstRestored(
-      scenario, Chronological(scenario.requests, 6), &tally));
+      scenario, testing::Chronological(scenario.requests, 6), &tally));
   EXPECT_EQ(tally.resumable_flags, 0u);
   EXPECT_EQ(tally.resumed, 0u);
   EXPECT_GT(tally.served, tally.new_requests);

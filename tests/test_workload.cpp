@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/cost_model.hpp"
@@ -10,6 +11,7 @@
 #include "media/catalog.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "util/rng.hpp"
 
 namespace vor::workload {
 namespace {
@@ -187,6 +189,38 @@ TEST(GroupByVideoTest, TiedStartsComeOutInIndexOrder) {
     for (std::size_t i = 0; i < indices.size(); ++i) {
       EXPECT_EQ(plan.files[f].deliveries[i].request_index, indices[i]);
     }
+  }
+}
+
+TEST(GroupByVideoTest, MatchesAMapGrouping) {
+  // Random logs with few titles (every title repeats), few start times
+  // (ties are common) and a grouped suffix starting past 0: the one-sort
+  // grouping must equal a grouping through a map of per-title lists,
+  // each sorted in ChronologicalOrder.
+  const net::Topology topo = Topo(3);
+  const std::vector<net::NodeId> storages = topo.StorageNodes();
+  util::Rng rng(29);
+  for (std::size_t trial = 0; trial < 50; ++trial) {
+    std::vector<Request> requests(1 + rng.NextBounded(300));
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      requests[i] = Request{
+          static_cast<UserId>(i),
+          static_cast<media::VideoId>(rng.NextBounded(1 + trial % 12)),
+          util::Hours(static_cast<double>(rng.NextBounded(6))),
+          storages[rng.NextBounded(storages.size())]};
+    }
+    const std::size_t first = rng.NextBounded(requests.size() + 1);
+    std::map<media::VideoId, std::vector<std::size_t>> by_map;
+    for (std::size_t i = first; i < requests.size(); ++i) {
+      by_map[requests[i].video].push_back(i);
+    }
+    VideoGroups expected;
+    for (auto& [video, indices] : by_map) {
+      std::sort(indices.begin(), indices.end(), ChronologicalOrder{&requests});
+      expected.emplace_back(video, std::move(indices));
+    }
+    EXPECT_EQ(GroupByVideo(requests, first), expected)
+        << "trial " << trial << ", first " << first;
   }
 }
 
