@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -262,16 +263,21 @@ int RunSmoke() {
   checks.Require(stats.victims_rescheduled > 0, "victims rescheduled > 0");
   checks.Require(stats.usage_rebuilds == 1,
                  "SORP builds the usage aggregate exactly once");
+  checks.Require(stats.evaluations_abandoned > 0,
+                 "dry runs that cannot win are abandoned (" +
+                     std::to_string(stats.evaluations_abandoned) + ")");
   for (const std::string key :
        {"sorp.rounds", "sorp.candidates_evaluated", "sorp.usage_rebuilds",
         "sorp.victims_rescheduled", "sorp.initial_overflow_windows",
-        "sorp.evaluation", "sorp.reschedule.candidates_priced"}) {
+        "sorp.evaluation", "sorp.reschedule.candidates_priced",
+        "sorp.evaluations_abandoned"}) {
     checks.Require(metrics_json.find('"' + key + '"') != std::string::npos,
                    "metrics schema has " + key);
   }
   std::cout << "stress: sorp " << sorp_seconds << " s, "
             << stats.victims_rescheduled << " rounds, " << stats.evaluations
-            << " evaluations, "
+            << " evaluations (" << stats.evaluations_abandoned
+            << " abandoned), "
             << (stats.Resolved() ? "resolved" : "unresolved (capped)")
             << '\n';
   return checks.Finish("--smoke");
@@ -333,7 +339,8 @@ RegionRun RunRegionSorp(const workload::Scenario& scenario,
 /// Checks invariants, not the wall clock (too noisy under sanitizers): a
 /// genuinely multi-shard plan, the structural work reduction (the region
 /// engine evaluates strictly fewer candidates than the monolithic loop),
-/// resolution, and byte-identity at several (regions x threads) points.
+/// resolution, byte-identity at several (regions x threads) points, and
+/// the same abandoned dry runs at any thread count.
 int RunRegionSmoke() {
   const workload::Scenario scenario = MakeRegionScenario();
   const net::Router router(scenario.topology);
@@ -349,14 +356,27 @@ int RunRegionSmoke() {
                  "victims rescheduled > 0");
   checks.Require(mono.stats.Resolved(), "monolithic run resolves");
 
+  // Per regions setting, the abandoned count of its first thread count.
+  std::map<std::size_t, std::size_t> abandoned{
+      {1, mono.stats.evaluations_abandoned}};
   for (const auto& [regions, threads] :
-       {std::pair<std::size_t, std::size_t>{0, 1},
+       {std::pair<std::size_t, std::size_t>{1, 2},
+        std::pair<std::size_t, std::size_t>{0, 1},
         std::pair<std::size_t, std::size_t>{0, 2},
+        std::pair<std::size_t, std::size_t>{4, 1},
         std::pair<std::size_t, std::size_t>{4, 2}}) {
     const RegionRun run = RunRegionSorp(scenario, cm, phase1, regions, threads);
-    checks.Require(run.bytes == mono.bytes,
-                   "byte-identical at regions=" + std::to_string(regions) +
-                       " threads=" + std::to_string(threads));
+    const std::string point = "regions=" + std::to_string(regions) +
+                              " threads=" + std::to_string(threads);
+    checks.Require(run.bytes == mono.bytes, "byte-identical at " + point);
+    const auto [first, inserted] =
+        abandoned.emplace(regions, run.stats.evaluations_abandoned);
+    if (!inserted) {
+      checks.Require(first->second == run.stats.evaluations_abandoned,
+                     "same abandoned dry runs at " + point + " (" +
+                         std::to_string(run.stats.evaluations_abandoned) +
+                         " vs " + std::to_string(first->second) + ")");
+    }
     if (regions == 0 && threads == 1) {
       checks.Require(run.stats.region_shards > 1,
                      "auto plan forms >1 shard (" +

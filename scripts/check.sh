@@ -25,17 +25,18 @@
 # (bench/bench_smoke.cpp): a 1M-request streaming replay whose peak-RSS
 # growth must stay within 8 MB, a 15-byte trace declaring a 1 GiB section
 # that both trace readers must reject within the same 8 MB, and the SORP
-# stress solve (SORP engages, victims > 0, one usage build, the sorp.*
-# metrics schema present).
+# stress solve (SORP engages, victims > 0, one usage build, abandoned dry
+# runs > 0, the sorp.* metrics schema present).
 # Performance is e2ebench's job (BENCHMARK.json); this gate checks
 # invariants only.
 #
 # `bench-region` builds bench_smoke under the asan-ubsan preset and runs
 # `--region-smoke`: a 50k-request region-skewed scale trace solved
 # monolithically and region-sharded, checking shard-plan formation,
-# candidate-evaluation reduction, resolution, and byte-identical
-# schedules across (regions x threads) combinations — with the memory
-# and UB checkers watching the parallel shard path.
+# candidate-evaluation reduction, resolution, byte-identical schedules
+# across (regions x threads) combinations, and equal abandoned dry runs
+# across thread counts — with the memory and UB checkers watching the
+# parallel shard path.
 #
 # `soak` builds vorctl under the tsan preset and replays a short trace
 # through `vorctl serve` with concurrent producers plus the background

@@ -47,6 +47,10 @@ enum class HeatMetric : std::uint8_t {
                                           const OverflowWindow& overflow,
                                           const CostModel& cost_model);
 
+/// The improvement `metric` rates: chi under M1/M2, dS under M3/M4.
+[[nodiscard]] double Improvement(HeatMetric metric, double improvement_length,
+                                 double improvement_time_space);
+
 /// Combines improvement and overhead into the selected heat value.
 /// overhead <= 0 (rescheduling is free or even cheaper — possible because
 /// phase 1 is heuristic) yields +infinity: such victims are always taken
@@ -54,5 +58,20 @@ enum class HeatMetric : std::uint8_t {
 [[nodiscard]] double ComputeHeat(HeatMetric metric, double improvement_length,
                                  double improvement_time_space,
                                  double overhead_cost);
+
+/// The largest overhead at which a candidate with these improvements
+/// still reaches `heat`: ComputeHeat at the returned overhead is >= `heat`
+/// and at every larger overhead it is < `heat`, in floating point.
+/// +infinity when every overhead reaches it (`heat` is -infinity, or
+/// M1/M3 with an improvement >= `heat`); 0 when only a free run reaches
+/// it (`heat` is +infinity, or M1/M3 with a smaller improvement; under
+/// M2/M4 a +infinity is also reached by overheads small enough to
+/// overflow the quotient, up to improvement / DBL_MAX); -infinity when
+/// no overhead does (improvement <= 0).  Otherwise, under M2/M4, it is
+/// improvement / `heat`.  SORP prunes a dry run whose plan costs more.
+[[nodiscard]] double OverheadLimit(HeatMetric metric,
+                                   double improvement_length,
+                                   double improvement_time_space,
+                                   double heat);
 
 }  // namespace vor::core

@@ -84,6 +84,10 @@ class GreedyRun {
     if (deliveries_.empty()) deliveries_.reserve(indices.size());
     for (const Delivery& d : deliveries_) AnchorAlong(d);
     for (const Residency& cache : caches_) cached_nodes_[cache.location] = 1;
+    const util::Money ceiling =
+        constraints_ != nullptr
+            ? constraints_->ceiling
+            : util::Money{std::numeric_limits<double>::infinity()};
     for (const std::size_t idx : indices) {
       const workload::Request& req = requests_[idx];
       assert(req.video == video_);
@@ -91,12 +95,14 @@ class GreedyRun {
              workload::ChronologicalOrder{&requests_}(
                  deliveries_.back().request_index, idx));
       ServeRequest(idx, req);
+      if (spent_ > ceiling) break;
     }
     plan.deliveries = std::move(deliveries_);
     plan.residencies = std::move(caches_);
   }
 
   [[nodiscard]] const GreedyStats& stats() const { return stats_; }
+  [[nodiscard]] util::Money spent() const { return spent_; }
 
  private:
   /// Checks a hypothetical residency [t_start, t_last] at `node` against
@@ -242,6 +248,7 @@ class GreedyRun {
                        cm_.RouteRate(vw_, req.neighborhood) * stream_bytes_,
                        0, net::kInvalidNode, {}};
     }
+    spent_ += best.cost;
 
     switch (best.kind) {
       case CandidateKind::kDirect: {
@@ -299,6 +306,8 @@ class GreedyRun {
   // Tallies only; mutable so the const Consider*/allowed helpers can count
   // the rejections they decide.
   mutable GreedyStats stats_;
+  /// The chosen updates' summed cost.
+  util::Money spent_{0.0};
 };
 
 }  // namespace
@@ -317,14 +326,17 @@ FileSchedule ScheduleFileGreedy(media::VideoId video,
   return plan;
 }
 
-void ExtendFileGreedy(FileSchedule& plan,
-                      const std::vector<workload::Request>& requests,
-                      const std::vector<std::size_t>& indices,
-                      const CostModel& cost_model, const IvspOptions& options,
-                      const ConstraintSet* constraints, GreedyStats* stats) {
+util::Money ExtendFileGreedy(FileSchedule& plan,
+                             const std::vector<workload::Request>& requests,
+                             const std::vector<std::size_t>& indices,
+                             const CostModel& cost_model,
+                             const IvspOptions& options,
+                             const ConstraintSet* constraints,
+                             GreedyStats* stats) {
   GreedyRun run(plan.video, requests, cost_model, options, constraints);
   run.Extend(plan, indices);
   if (stats != nullptr) *stats = run.stats();
+  return run.spent();
 }
 
 PlanCut CutPlan(FileSchedule& plan, std::size_t kept,

@@ -21,6 +21,7 @@
 // is rejected too, in both phases.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -97,6 +98,12 @@ struct ConstraintSet {
   /// requests of the same file see its earlier streams.
   const storage::LoadView* load = nullptr;
 
+  /// The run stops after the first request that takes the summed cost of
+  /// its chosen updates above this (default: never).  That sum is the
+  /// plan's cost Psi, up to rounding, and never falls: every update's
+  /// incremental cost is >= 0.
+  util::Money ceiling{std::numeric_limits<double>::infinity()};
+
   [[nodiscard]] bool ForbidsResidency(net::NodeId node,
                                       util::Interval support) const;
 };
@@ -120,13 +127,17 @@ struct ConstraintSet {
 /// CutPlan cut back to them) by the rest of the list gives the bytes of
 /// a run over the whole list.  A non-empty `plan` requires null
 /// `constraints`.  A non-null `stats` receives the tallies of the
-/// requests served here.
-void ExtendFileGreedy(FileSchedule& plan,
-                      const std::vector<workload::Request>& requests,
-                      const std::vector<std::size_t>& indices,
-                      const CostModel& cost_model, const IvspOptions& options,
-                      const ConstraintSet* constraints,
-                      GreedyStats* stats = nullptr);
+/// requests served here.  Returns the summed incremental cost of the
+/// updates it chose, which stops the run once it passes
+/// `constraints->ceiling` (the plan then holds only the requests served
+/// so far).
+util::Money ExtendFileGreedy(FileSchedule& plan,
+                             const std::vector<workload::Request>& requests,
+                             const std::vector<std::size_t>& indices,
+                             const CostModel& cost_model,
+                             const IvspOptions& options,
+                             const ConstraintSet* constraints,
+                             GreedyStats* stats = nullptr);
 
 /// What CutPlan took out of a plan, so that Revert can put it back.
 class PlanCut {

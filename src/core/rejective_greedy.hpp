@@ -7,6 +7,7 @@
 // never create another.
 #pragma once
 
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -21,15 +22,23 @@
 namespace vor::core {
 
 struct RescheduleResult {
+  /// An abandoned run's plan holds only the requests served before it
+  /// stopped.
   FileSchedule schedule;
   util::Money old_cost{0.0};
+  /// Not priced (0) when the run was abandoned.
   util::Money new_cost{0.0};
+  /// The run passed its ceiling: its overhead exceeds the `max_overhead`
+  /// RescheduleVictim was given.
+  bool abandoned = false;
   /// Decision/rejection tallies of the constrained greedy run (candidate
-  /// updates priced, forbidden-window / capacity / route rejections).
+  /// updates priced, forbidden-window / capacity / route rejections), up
+  /// to where it stopped.
   GreedyStats greedy;
 
   /// The overhead cost of Sec. 4.2: Psi(S_new) - Psi(S_old).  Usually
   /// positive, but can be negative because phase 1 is itself heuristic.
+  /// Meaningless for an abandoned run.
   [[nodiscard]] util::Money Overhead() const { return new_cost - old_cost; }
 };
 
@@ -43,6 +52,17 @@ struct RescheduleResult {
     std::span<const Delivery> deliveries,
     const std::vector<workload::Request>& requests);
 
+/// What every dry run of one victim file shares: the requests its plan
+/// serves (FileRequestIndices) and the plan's cost Psi(S_old).
+struct VictimInputs {
+  std::vector<std::size_t> indices;
+  util::Money cost{0.0};
+};
+
+[[nodiscard]] VictimInputs VictimInputsOf(
+    const FileSchedule& plan, const std::vector<workload::Request>& requests,
+    const CostModel& cost_model);
+
 /// Recomputes S_i^new(dt, ISj) for the file at `file_index`:
 ///   * `forbidden` — (node, interval) pairs the file must not be resident
 ///     in (the overflow being resolved);
@@ -50,7 +70,15 @@ struct RescheduleResult {
 ///     excluding `file_index`: candidates must fit each IS's remaining
 ///     space and, on a topology with stream caps, their streams must fit
 ///     the capped links and origins.  The run keeps its own streams in a
-///     private delta over the view.
+///     private delta over the view;
+///   * `max_overhead` — the run is abandoned, and its plan not priced,
+///     once the plan's cost provably exceeds the old cost by more than
+///     this (default: never).  A run whose overhead is at most
+///     `max_overhead` always completes; one abandoned always has a
+///     larger overhead.  Its ceiling adds a relative slack to old cost +
+///     `max_overhead` that covers the rounding between the greedy's
+///     running sum and CostModel::FileCost;
+///   * `inputs` — the file's VictimInputsOf, or null to compute them.
 ///
 /// The run reads only schedule.files[file_index] from `schedule` — every
 /// other file's influence arrives exclusively through `others`.
@@ -61,6 +89,8 @@ struct RescheduleResult {
     const std::vector<workload::Request>& requests,
     const CostModel& cost_model, const IvspOptions& options,
     std::vector<std::pair<net::NodeId, util::Interval>> forbidden,
-    const storage::LoadView& others);
+    const storage::LoadView& others,
+    double max_overhead = std::numeric_limits<double>::infinity(),
+    const VictimInputs* inputs = nullptr);
 
 }  // namespace vor::core

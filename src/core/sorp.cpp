@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -22,9 +23,17 @@ namespace vor::core {
 
 namespace {
 
-/// Result of one tentative rejective-greedy dry run.
+/// Dry runs per wave.  A round runs its candidates in consecutive waves,
+/// each bounded by the best heat of the waves before it, so which runs
+/// are abandoned, and every counter, follows from this constant and not
+/// from the thread count.
+constexpr std::size_t kWaveSize = 8;
+
+/// Result of one tentative rejective-greedy dry run.  An abandoned run
+/// keeps heat -infinity and no plan: it cannot win its round.
 struct Evaluation {
   double heat = -std::numeric_limits<double>::infinity();
+  bool abandoned = false;
   FileSchedule schedule;
   GreedyStats greedy;
   double seconds = 0.0;
@@ -71,9 +80,12 @@ SorpStats ResolveOverflows(storage::Load& load, Schedule& schedule,
   }
 
   // One tentative rejective-greedy dry run; pure given a frozen schedule.
+  // `bar` is the best heat an earlier wave found: the run is abandoned
+  // once its plan costs more than any overhead that could still reach it.
   // The per-evaluation tallies/timings ride back in the slot-indexed
   // Evaluation and are folded into the registry serially.
-  const auto evaluate = [&](const SorpCandidate& c) -> Evaluation {
+  const auto evaluate = [&](const SorpCandidate& c, const VictimInputs& inputs,
+                            double bar) -> Evaluation {
     const obs::Stopwatch watch;
     // The backdrop the victim must fit into: all other files' load, as a
     // view that overlays only the keys where the victim has pieces.  The
@@ -81,13 +93,17 @@ SorpStats ResolveOverflows(storage::Load& load, Schedule& schedule,
     // height check.
     const storage::LoadView others =
         load.Excluding(c.file_index, options.capacity_aware_reschedule);
-    RescheduleResult attempt =
-        RescheduleVictim(schedule, c.file_index, requests, cost_model,
-                         options.ivsp, {{c.node, c.window}}, others);
+    RescheduleResult attempt = RescheduleVictim(
+        schedule, c.file_index, requests, cost_model, options.ivsp,
+        {{c.node, c.window}}, others,
+        OverheadLimit(options.heat, c.chi, c.ds, bar), &inputs);
     Evaluation out;
-    out.heat =
-        ComputeHeat(options.heat, c.chi, c.ds, attempt.Overhead().value());
-    out.schedule = std::move(attempt.schedule);
+    out.abandoned = attempt.abandoned;
+    if (!attempt.abandoned) {
+      out.heat =
+          ComputeHeat(options.heat, c.chi, c.ds, attempt.Overhead().value());
+      out.schedule = std::move(attempt.schedule);
+    }
     out.greedy = attempt.greedy;
     out.seconds = watch.Seconds();
     return out;
@@ -106,26 +122,76 @@ SorpStats ResolveOverflows(storage::Load& load, Schedule& schedule,
       candidates.resize(1);
     }
 
-    std::vector<Evaluation> evals(candidates.size());
+    // Each slot reads the frozen schedule and writes only its own entry,
+    // so the steps below fan out over the pool where there is one; the
+    // reduction is order-based, so thread scheduling cannot change the
+    // chosen victim.
     const bool parallel = pool != nullptr && candidates.size() > 1 &&
                           !pool->InWorkerThread();
-    if (parallel) {
-      // Fan the dry runs out; each slot reads the frozen schedule and
-      // writes only its own entry.  The reduction below is order-based,
-      // so thread scheduling cannot change the chosen victim.
-      pool->ParallelFor(candidates.size(), [&](std::size_t i) {
-        evals[i] = evaluate(candidates[i]);
+    const auto fan_out = [&](std::size_t n,
+                              const std::function<void(std::size_t)>& body) {
+      if (parallel && n > 1) {
+        pool->ParallelFor(n, body);
+      } else {
+        for (std::size_t i = 0; i < n; ++i) body(i);
+      }
+    };
+
+    // One request list and old cost per candidate file, shared by its
+    // candidates.
+    std::vector<std::size_t> files;
+    files.reserve(candidates.size());
+    for (const SorpCandidate& c : candidates) files.push_back(c.file_index);
+    std::sort(files.begin(), files.end());
+    files.erase(std::unique(files.begin(), files.end()), files.end());
+    std::vector<VictimInputs> inputs(files.size());
+    fan_out(files.size(), [&](std::size_t k) {
+      inputs[k] = VictimInputsOf(schedule.files[files[k]], requests,
+                                 cost_model);
+    });
+    const auto inputs_of = [&](std::size_t file) -> const VictimInputs& {
+      return inputs[static_cast<std::size_t>(
+          std::lower_bound(files.begin(), files.end(), file) - files.begin())];
+    };
+
+    // Largest improvement first, ties in discovery order: the hot runs
+    // come early and set a high bar for the rest.  Wave by wave, each
+    // run's bar is the best heat of the waves before its own.  A run is
+    // abandoned only when its heat is certainly below that bar, hence
+    // below the round's best, so the reduction picks what it would pick
+    // with every run completed.
+    std::vector<std::size_t> order(candidates.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return Improvement(options.heat, candidates[a].chi,
+                                          candidates[a].ds) >
+                              Improvement(options.heat, candidates[b].chi,
+                                          candidates[b].ds);
+                     });
+    std::vector<Evaluation> evals(candidates.size());
+    double best_heat = -std::numeric_limits<double>::infinity();
+    for (std::size_t begin = 0; begin < order.size(); begin += kWaveSize) {
+      const std::size_t size = std::min(kWaveSize, order.size() - begin);
+      const double bar = best_heat;
+      fan_out(size, [&](std::size_t k) {
+        const std::size_t i = order[begin + k];
+        evals[i] = evaluate(candidates[i],
+                            inputs_of(candidates[i].file_index), bar);
       });
-    } else {
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        evals[i] = evaluate(candidates[i]);
+      for (std::size_t k = 0; k < size; ++k) {
+        best_heat = std::max(best_heat, evals[order[begin + k]].heat);
       }
     }
 
+    std::size_t abandoned = 0;
+    for (const Evaluation& e : evals) abandoned += e.abandoned ? 1 : 0;
     stats.evaluations += candidates.size();
+    stats.evaluations_abandoned += abandoned;
     if (metrics != nullptr) {
       obs::Add(metrics, "sorp.rounds");
       obs::Add(metrics, "sorp.candidates_evaluated", candidates.size());
+      obs::Add(metrics, "sorp.evaluations_abandoned", abandoned);
       GreedyStats round_greedy;
       obs::Timer& eval_timer = metrics->GetTimer("sorp.evaluation");
       for (const Evaluation& e : evals) {
@@ -403,6 +469,7 @@ SorpStats RegionShardedSolve(storage::Load& load, Schedule& schedule,
                               shard.victim_files.begin(),
                               shard.victim_files.end());
     stats.evaluations += shard.evaluations;
+    stats.evaluations_abandoned += shard.evaluations_abandoned;
     if (displaced != nullptr) {
       std::move(shard_displaced[s].begin(), shard_displaced[s].end(),
                 std::back_inserter(*displaced));
@@ -435,6 +502,7 @@ SorpStats RegionShardedSolve(storage::Load& load, Schedule& schedule,
                               residual.victim_files.begin(),
                               residual.victim_files.end());
     stats.evaluations += residual.evaluations;
+    stats.evaluations_abandoned += residual.evaluations_abandoned;
     stats.final_excess = residual.final_excess;
     if (residual.victims_rescheduled > 0) {
       obs::Add(metrics, "sorp.regions.residual_victims",
@@ -511,6 +579,7 @@ SorpStats SorpSolve(Schedule& schedule,
     stats.victims_rescheduled = resolved.victims_rescheduled;
     stats.victim_files = resolved.victim_files;
     stats.evaluations = resolved.evaluations;
+    stats.evaluations_abandoned = resolved.evaluations_abandoned;
     stats.usage_rebuilds += resolved.usage_rebuilds;
     stats.region_shards = resolved.region_shards;
     stats.final_excess = resolved.final_excess;

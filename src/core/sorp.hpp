@@ -3,7 +3,9 @@
 // Iterates: detect all overflow windows; for every residency involved in
 // one, tentatively reschedule its file with the rejective greedy; compute
 // the heat of that rescheduling; commit the single hottest victim; repeat
-// until the integrated schedule is overflow free.
+// until the integrated schedule is overflow free.  A dry run stops as soon
+// as its plan's cost puts its heat below the best of the round so far
+// (it could not have won), so the victims are those of the literal loop.
 //
 // One storage::Load of the whole schedule, holding each IS's space and,
 // on a topology with stream caps, the capped links' and origins' streams,
@@ -83,12 +85,13 @@ struct SorpOptions {
   /// Optional caller-owned pool (null = serial).  Each round's tentative
   /// victim evaluations (one rejective-greedy dry run per overflow
   /// contributor, all against the same frozen integrated schedule) are
-  /// independent and fan out over it, as do region shards; the commit
-  /// step stays serial and the victim is reduced with a deterministic
-  /// tie-break (max heat, then smallest file index, then discovery
-  /// order), so the victim sequence — and the final schedule bytes — are
-  /// identical at any thread count.  VorScheduler passes the pool phase 1
-  /// ran on.
+  /// independent and fan out over it in fixed waves of 8, each wave
+  /// bounded by the best heat of the waves before it, as do region
+  /// shards; the commit step stays serial and the victim is reduced with
+  /// a deterministic tie-break (max heat, then smallest file index, then
+  /// discovery order), so the victim sequence — and the final schedule
+  /// bytes — are identical at any thread count.  VorScheduler passes the
+  /// pool phase 1 ran on.
   util::ThreadPool* pool = nullptr;
 
   // ---- observability --------------------------------------------------
@@ -132,6 +135,9 @@ struct SorpStats {
   std::vector<std::size_t> victim_files;
   /// Tentative rejective-greedy dry runs (one per candidate per round).
   std::size_t evaluations = 0;
+  /// Those of them abandoned once their plan's cost put their heat below
+  /// the round's best so far (never the round's winner).
+  std::size_t evaluations_abandoned = 0;
   /// Aggregate builds (storage::Load constructions): the opening build
   /// of the whole schedule, plus one per region shard — commits are
   /// diffs, never rebuilds.

@@ -8,7 +8,8 @@
 // CollectSorpCandidates, the heat metrics, the victim tie-break, the
 // max_iterations cap and the no-progress guard with core::SorpSolve, and
 // deliberately nothing else — no commits, no overlays, no region shards,
-// no thread pool — since those are exactly what the comparison checks.
+// no thread pool, no dry-run bound: every dry run completes, so the
+// golden suites prove the bound never changes a choice.
 #pragma once
 
 #include <vector>

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace vor::core {
 namespace {
@@ -95,6 +97,79 @@ TEST(HeatTest, PerCostMetricsPreferCheaperVictims) {
   const double h_pricey =
       ComputeHeat(HeatMetric::kTimeSpacePerCost, 10, 1e9, 100.0);
   EXPECT_GT(h_cheap, h_pricey);
+}
+
+// The overhead limit splits overheads exactly, in floating point: the
+// limit itself still reaches the heat (a tie is never cut) and every
+// larger overhead falls strictly below it.
+TEST(HeatTest, OverheadLimitSplitsReachingFromFallingShort) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  util::Rng rng(20261021);
+  const auto log_uniform = [&](double lo, double hi) {
+    return std::exp(rng.Uniform(std::log(lo), std::log(hi)));
+  };
+  for (const auto metric :
+       {HeatMetric::kImprovedLength, HeatMetric::kLengthPerCost,
+        HeatMetric::kTimeSpace, HeatMetric::kTimeSpacePerCost}) {
+    SCOPED_TRACE(ToString(metric));
+    for (int trial = 0; trial < 4000; ++trial) {
+      const double chi = trial % 50 == 0 ? 0.0 : log_uniform(1.0, 1e5);
+      const double ds = trial % 50 == 1 ? 0.0 : log_uniform(1e6, 1e14);
+      // A rival's heat, and a few the loop can meet: a tie with this
+      // candidate's own heat, the infinities, and zero.
+      double best = ComputeHeat(metric, log_uniform(1.0, 1e5),
+                                log_uniform(1e6, 1e14),
+                                log_uniform(1e-3, 1e4));
+      if (trial % 7 == 0) {
+        best = ComputeHeat(metric, chi, ds, log_uniform(1e-3, 1e4));
+      }
+      if (trial % 97 == 3) best = kInf;
+      if (trial % 97 == 4) best = -kInf;
+      if (trial % 97 == 5) best = 0.0;
+      const double limit = OverheadLimit(metric, chi, ds, best);
+      const auto heat = [&](double overhead) {
+        return ComputeHeat(metric, chi, ds, overhead);
+      };
+      if (limit == kInf) {
+        for (const double overhead : {-1.0, 0.0, 1e-3, 1.0, 1e4, 1e300}) {
+          EXPECT_GE(heat(overhead), best) << overhead;
+        }
+      } else if (limit == -kInf) {
+        for (const double overhead : {-1.0, 0.0, 1e-3, 1.0, 1e4}) {
+          EXPECT_LT(heat(overhead), best) << overhead;
+        }
+      } else {
+        EXPECT_GE(heat(limit), best) << "the limit itself falls short";
+        for (const double overhead :
+             {std::nextafter(limit, kInf), limit * (1.0 + 1e-12) + 1e-300,
+              limit * 2.0 + 1.0, 1e300}) {
+          EXPECT_LT(heat(overhead), best)
+              << overhead << " above limit " << limit;
+        }
+      }
+    }
+  }
+}
+
+TEST(HeatTest, OverheadLimitCases) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // M2/M4: improvement / heat.
+  EXPECT_DOUBLE_EQ(OverheadLimit(HeatMetric::kTimeSpacePerCost, 1.0, 1e9, 1e8),
+                   10.0);
+  EXPECT_DOUBLE_EQ(OverheadLimit(HeatMetric::kLengthPerCost, 100.0, 1e9, 4.0),
+                   25.0);
+  // M1/M3: no limit when the improvement reaches the heat, else only a
+  // free run does.
+  EXPECT_EQ(OverheadLimit(HeatMetric::kTimeSpace, 1.0, 1e9, 1e9), kInf);
+  EXPECT_EQ(OverheadLimit(HeatMetric::kImprovedLength, 10.0, 1e9, 11.0), 0.0);
+  for (const auto metric :
+       {HeatMetric::kImprovedLength, HeatMetric::kLengthPerCost,
+        HeatMetric::kTimeSpace, HeatMetric::kTimeSpacePerCost}) {
+    EXPECT_LT(OverheadLimit(metric, 10.0, 1e9, kInf), 1e-290);
+    EXPECT_EQ(OverheadLimit(metric, 10.0, 1e9, -kInf), kInf);
+    EXPECT_EQ(OverheadLimit(metric, 0.0, 0.0, 1.0), -kInf);
+    EXPECT_EQ(OverheadLimit(metric, 0.0, 0.0, -kInf), kInf);
+  }
 }
 
 TEST(HeatTest, NamesAreDistinct) {

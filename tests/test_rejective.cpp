@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
 #include "core/ivsp.hpp"
+#include "core/overflow.hpp"
+#include "core/sorp.hpp"
+#include "io/binary.hpp"
 #include "sim/validator.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
+#include "workload/scenario.hpp"
 
 namespace vor::core {
 namespace {
@@ -139,6 +148,83 @@ TEST(RejectiveTest, RouteHookVetoesCandidates) {
   // The fallback serves everyone even against the caps.
   EXPECT_EQ(result.schedule.deliveries.size(), requests.size());
 }
+
+std::string PlanBytes(const FileSchedule& plan) {
+  Schedule wrapped;
+  wrapped.files.push_back(plan);
+  return io::ScheduleToBinary(wrapped);
+}
+
+// A dry run given an overhead allowance either completes with exactly the
+// plan and cost of its unbounded twin, or is abandoned, and then its twin's
+// overhead exceeds the allowance.  And it is abandoned whenever the twin's
+// overhead clearly exceeds the allowance: the ceiling prunes.
+class RescheduleCeilingProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(RescheduleCeilingProperty, BoundedRunIsItsTwinOrOverTheLimit) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 0x9E3779B97F4A7C15ULL);
+  workload::ScenarioParams params;
+  params.nrate_per_gb = rng.Uniform(200.0, 1200.0);
+  params.srate_per_gb_hour = rng.Uniform(0.5, 10.0);
+  params.is_capacity = util::GB(rng.Uniform(2.5, 5.0));
+  params.storage_count = 5 + rng.NextBounded(6);
+  params.users_per_neighborhood = 8 + rng.NextBounded(8);
+  params.catalog_size = 40 + rng.NextBounded(60);
+  params.seed = rng.NextU64();
+  const workload::Scenario scenario = workload::MakeScenario(params);
+  const net::Router router(scenario.topology);
+  const CostModel cm(scenario.topology, router, scenario.catalog);
+  const Schedule schedule = IvspSolve(scenario.requests, cm, IvspOptions{});
+  const storage::Load load(schedule, cm);
+  const std::vector<SorpCandidate> candidates =
+      CollectSorpCandidates(schedule, DetectOverflowsIn(load), cm);
+  ASSERT_FALSE(candidates.empty()) << "the instance must be under pressure";
+
+  std::size_t abandoned = 0;
+  std::size_t completed = 0;
+  for (std::size_t n = 0; n < std::min<std::size_t>(candidates.size(), 24);
+       ++n) {
+    const SorpCandidate& c = candidates[n];
+    const storage::LoadView others = load.Excluding(c.file_index);
+    const VictimInputs inputs =
+        VictimInputsOf(schedule.files[c.file_index], scenario.requests, cm);
+    const RescheduleResult twin =
+        RescheduleVictim(schedule, c.file_index, scenario.requests, cm,
+                         IvspOptions{}, {{c.node, c.window}}, others);
+    ASSERT_FALSE(twin.abandoned);
+    const double overhead = twin.Overhead().value();
+    const double scale = inputs.cost.value() + std::abs(overhead);
+    for (const double limit :
+         {-1.0, 0.0, overhead / 2.0, overhead - 1e-6 * scale,
+          std::nextafter(overhead, -1e300), overhead,
+          overhead + 1e-6 * scale, 2.0 * std::abs(overhead) + 1.0}) {
+      SCOPED_TRACE("candidate " + std::to_string(n) + ", limit " +
+                   std::to_string(limit) + ", overhead " +
+                   std::to_string(overhead));
+      const RescheduleResult bounded =
+          RescheduleVictim(schedule, c.file_index, scenario.requests, cm,
+                           IvspOptions{}, {{c.node, c.window}}, others, limit,
+                           &inputs);
+      if (bounded.abandoned) {
+        ++abandoned;
+        EXPECT_GT(overhead, limit);
+      } else {
+        ++completed;
+        EXPECT_EQ(PlanBytes(bounded.schedule), PlanBytes(twin.schedule));
+        EXPECT_EQ(bounded.new_cost.value(), twin.new_cost.value());
+        EXPECT_EQ(bounded.old_cost.value(), twin.old_cost.value());
+      }
+      if (limit < overhead - 1e-7 * scale) {
+        EXPECT_TRUE(bounded.abandoned) << "the ceiling did not prune";
+      }
+    }
+  }
+  EXPECT_GT(abandoned, 0u);
+  EXPECT_GT(completed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RescheduleCeilingProperty,
+                         ::testing::Range(1, 7));
 
 }  // namespace
 }  // namespace vor::core
